@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import HamCycle, UGraph, is_connected, union
+from .graphs import HamCycle, UGraph, is_connected, max_clique, union
 from .independence import alpha_value
 from .k4 import find_k4s, psi_exact, zeta
 
@@ -245,27 +245,8 @@ def iterating_check(stats: FamilyStats, x, eps) -> IteratingReport:
     aux = _aux_graph(stats, (1 - eps) * x * x * stats.n / 16)
     a = alpha_value(aux)
     cap = johnson_q(x / 4, eps) + 1
-    clique = _max_clique_indices(aux)
+    clique = max_clique(aux.adj)
     return IteratingReport(hyp, a, cap, clique, not hyp or a <= cap)
-
-
-def _max_clique_indices(g: UGraph) -> tuple[int, ...]:
-    best: list[int] = []
-
-    def extend(cur, cands):
-        nonlocal best
-        if len(cur) > len(best):
-            best = cur[:]
-        for idx, v in enumerate(cands):
-            if len(cur) + len(cands) - idx <= len(best):
-                break
-            nxt = [u for u in cands[idx + 1 :] if g.has_edge(v, u)]
-            cur.append(v)
-            extend(cur, nxt)
-            cur.pop()
-
-    extend([], list(range(g.n)))
-    return tuple(best)
 
 
 @dataclass(frozen=True)
@@ -293,7 +274,7 @@ def step_check(stats: FamilyStats, eps) -> StepReport:
         for _, _, z, p, _ in stats.table
     )
     aux = _aux_graph(stats, (1 - eps) * m * m * n)
-    clique = _max_clique_indices(aux)
+    clique = max_clique(aux.adj)
     m_y = None
     ok = True
     if hyp and len(clique) >= 2:

@@ -215,6 +215,50 @@ def is_connected(g: UGraph, within: int | None = None) -> bool:
     return len(connected_components(g, within)) <= 1
 
 
+def max_clique(adj: Sequence[int]) -> tuple[int, ...]:
+    """The lexicographically first maximum clique of the graph with rows adj.
+
+    adj[v] is the bitmask of v's neighbours, as in UGraph.adj.  Branch and
+    bound: candidates are taken lowest first, so cliques are met in
+    lexicographic order and only a strictly larger one replaces the best.
+    The bound is a greedy colouring (Tomita-Seki) of the candidates in
+    descending vertex order: the colours used on the candidates >= v colour
+    them properly, so they bound every clique that branching on v or a later
+    candidate can reach, and all of these bounds come from one colouring.
+    """
+    best: list[int] = []
+    cur: list[int] = []
+
+    def expand(cands):
+        nonlocal best
+        if len(cur) > len(best):
+            best = cur[:]
+        classes: list[int] = []
+        bounds = []
+        rest = cands
+        while rest:
+            v = rest.bit_length() - 1
+            bit = 1 << v
+            rest ^= bit
+            for i, cls in enumerate(classes):
+                if not cls & adj[v]:
+                    classes[i] = cls | bit
+                    break
+            else:
+                classes.append(bit)
+            bounds.append((v, len(classes)))
+        for v, bound in reversed(bounds):
+            if len(cur) + bound <= len(best):
+                return
+            cands ^= 1 << v
+            cur.append(v)
+            expand(cands & adj[v])
+            cur.pop()
+
+    expand((1 << len(adj)) - 1)
+    return tuple(best)
+
+
 def distinct_cycles(cycles: Sequence[HamCycle]) -> bool:
     keys = {canonical_key(c) for c in cycles}
     return len(keys) == len(cycles)

@@ -23,19 +23,14 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from .constructions import circulant_family, k4_strip
-from .graphs import HamCycle, make_cycle, standard_cycle, union
+from .graphs import HamCycle, bits, canonical_key, make_cycle, max_clique, standard_cycle, union
 from .independence import alpha_value
 from .k4 import zeta
 from .limits import check_limit, limit
 
 
-def _cycle_key(order):
-    """Lexicographic minimum over the 2n rotations/reflections fixing 0 first."""
-    n = len(order)
-    i = order.index(0)
-    fwd = tuple(order[(i + j) % n] for j in range(n))
-    rev = tuple(order[(i - j) % n] for j in range(n))
-    return min(fwd, rev)
+class WitnessCheckError(Exception):
+    """A pair of cycles in a computed witness family has a union with alpha > k."""
 
 
 def dihedral_stabilizer(cycle: HamCycle) -> tuple[tuple[int, ...], ...]:
@@ -73,8 +68,8 @@ def enumerate_cycles(n: int, pinned: HamCycle | None = None):
             continue
         order = (0,) + tail
         if maps is not None:
-            key = _cycle_key(order)
-            if any(_cycle_key(tuple(m[v] for v in order)) < key for m in maps):
+            key = canonical_key(HamCycle(order))
+            if any(canonical_key(HamCycle(tuple(m[v] for v in order))) < key for m in maps):
                 continue
         yield make_cycle(order)
 
@@ -130,25 +125,24 @@ def _scan_task(args):
     return out
 
 
-def _max_clique(masks):
-    """Indices of a maximum clique; i ~ j when masks[i] & masks[j] == 0."""
-    best: list[int] = []
+def _compatibility_rows(masks):
+    """Bitset adjacency rows of the graph where i ~ j iff masks[i] & masks[j] == 0.
 
-    def extend(current, cands):
-        nonlocal best
-        if len(current) > len(best):
-            best = current[:]
-        for i, c in enumerate(cands):
-            if len(current) + len(cands) - i <= len(best):
-                break
-            mc = masks[c]
-            nxt = [d for d in cands[i + 1 :] if mc & masks[d] == 0]
-            current.append(c)
-            extend(current, nxt)
-            current.pop()
-
-    extend([], list(range(len(masks))))
-    return best
+    holders[b] collects the members whose mask has bit b, so the members that
+    clash with i are the union of holders[b] over the bits b of masks[i].
+    """
+    holders = [0] * max(masks, default=0).bit_length()
+    for i, m in enumerate(masks):
+        for b in bits(m):
+            holders[b] |= 1 << i
+    everyone = (1 << len(masks)) - 1
+    adj = []
+    for i, m in enumerate(masks):
+        clash = 1 << i
+        for b in bits(m):
+            clash |= holders[b]
+        adj.append(everyone & ~clash)
+    return adj
 
 
 @dataclass(frozen=True)
@@ -210,11 +204,16 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
             hit |= rows[prev][v]
             prev = v
         masks.append(full & ~hit)
-    clique = _max_clique(masks)
+    clique = max_clique(_compatibility_rows(masks))
     value = 1 + len(clique)
     witnesses = (standard_cycle(n),) + tuple(make_cycle(survivors[i]) for i in clique)
     for a, b in combinations(witnesses, 2):
-        assert alpha_value(union([a, b])) <= k
+        alpha_ab = alpha_value(union([a, b]))
+        if alpha_ab > k:
+            raise WitnessCheckError(
+                f"f({n},{k}) witnesses {a.order} and {b.order}: "
+                f"alpha of their union is {alpha_ab} > {k}"
+            )
     log.append(f"maximum clique among survivors: {len(clique)}")
     log.append(f"f({n},{k}) = {value}; witness family re-verified pairwise")
     return FSearchResult(n, k, value, witnesses, "exhaustive", total, time.perf_counter() - t0, tuple(log))

@@ -40,6 +40,15 @@ def oracle_independent_sets(g: UGraph, size: int) -> list[tuple[int, ...]]:
     return out
 
 
+def oracle_max_clique(g: UGraph) -> tuple[int, ...]:
+    """The lexicographically first clique of the largest size, sizes from the top."""
+    for size in range(g.n, 0, -1):
+        for combo in combinations(range(g.n), size):
+            if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
+                return combo
+    return ()
+
+
 def oracle_k4s(g: UGraph) -> list[tuple[int, int, int, int]]:
     out = []
     for combo in combinations(range(g.n), 4):

@@ -237,6 +237,14 @@ def test_iterating_check_vacuous_when_hypothesis_fails():
     assert not rep.hypothesis_holds and rep.ok
 
 
+def test_checker_subfamilies_pinned_on_circulant_45():
+    # The reported cliques are the lexicographically first maximum ones.
+    stats = family_stats(circulant_family(45))
+    assert step_check(stats, Fraction(1, 10)).subfamily == (0, 1, 2, 3, 4)
+    rep = iterating_check(stats, Fraction(1, 4), Fraction(1, 2))
+    assert rep.dense_subfamily == (0,)
+
+
 def test_step_check_reports_gain():
     stats = family_stats(triple_n8())
     rep = step_check(stats, Fraction(1, 2))

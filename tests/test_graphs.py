@@ -1,6 +1,7 @@
 """Core graph types: construction, canonical forms, unions, documents."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from twomilton.graphs import (
     distinct_cycles,
     is_connected,
     make_cycle,
+    max_clique,
     parse_family,
     relabel_cycle,
     relabel_graph,
@@ -23,7 +25,7 @@ from twomilton.graphs import (
     union,
 )
 
-from oracles import oracle_connected
+from oracles import oracle_connected, oracle_max_clique
 
 
 def test_make_cycle_validates():
@@ -104,6 +106,34 @@ def test_connectivity_matches_oracle():
     assert comps == [0b000111, 0b011000, 0b100000]
     assert is_connected(g, within=0b000111)
     assert is_connected(cycle_graph(standard_cycle(9)))
+
+
+def test_max_clique_matches_oracle():
+    rng = random.Random(20160930)
+    graphs = [UGraph(0, ()), UGraph.from_edges(7, []), UGraph.from_edges(9, [
+        (u, v) for u in range(9) for v in range(u + 1, 9)
+    ])]
+    for _ in range(500):
+        n = rng.randint(0, 14)
+        p = rng.random()
+        graphs.append(UGraph.from_edges(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ]))
+    for g in graphs:
+        assert max_clique(g.adj) == oracle_max_clique(g)
+    assert max_clique(graphs[0].adj) == ()
+    assert max_clique(graphs[1].adj) == (0,)
+    assert max_clique(graphs[2].adj) == tuple(range(9))
+
+
+def test_max_clique_breaks_ties_lexicographically():
+    # Two disjoint triangles {1, 4, 5} and {2, 3, 6} plus a pendant edge at 0:
+    # both triangles are maximum, and {1, 4, 5} comes first.
+    g = UGraph.from_edges(7, [(0, 6), (1, 4), (1, 5), (4, 5), (2, 3), (2, 6), (3, 6)])
+    assert max_clique(g.adj) == (1, 4, 5)
+    # Relabelled so that {2, 3, 6} becomes {0, 1, 4}: now that one comes first.
+    h = relabel_graph(g, [6, 2, 1, 4, 3, 5, 0])
+    assert max_clique(h.adj) == (0, 1, 4)
 
 
 def test_distinct_cycles():

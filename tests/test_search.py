@@ -1,15 +1,18 @@
 """Exhaustive f(n, k) search, exceptional graphs, and covered-triple scans."""
 
+import os
+import subprocess
+import sys
 from itertools import permutations
 from math import factorial
 
 import pytest
 
-from twomilton.graphs import HamCycle, make_cycle, standard_cycle, union
+import twomilton
+from twomilton.graphs import HamCycle, canonical_key, make_cycle, standard_cycle, union
 from twomilton.independence import alpha_value
 from twomilton.k4 import find_k4_cover, zeta
 from twomilton.search import (
-    _cycle_key,
     compute_f,
     dihedral_stabilizer,
     enumerate_cycles,
@@ -42,10 +45,10 @@ def test_pinned_enumeration_matches_orbit_dedup():
         if tail[0] > tail[-1]:
             continue
         order = (0,) + tail
-        reps.add(min(_cycle_key(tuple(m[v] for v in order)) for m in maps))
+        reps.add(min(canonical_key(HamCycle(tuple(m[v] for v in order))) for m in maps))
     got = [c for c in enumerate_cycles(n, pinned=std)]
     assert len(got) == len(reps)
-    assert {_cycle_key(c.order) for c in got} == reps
+    assert {canonical_key(c) for c in got} == reps
 
 
 def test_stabilizer_maps_preserve_pinned_cycle():
@@ -84,6 +87,58 @@ def test_compute_f_n8_k2():
 def test_compute_f_monotone_in_k():
     values = [compute_f(6, k).value for k in (1, 2, 3)]
     assert values == sorted(values)
+
+
+# The exhaustive search reports the lexicographically first maximum clique of
+# survivors, so its witness families are fixed; the benchmark pins them too.
+PINNED_WITNESSES = {
+    (6, 2): [
+        (0, 1, 2, 3, 4, 5), (0, 1, 2, 4, 5, 3), (0, 1, 2, 5, 3, 4),
+        (0, 1, 3, 4, 5, 2), (0, 1, 3, 5, 4, 2), (0, 1, 4, 3, 5, 2),
+        (0, 2, 1, 4, 5, 3), (0, 2, 1, 5, 4, 3), (0, 2, 1, 5, 3, 4),
+        (0, 3, 1, 5, 2, 4),
+    ],
+    (7, 2): [
+        (0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 5, 3, 6, 4), (0, 2, 3, 1, 6, 4, 5),
+        (0, 2, 6, 3, 4, 1, 5), (0, 3, 1, 4, 2, 5, 6),
+    ],
+    (8, 2): [
+        (0, 1, 2, 3, 4, 5, 6, 7), (0, 2, 6, 4, 7, 5, 1, 3),
+        (0, 4, 2, 5, 3, 7, 1, 6),
+    ],
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(PINNED_WITNESSES))
+def test_compute_f_witness_order_pinned(n, k):
+    res = compute_f(n, k)
+    assert [c.order for c in res.witnesses] == PINNED_WITNESSES[n, k]
+    assert res.value == len(PINNED_WITNESSES[n, k])
+
+
+def test_witness_recheck_runs_under_optimize():
+    # A bare assert would vanish under -O; the re-check must still raise.
+    script = (
+        "import sys\n"
+        "import twomilton.search as s\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(2)\n"
+        "s.alpha_value = lambda g: 2  # k + 1 for k = 1\n"
+        "try:\n"
+        "    s.compute_f(4, 1)\n"
+        "except s.WitnessCheckError as exc:\n"
+        "    print('raised', exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(twomilton.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("raised f(4,1) witnesses")
 
 
 def test_compute_f_shortcut_when_alpha_cap_is_free():
@@ -153,10 +208,10 @@ def test_window_partners_complete_at_n8():
     # Against the full scan: a cycle's union with the standard cycle is
     # K4-covered exactly when the cycle is a window partner.
     std = standard_cycle(8)
-    partners = {_cycle_key(c.order) for c in window_partners(8)}
+    partners = {canonical_key(c) for c in window_partners(8)}
     for c in enumerate_cycles(8):
         covered = find_k4_cover(union([std, c])) is not None
-        assert covered == (_cycle_key(c.order) in partners)
+        assert covered == (canonical_key(c) in partners)
 
 
 def test_window_partners_are_covered_with_standard():
