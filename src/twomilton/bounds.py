@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import HamCycle, UGraph, is_connected, max_clique, union
+from .graphs import HamCycle, UGraph, VerificationError, is_connected, max_clique, union
 from .independence import alpha_value
 from .k4 import find_k4s, psi_exact, zeta
 
@@ -205,14 +205,15 @@ def psizeta_stats(c: HamCycle, d1: HamCycle, d2: HamCycle) -> tuple[int, int]:
 
     A K4 in both unions draws the same complementary path from d1 and from
     d2, and that path is induced in d1 u d2; shared K4s are disjoint, so
-    psi(d1 u d2) >= m must hold and is asserted.
+    psi(d1 u d2) >= m must hold and is checked.
     """
     if not c.n == d1.n == d2.n:
         raise ValueError("cycles must share a vertex count")
     shared = set(find_k4s(union([c, d1]))) & set(find_k4s(union([c, d2])))
     m = len(shared)
     psi = psi_exact(union([d1, d2]))
-    assert psi >= m, f"psi {psi} < shared K4 count {m}: falsifies the packing bound"
+    if psi < m:
+        raise VerificationError(f"psi {psi} < shared K4 count {m}: falsifies the packing bound")
     return m, psi
 
 

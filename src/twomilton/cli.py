@@ -26,6 +26,7 @@ from .constructions import (
 from .corpus import random_johnson_system, random_k4free, random_pair
 from .graphs import (
     FamilyDocument,
+    VerificationError,
     parse_family,
     serialize_family,
     union,
@@ -144,7 +145,8 @@ def _doc_with_alpha(n, cycles, vertices, meta, edges=None):
         meta=meta,
         edges=edges,
     )
-    assert verify_independent(doc.graph(), doc.certificates["alpha"]["vertices"])
+    if not verify_independent(doc.graph(), doc.certificates["alpha"]["vertices"]):
+        raise VerificationError(f"alpha certificate {sorted(vertices)} is not independent")
     return doc
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .graphs import HamCycle, UGraph, make_cycle, standard_cycle, union
+from .graphs import HamCycle, UGraph, VerificationError, make_cycle, standard_cycle, union
 from .independence import alpha_value
 
 
@@ -248,7 +248,8 @@ def _assemble(base: tuple[HamCycle, ...], chain: tuple[int, ...], n0: int) -> Ha
             walk = [order[(at0 - t) % n0] for t in range(n0)]
         else:
             walk = [order[(at0 + t) % n0] for t in range(n0)]
-        assert walk[0] == 0 and walk[-1] == bigger
+        if walk[0] != 0 or walk[-1] != bigger:
+            raise VerificationError(f"block walk {walk} does not run from 0 to {bigger}")
         paths.append([a * n0 + v for v in walk])
     order_out: list[int] = []
     for i in range(0, len(chain), 2):

@@ -85,7 +85,7 @@ def random_k4free(n: int, seed: str) -> UGraph:
             continue
         if g.degree(u) >= 4 or g.degree(v) >= 4:
             continue
-        if creates_k4(g, u, v) is not None:
+        if creates_k4(g.adj, u, v) is not None:
             continue
         g = g.with_edge(u, v)
     return g

@@ -14,6 +14,14 @@ from typing import Iterable, Iterator, Sequence
 FORMAT_VERSION = 1
 
 
+class VerificationError(Exception):
+    """A computed result failed the explicit check that vouches for it.
+
+    The package raises it instead of using assert statements, which python -O
+    removes.
+    """
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in ascending order."""
     while mask:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import UGraph, bits, connected_components, mask_of
+from .graphs import UGraph, VerificationError, bits, connected_components, mask_of
 from .limits import check_limit
 
 
@@ -158,7 +158,8 @@ def alpha_exact(g: UGraph) -> IndepCertificate:
     solver = AlphaSolver(g)
     vertices = solver.lex_min_maximum_set()
     cert = IndepCertificate(value=len(vertices), vertices=vertices)
-    assert verify_certificate(g, cert)
+    if not verify_certificate(g, cert):
+        raise VerificationError(f"alpha certificate {vertices} is not independent")
     return cert
 
 
@@ -196,7 +197,8 @@ def greedy_extend(g: UGraph, seed) -> tuple[int, ...]:
         I.append(pick)
         covered |= closed[pick]
     out = tuple(sorted(I))
-    assert verify_independent(g, out)
+    if not verify_independent(g, out):
+        raise VerificationError(f"greedy extension {out} is not independent")
     return out
 
 
@@ -260,5 +262,6 @@ def csoka_lift(red: CsokaReduction, new_set) -> frozenset[int]:
     else:
         lifted = mapped | {red.y}
     out = frozenset(lifted)
-    assert verify_independent(g, out), "lift produced a dependent set"
+    if not verify_independent(g, out):
+        raise VerificationError(f"lift produced a dependent set {sorted(out)}")
     return out

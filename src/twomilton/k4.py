@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import UGraph, bits, connected_components, mask_of
+from .graphs import UGraph, VerificationError, bits, connected_components, mask_of
 from .limits import check_limit
 
 
@@ -40,15 +40,16 @@ def zeta(g: UGraph) -> int:
     return len(find_k4s(g))
 
 
-def creates_k4(g: UGraph, u: int, v: int):
+def creates_k4(adj, u: int, v: int, ignore: int = 0):
     """The K4 that adding edge (u, v) would complete, or None.
 
-    Only K4s through the new edge can appear, so it suffices to find an
-    adjacent pair among the common neighbours of u and v.
+    adj holds bitset rows, as UGraph.adj does; the vertices in the ignore mask
+    count as deleted.  Only K4s through the new edge can appear, so it
+    suffices to find an adjacent pair among the common neighbours of u and v.
     """
-    common = g.adj[u] & g.adj[v]
+    common = adj[u] & adj[v] & ~ignore
     for a in bits(common):
-        inner = g.adj[a] & common
+        inner = adj[a] & common
         for b in bits(inner):
             if b > a:
                 return tuple(sorted((u, v, a, b)))
@@ -234,7 +235,8 @@ def archipelagos(g: UGraph, k4s=None) -> tuple[Archipelago, ...]:
     for comp in connected_components(g, within=covered):
         verts = tuple(bits(comp))
         inside = [q for q, m in zip(k4s, k4_masks) if m & comp]
-        assert all(mask_of(q) & comp == mask_of(q) for q in inside)
+        if any(mask_of(q) & ~comp for q in inside):
+            raise VerificationError(f"a K4 of {inside} straddles two archipelagos")
         k4_edges = set()
         for q in inside:
             k4_edges.update(combinations(q, 2))

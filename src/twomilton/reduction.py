@@ -38,6 +38,7 @@ from .graphs import (
     FamilyDocument,
     HamCycle,
     UGraph,
+    VerificationError,
     bits,
     connected_components,
     distinct_cycles,
@@ -45,7 +46,7 @@ from .graphs import (
     union,
 )
 from .independence import verify_independent
-from .k4 import Archipelago, archipelagos, find_k4s
+from .k4 import Archipelago, archipelagos, creates_k4, find_k4s
 
 
 class StructureViolation(Exception):
@@ -98,27 +99,19 @@ class DiagnosticReport:
 
 
 class _Pipeline:
-    def __init__(self, g: UGraph, cycles, strict_input: bool):
+    def __init__(self, g: UGraph, cycles):
         self.g = g
         self.n = g.n
+        self.cycles = cycles
         self.adj = list(g.adj)  # mutable working adjacency
-        self.alive = (1 << g.n) - 1
+        self.alive = (1 << g.n) - 1  # an archipelago is live while its vertices are
         self.archs = archipelagos(g)
-        self.arch_alive = [True] * len(self.archs)
-        self.k4_mask = 0
-        for arch in self.archs:
-            self.k4_mask |= arch.mask
         self.trace: list[TraceStep] = []
         self.lift: list[LiftEntry] = []
-        # cycle adjacency maps for splicing (first cycle also routes step 2)
-        self.cyc: list[dict[int, list[int]] | None] = []
-        for c in cycles if cycles else ():
-            nbrs: dict[int, list[int]] = {v: [] for v in range(g.n)}
-            o = c.order
-            for i, v in enumerate(o):
-                nbrs[v] = sorted((o[i - 1], o[(i + 1) % len(o)]))
-            self.cyc.append(nbrs)
-        self.strict_input = strict_input
+        # cycle neighbour lists for splicing (first cycle also routes step 2)
+        self.cyc: list[list[list[int]] | None] = [
+            [list(pair) for pair in c.successors()] for c in cycles or ()
+        ]
 
     # -- state helpers ----------------------------------------------------
 
@@ -138,49 +131,51 @@ class _Pipeline:
             step, reason, self._artifact({"reason": reason, **detail})
         )
 
-    def _neighborhood_mask(self, arch: Archipelago) -> int:
-        return mask_of(arch.neighborhood)
+    def _open_archs(self, size: int | None = None):
+        """Live acyclic archipelagos whose neighbourhood is independent (and of
+        the given size), ordered by least vertex."""
+        for arch in self.archs:
+            if not arch.mask & self.alive or arch.cyclic:
+                continue
+            if size is not None and len(arch.neighborhood) != size:
+                continue
+            nbhd = mask_of(arch.neighborhood)
+            if all(self.adj[v] & nbhd == 0 for v in arch.neighborhood):
+                yield arch
 
-    def _independent(self, vertex_mask: int) -> bool:
-        return all(self.adj[v] & vertex_mask == 0 for v in bits(vertex_mask))
-
-    def _edge_blocked(self, u: int, v: int, ignore: int = 0) -> tuple | None:
-        """The K4 that edge (u, v) would complete once the vertices in the
-        ignore mask are gone (the archipelago being deleted in the same
-        operation must not count)."""
-        common = self.adj[u] & self.adj[v] & ~ignore
-        for a in bits(common):
-            inner = self.adj[a] & common
-            for b in bits(inner):
-                if b > a:
-                    return tuple(sorted((u, v, a, b)))
+    def _safe_pair(self, arch: Archipelago) -> tuple[int, int] | None:
+        """The least neighbourhood pair whose edge completes no K4 once the
+        archipelago is gone.  For an archipelago from _open_archs the edge is
+        also new, so it passes every check of _add_edge."""
+        for a, b in combinations(arch.neighborhood, 2):
+            if creates_k4(self.adj, a, b, arch.mask) is None:
+                return a, b
         return None
+
+    def _join(self, step: str, arch: Archipelago, u: int, v: int):
+        self.adj[u] |= 1 << v
+        self.adj[v] |= 1 << u
+        self.trace.append(TraceStep(step, arch.vertices, (u, v)))
 
     def _add_edge(self, step: str, u: int, v: int, arch: Archipelago,
                   ignore: int = 0):
         if self.adj[u] >> v & 1:
             self._fail(step, f"edge ({u},{v}) already present", edge=[u, v])
-        quad = self._edge_blocked(u, v, ignore)
+        quad = creates_k4(self.adj, u, v, ignore)
         if quad is not None:
             self._fail(
                 step,
                 f"adding edge ({u},{v}) completes K4 {quad}",
                 edge=[u, v], k4=list(quad),
             )
-        self.adj[u] |= 1 << v
-        self.adj[v] |= 1 << u
-        self.trace.append(TraceStep(step, arch.vertices, (u, v)))
+        self._join(step, arch, u, v)
 
-    def _delete_arch(self, step: str, arch: Archipelago, idx: int,
-                     added: tuple[int, int] | None):
+    def _delete_arch(self, arch: Archipelago):
         for v in arch.vertices:
             for u in bits(self.adj[v]):
                 self.adj[u] &= ~(1 << v)
             self.adj[v] = 0
         self.alive &= ~arch.mask
-        self.arch_alive[idx] = False
-        if added is None:
-            self.trace.append(TraceStep(step, arch.vertices, None))
         self.lift.append(self._lift_entry(arch))
 
     # -- lift transversals (against the original graph; static) -----------
@@ -230,15 +225,6 @@ class _Pipeline:
 
     # -- step 1: small archipelagos ---------------------------------------
 
-    def _smalls(self):
-        for idx, arch in enumerate(self.archs):
-            if not self.arch_alive[idx] or arch.cyclic:
-                continue
-            if len(arch.neighborhood) != 2:
-                continue
-            if self._independent(self._neighborhood_mask(arch)):
-                yield idx, arch
-
     def _splice_cycles(self, arch: Archipelago, a: int, b: int):
         for nbrs in self.cyc:
             if nbrs is None:
@@ -260,45 +246,30 @@ class _Pipeline:
 
     def step1(self):
         while True:
-            found = sorted(self._smalls(), key=lambda t: t[1].vertices[0])
-            if not found:
+            arch = next(self._open_archs(2), None)
+            if arch is None:
                 return
-            idx, arch = found[0]
             a, b = arch.neighborhood
-            remaining = (self.alive & ~arch.mask).bit_count()
-            # simulate deletion first so the K4 check sees the final state
-            quad_check_adj = [self.adj[v] & ~arch.mask for v in range(self.n)]
-            common = quad_check_adj[a] & quad_check_adj[b]
-            for x in bits(common):
-                for y in bits(quad_check_adj[x] & common):
-                    if y > x:
-                        self._fail(
-                            "small",
-                            f"joining neighbourhood ({a},{b}) completes K4 "
-                            f"{tuple(sorted((a, b, x, y)))}",
-                            edge=[a, b], k4=sorted((a, b, x, y)),
-                        )
-            if remaining <= 2:
+            # the archipelago counts as deleted, so the test sees the final state
+            quad = creates_k4(self.adj, a, b, arch.mask)
+            if quad is not None:
+                self._fail(
+                    "small",
+                    f"joining neighbourhood ({a},{b}) completes K4 {quad}",
+                    edge=[a, b], k4=list(quad),
+                )
+            if (self.alive & ~arch.mask).bit_count() <= 2:
                 # the archipelago plus its two neighbours was the whole graph
                 self.cyc = [None for _ in self.cyc]
             else:
                 self._splice_cycles(arch, a, b)
-            self._delete_arch("small", arch, idx, (a, b))
-            self.adj[a] |= 1 << b
-            self.adj[b] |= 1 << a
-            self.trace.append(TraceStep("small", arch.vertices, (a, b)))
+            self._delete_arch(arch)
+            self._join("small", arch, a, b)
 
     # -- step 2: reconnect the non-K4 remainder ---------------------------
 
-    def _alive_k4_mask(self) -> int:
-        out = 0
-        for idx, arch in enumerate(self.archs):
-            if self.arch_alive[idx]:
-                out |= arch.mask
-        return out
-
     def step2(self):
-        k4_alive = self._alive_k4_mask()
+        k4_alive = self.alive & mask_of(v for arch in self.archs for v in arch.vertices)
         plain = self.alive & ~k4_alive
         if not plain:
             return
@@ -318,9 +289,8 @@ class _Pipeline:
                 comp_of[v] = ci
         arch_of = {}
         for idx, arch in enumerate(self.archs):
-            if self.arch_alive[idx]:
-                for v in arch.vertices:
-                    arch_of[v] = idx
+            for v in bits(arch.mask & self.alive):
+                arch_of[v] = idx
         # walk the maintained cycle once, recording arcs through archipelagos
         start = None
         for v in bits(plain):
@@ -374,8 +344,8 @@ class _Pipeline:
                 chosen.append((u, v, idx))
         for u, v, idx in chosen:
             arch = self.archs[idx]
-            if self.arch_alive[idx]:
-                self._delete_arch("connect", arch, idx, (u, v))
+            if arch.mask & self.alive:
+                self._delete_arch(arch)
             self._add_edge("connect", u, v, arch)
 
     # -- step 3: independent neighbourhoods of size 3 ----------------------
@@ -432,22 +402,13 @@ class _Pipeline:
             return "risky", (min(a, b), max(a, b))
         return None, None
 
-    def _threes(self):
-        for idx, arch in enumerate(self.archs):
-            if not self.arch_alive[idx] or arch.cyclic:
-                continue
-            if len(arch.neighborhood) != 3:
-                continue
-            if self._independent(self._neighborhood_mask(arch)):
-                yield idx, arch
-
     def step3(self):
         while True:
-            live = sorted(self._threes(), key=lambda t: t[1].vertices[0])
+            live = list(self._open_archs(3))
             if not live:
                 return
             risky = []
-            for idx, arch in live:
+            for arch in live:
                 kind, edge = self._classify3(arch)
                 if kind == "forbidden":
                     self._fail(
@@ -457,41 +418,31 @@ class _Pipeline:
                         archipelago=list(arch.vertices),
                     )
                 if kind == "risky":
-                    risky.append((idx, arch, edge))
+                    risky.append((arch, edge))
             if risky:
-                idx, arch, (a, b) = risky[0]
+                arch, (a, b) = risky[0]
                 self._add_edge("three-risky", a, b, arch, ignore=arch.mask)
-                self._delete_arch("three-risky", arch, idx, (a, b))
+                self._delete_arch(arch)
                 continue
-            idx, arch = live[0]
-            for a, b in combinations(sorted(arch.neighborhood), 2):
-                if self._edge_blocked(a, b, ignore=arch.mask) is None:
-                    self._add_edge("three", a, b, arch, ignore=arch.mask)
-                    self._delete_arch("three", arch, idx, (a, b))
-                    break
-            else:
+            arch = live[0]
+            pair = self._safe_pair(arch)
+            if pair is None:
                 self._fail(
                     "three",
                     f"archipelago {arch.vertices}: every neighbourhood pair "
                     "completes a K4 (undetected forbidden pattern)",
                     archipelago=list(arch.vertices),
                 )
+            self._join("three", arch, *pair)
+            self._delete_arch(arch)
 
     # -- step 4: the rest ---------------------------------------------------
 
     def step4(self):
         while True:
-            best = None
-            for idx, arch in enumerate(self.archs):
-                if not self.arch_alive[idx] or arch.cyclic:
-                    continue
-                if not self._independent(self._neighborhood_mask(arch)):
-                    continue
-                if best is None or arch.vertices[0] < best[1].vertices[0]:
-                    best = (idx, arch)
-            if best is None:
+            arch = next(self._open_archs(), None)
+            if arch is None:
                 break
-            idx, arch = best
             size = len(arch.neighborhood)
             if size <= 1:
                 self._fail(
@@ -507,24 +458,19 @@ class _Pipeline:
                     f"of size {size} survived its dedicated step",
                     archipelago=list(arch.vertices),
                 )
-            placed = False
-            for a, b in combinations(sorted(arch.neighborhood), 2):
-                if self._edge_blocked(a, b, ignore=arch.mask) is None:
-                    self._add_edge("final", a, b, arch, ignore=arch.mask)
-                    self._delete_arch("final", arch, idx, (a, b))
-                    placed = True
-                    break
-            if not placed:
+            pair = self._safe_pair(arch)
+            if pair is None:
                 self._fail(
                     "final",
                     f"archipelago {arch.vertices}: no safe neighbourhood pair",
                     archipelago=list(arch.vertices),
                 )
-        for idx, arch in sorted(
-            ((i, a) for i, a in enumerate(self.archs) if self.arch_alive[i]),
-            key=lambda t: t[1].vertices[0],
-        ):
-            self._delete_arch("final", arch, idx, None)
+            self._join("final", arch, *pair)
+            self._delete_arch(arch)
+        for arch in self.archs:
+            if arch.mask & self.alive:
+                self._delete_arch(arch)
+                self.trace.append(TraceStep("final", arch.vertices, None))
 
     # -- drive --------------------------------------------------------------
 
@@ -545,7 +491,7 @@ class _Pipeline:
         post = self._postconditions(h, h_vertices, zeta_total)
         return ReductionResult(
             g=self.g,
-            cycles=None,
+            cycles=self.cycles,
             h=h,
             h_vertex_map=h_vertices,
             zeta=zeta_total,
@@ -592,19 +538,7 @@ def technical_reduce(c1: HamCycle, c2: HamCycle) -> ReductionResult:
         raise ValueError("technical_reduce requires n > 13")
     if not distinct_cycles([c1, c2]):
         raise ValueError("the two cycles must be distinct")
-    g = union([c1, c2])
-    pipe = _Pipeline(g, (c1, c2), strict_input=True)
-    result = pipe.run()
-    return ReductionResult(
-        g=result.g,
-        cycles=(c1, c2),
-        h=result.h,
-        h_vertex_map=result.h_vertex_map,
-        zeta=result.zeta,
-        lift_plan=result.lift_plan,
-        trace=result.trace,
-        postconditions=result.postconditions,
-    )
+    return _Pipeline(union([c1, c2]), (c1, c2)).run()
 
 
 def diagnose_reduction(g: UGraph, cycles=None) -> DiagnosticReport:
@@ -616,8 +550,7 @@ def diagnose_reduction(g: UGraph, cycles=None) -> DiagnosticReport:
     if g.max_degree() > 4:
         raise ValueError("diagnostic reduction expects max degree <= 4")
     try:
-        pipe = _Pipeline(g, cycles, strict_input=False)
-        result = pipe.run()
+        result = _Pipeline(g, cycles).run()
     except StructureViolation as exc:
         return DiagnosticReport(
             ok=False, failed_step=exc.step, reason=exc.reason,
@@ -646,12 +579,16 @@ def lift_independent(result: ReductionResult, iset) -> tuple[int, ...]:
             continue
         free = [u for u in entry.neighborhood if u not in base]
         if not free:
-            raise AssertionError(
+            raise VerificationError(
                 f"lift: neighbourhood {entry.neighborhood} fully inside the set; "
                 "the guaranteed internal edge is missing"
             )
         out.update(entry.by_neighbor[min(free)])
     lifted = tuple(sorted(out))
-    assert len(lifted) == len(iset) + result.zeta
-    assert verify_independent(result.g, lifted)
+    if len(lifted) != len(iset) + result.zeta:
+        raise VerificationError(
+            f"lift: {len(lifted)} vertices, expected {len(iset)} + zeta {result.zeta}"
+        )
+    if not verify_independent(result.g, lifted):
+        raise VerificationError(f"lift: {lifted} is not independent in the input union")
     return lifted

@@ -23,13 +23,16 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from .constructions import circulant_family, k4_strip
-from .graphs import HamCycle, bits, canonical_key, make_cycle, max_clique, standard_cycle, union
+from .graphs import (
+    HamCycle, VerificationError, bits, canonical_key, cycle_graph, make_cycle, max_clique,
+    standard_cycle, union,
+)
 from .independence import alpha_value
 from .k4 import zeta
 from .limits import check_limit, limit
 
 
-class WitnessCheckError(Exception):
+class WitnessCheckError(VerificationError):
     """A pair of cycles in a computed witness family has a union with alpha > k."""
 
 
@@ -324,16 +327,6 @@ def window_partners(n: int) -> list[HamCycle]:
     return out
 
 
-def _adj_masks(cycle):
-    adj = [0] * cycle.n
-    prev = cycle.order[-1]
-    for v in cycle.order:
-        adj[prev] |= 1 << v
-        adj[v] |= 1 << prev
-        prev = v
-    return adj
-
-
 def _covered_pair(b_cycle, adj_c):
     """Is the union of the two cycles K4-covered?  The K4s would partition
     b's order into consecutive blocks whose missing edges b cannot supply,
@@ -374,7 +367,7 @@ def verify_nothree(n: int, seed=0, sample_cap: int = 2_000_000) -> NothreeReport
         raise ValueError("triple verification covers n divisible by 4 with 8 <= n <= 24")
     std = standard_cycle(n)
     partners = window_partners(n)
-    adj = [_adj_masks(c) for c in partners]
+    adj = [cycle_graph(c).adj for c in partners]
     total_pairs = len(partners) * (len(partners) - 1) // 2
     if total_pairs <= sample_cap:
         mode = "exhaustive"

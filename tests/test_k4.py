@@ -56,8 +56,44 @@ def test_find_k4s_strip():
 def test_creates_k4():
     # K4 minus one edge: adding it completes the K4
     g = UGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4)])
-    assert creates_k4(g, 2, 3) == (0, 1, 2, 3)
-    assert creates_k4(g, 3, 4) is None
+    assert creates_k4(g.adj, 2, 3) == (0, 1, 2, 3)
+    assert creates_k4(g.adj, 3, 4) is None
+    # ignored vertices count as deleted: without 0 the pair 2, 3 closes no K4
+    assert creates_k4(g.adj, 2, 3, ignore=1 << 0) is None
+    assert creates_k4(g.adj, 2, 3, ignore=1 << 4) == (0, 1, 2, 3)
+
+
+def test_creates_k4_matches_brute_force():
+    # on max-degree-4 graphs, creates_k4(adj, u, v, ignore) finds a K4 iff the
+    # graph with the ignored vertices isolated and (u, v) added has one through u, v
+    hits = 0
+    for seed in range(300):
+        rng = random.Random(f"creates:{seed}")
+        n = rng.randrange(5, 13)
+        adj = [0] * n
+        for _ in range(3 * n):
+            a, b = rng.sample(range(n), 2)
+            if adj[a].bit_count() < 4 and adj[b].bit_count() < 4:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        g = UGraph(n, tuple(adj))
+        u, v, *rest = rng.sample(range(n), n)
+        # every other seed joins u to a vertex with two common neighbours
+        close = [w for w in rest if (adj[u] & adj[w]).bit_count() >= 2]
+        if seed % 2 and close:
+            v = close[0]
+            rest = [w for w in range(n) if w not in (u, v)]
+        ignore = sum(1 << w for w in rest if rng.random() < 0.2)
+        through = [
+            q for q in find_k4s(g.without_vertices(ignore).with_edge(u, v))
+            if u in q and v in q
+        ]
+        got = creates_k4(g.adj, u, v, ignore)
+        assert (got is not None) == bool(through), f"seed={seed}"
+        if got is not None:
+            assert got in through, f"seed={seed}"
+            hits += 1
+    assert hits >= 30
 
 
 def test_check_cover_and_search():

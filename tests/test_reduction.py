@@ -1,5 +1,8 @@
 """The archipelago deletion pipeline and its independence lift."""
 
+import hashlib
+import json
+
 import pytest
 
 from twomilton.constructions import counterexample_strip, k4_strip
@@ -191,9 +194,16 @@ def _k4_with_trio(extra_edges):
     return UGraph.from_edges(n, edges)
 
 
+# six spokes to the outside pair {7,8}, no 7-8 edge: connect marked 4 to 5
+RISKY_1 = [(4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8)]
+# five spokes plus the 7-8 edge, gap at unmarked 6: connect 4 to 6
+RISKY_2 = [(4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (7, 8)]
+# five spokes plus the 7-8 edge, gap at the marked vertex 4: connect 4 to 5
+RISKY_3 = [(4, 8), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
+
+
 def test_risky_type1_edge():
-    # six spokes to the outside pair {7,8}, no 7-8 edge: connect marked 4 to 5
-    g = _k4_with_trio([(4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8)])
+    g = _k4_with_trio(RISKY_1)
     report = diagnose_reduction(g)
     assert report.ok
     risky = [t for t in report.result.trace if t.step == "three-risky"]
@@ -201,8 +211,7 @@ def test_risky_type1_edge():
 
 
 def test_risky_type2_edge():
-    # five spokes plus the 7-8 edge, gap at unmarked 6: connect 4 to 6
-    g = _k4_with_trio([(4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (7, 8)])
+    g = _k4_with_trio(RISKY_2)
     report = diagnose_reduction(g)
     assert report.ok
     risky = [t for t in report.result.trace if t.step == "three-risky"]
@@ -210,8 +219,7 @@ def test_risky_type2_edge():
 
 
 def test_risky_type3_edge():
-    # five spokes plus the 7-8 edge, gap at the marked vertex 4: connect 4 to 5
-    g = _k4_with_trio([(4, 8), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)])
+    g = _k4_with_trio(RISKY_3)
     report = diagnose_reduction(g)
     assert report.ok
     risky = [t for t in report.result.trace if t.step == "three-risky"]
@@ -229,10 +237,107 @@ def test_forbidden_pattern_detected():
 
 def test_strict_mode_raises():
     g = counterexample_strip(2)
-    c1 = standard_cycle(16)
     with pytest.raises(StructureViolation) as info:
         from twomilton.reduction import _Pipeline
 
-        _Pipeline(g, None, strict_input=True).run()
+        _Pipeline(g, None).run()
     assert info.value.step == "small"
     assert info.value.artifact.n == 16
+
+
+PINNED_INPUTS = {
+    "planted-24-2": lambda: technical_reduce(*planted_pair(24, 2, "pin:0")),
+    "planted-32-3": lambda: technical_reduce(*planted_pair(32, 3, "pin:1")),
+    "planted-41-5": lambda: technical_reduce(*planted_pair(41, 5, "pin:2")),
+    "planted-18-3": lambda: technical_reduce(*planted_pair(18, 3, "pin:s44")),
+    "planted-20-3": lambda: technical_reduce(*planted_pair(20, 3, "pin:s86")),
+    "planted-19-2": lambda: technical_reduce(*planted_pair(19, 2, "pin:s1105")),
+    "two-island": lambda: technical_reduce(*two_island_pair()),
+    "three-neighbour": lambda: technical_reduce(*three_neighbour_pair()),
+    "risky-1": lambda: diagnose_reduction(_k4_with_trio(RISKY_1)).result,
+    "risky-2": lambda: diagnose_reduction(_k4_with_trio(RISKY_2)).result,
+    "risky-3": lambda: diagnose_reduction(_k4_with_trio(RISKY_3)).result,
+}
+
+
+def _plan_digest(res):
+    """sha256 of the lift plan, the remainder rows and its vertex map."""
+    plan = [
+        [e.vertices, e.kind, e.neighborhood, e.clean,
+         None if e.by_neighbor is None else sorted(e.by_neighbor.items())]
+        for e in res.lift_plan
+    ]
+    text = json.dumps([plan, res.h.adj, res.h_vertex_map])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _trace(res):
+    return tuple((t.step, t.archipelago, t.added_edge) for t in res.trace)
+
+
+# trace and lift-plan/remainder digest of each input above, taken before the
+# pipeline was consolidated to one implementation of each primitive
+PINNED = [
+    ("planted-24-2", (
+        ("three", (1, 9, 19, 20), (4, 10)),
+        ("final", (2, 3, 5, 23), None),
+    ), "ba3300529568cc732083b3c528f8bd0439fd584bb524147380331b914fb965ff"),
+    ("planted-32-3", (
+        ("final", (0, 5, 8, 28), (1, 14)),
+        ("final", (2, 12, 18, 26), (16, 20)),
+        ("final", (7, 17, 25, 27), (10, 14)),
+    ), "99396d1b3b6348f9c2595d64ffb6313aae5341dfdbb2ee6ec781172c0cc1ce02"),
+    ("planted-41-5", (
+        ("final", (0, 1, 3, 6, 9, 11, 14, 16, 17, 18, 21, 23, 24, 27, 28, 32, 34, 36, 38,
+                   40), None),
+    ), "b284ce1749311464a04506c4439228468721a2047b87432e48972da77dd7005c"),
+    ("planted-18-3", (
+        ("small", (2, 6, 7, 9), (0, 17)),
+        ("final", (1, 10, 15, 16), None),
+        ("final", (3, 5, 12, 14), None),
+    ), "3123b0f96f6f69f27242723aab554b00a45580c68e5444c40dfce015a777e8aa"),
+    ("planted-20-3", (
+        ("connect", (0, 5, 7, 9, 11, 13, 16, 19), (2, 8)),
+        ("connect", (1, 3, 4, 6, 12, 14, 15, 18), (2, 17)),
+    ), "57a15203bab8b186b11b88a9464f3bc545f912768581a456a19069861b05be8e"),
+    ("planted-19-2", (
+        ("three-risky", (2, 7, 8, 12), (1, 9)),
+        ("final", (4, 5, 15, 18), None),
+    ), "75610bfe5cea075844a067cd8e9583d1bb94238fcee6ebe4535198fbe0303ed7"),
+    ("two-island", (
+        ("connect", (0, 1, 2, 3), (4, 15)),
+        ("final", (8, 9, 10, 11), (4, 12)),
+    ), "fa5fa8d24336cafba84f47ef6f659f3f6a712171c653b0801a83d55182ea9580"),
+    ("three-neighbour", (
+        ("three", (0, 1, 2, 3), (4, 6)),
+    ), "534eebc6d74a95cde8cd106065ea42072fc8fe07e012e9f548523b47768cd453"),
+    ("risky-1", (
+        ("three-risky", (0, 1, 2, 3), (4, 5)),
+    ), "dc179a521a6610654d75b107f82e7a0ada6e77bc0c65120c6ec0a648a17adaca"),
+    ("risky-2", (
+        ("three-risky", (0, 1, 2, 3), (4, 6)),
+    ), "45bdf3e12662a5f5f60be84e17013ddd38ab55aaa10ad188f0c23dadbdadd7b7"),
+    ("risky-3", (
+        ("three-risky", (0, 1, 2, 3), (4, 5)),
+    ), "781ea9f4d858d652c30dafd7da5addaca26f74ce4daa298eb8ef0fc8b78d0ddd"),
+]
+
+
+@pytest.mark.parametrize("name,trace,digest", PINNED, ids=[p[0] for p in PINNED])
+def test_reduction_output_pinned(name, trace, digest):
+    res = PINNED_INPUTS[name]()
+    assert _trace(res) == trace
+    assert _plan_digest(res) == digest
+
+
+def test_counterexample_diagnosis_pinned():
+    # step 1 fails on the first small archipelago, before anything is deleted,
+    # so the artifact is the whole input graph
+    g = counterexample_strip(3)
+    report = diagnose_reduction(g)
+    assert report.failed_step == "small"
+    assert report.reason == "joining neighbourhood (4,5) completes K4 (4, 5, 6, 7)"
+    assert report.artifact.edges == tuple(g.edges())
+    assert report.artifact.meta == {"detail": {
+        "reason": report.reason, "edge": [4, 5], "k4": [4, 5, 6, 7],
+    }}
