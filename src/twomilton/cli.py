@@ -161,8 +161,9 @@ def cmd_construct(args) -> int:
     elif name == "triple8":
         doc = FamilyDocument(8, triple_n8(), {}, {"construction": "triple8"})
     elif name == "circulant":
-        fam = circulant_family(args.n)
-        doc = FamilyDocument(args.n, fam, {}, {"construction": "circulant", "pairwise_alpha_at_most": args.n // 3})
+        n = 9 if args.n is None else args.n
+        fam = circulant_family(n)
+        doc = FamilyDocument(n, fam, {}, {"construction": "circulant", "pairwise_alpha_at_most": n // 3})
     elif name == "counterexample":
         g = counterexample_strip(args.units)
         doc = _doc_with_alpha(
@@ -185,9 +186,10 @@ def cmd_construct(args) -> int:
             },
         )
     elif name == "exceptional":
-        found = find_exceptional(args.n)
+        n = 8 if args.n is None else args.n
+        found = find_exceptional(n)
         doc = FamilyDocument(
-            args.n, found.cycles,
+            n, found.cycles,
             {"alpha": {"value": found.alpha, "vertices": list(alpha_exact(found.graph).vertices)}},
             {"construction": "exceptional", "zeta": found.zeta},
         )
@@ -370,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit a family document for a named construction")
     p.add_argument("name", choices=["strip", "triple8", "circulant", "counterexample", "amplify", "exceptional"])
     p.add_argument("--k", type=int, default=3, help="strip block count")
-    p.add_argument("--n", type=int, default=9, help="circulant or exceptional size")
+    p.add_argument("--n", type=int, default=None,
+                   help="circulant size (default 9) or exceptional size (default 8)")
     p.add_argument("--units", type=int, default=2, help="counterexample unit count")
     p.add_argument("--n0", type=int, default=9, help="amplify base size")
     p.add_argument("--blocks", type=int, default=4, help="amplify block count")

@@ -2,9 +2,22 @@
 and the degree-2 contraction that trades one vertex of independence for three
 vertices of graph.
 
-The solver is branch and bound over bitmask subproblems: vertices of degree at
-most 1 are forced in, connected components solve independently, and branching
-picks a maximum-degree vertex.  Subproblem values are memoised per solver.
+The solver is branch and reduce over bitmask subproblems.  Two rules shrink a
+subproblem P without changing its independence number:
+
+- a vertex of degree at most 1 in P is taken (its neighbour, if any, goes);
+- a vertex v dominates a neighbour u when N[v] & P is inside N[u]; u is
+  dropped, since swapping u for v turns any independent set through u into
+  one through v.  With deg(v) >= 2 this needs v on a triangle, so only
+  vertices on a triangle of the whole graph are checked.
+
+The rules run off a worklist: a rule's outcome at v depends only on which of
+v's neighbours are still in P, so when vertices leave P only their neighbours
+are examined again.  A branch child hands on the neighbours of the vertices
+it removed, and the components of a reduced subproblem start clean.  A
+connected subproblem of maximum degree <= 2 is a path or a cycle and has a
+closed form; otherwise the solver branches on the lowest vertex of maximum
+degree.  Subproblem values are memoised per solver.
 """
 
 from __future__ import annotations
@@ -24,54 +37,102 @@ class AlphaSolver:
         self.adj = g.adj
         self.closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
         self.full = (1 << g.n) - 1
+        self.max_degree = max((a.bit_count() for a in g.adj), default=0)
+        self.on_triangle = mask_of(
+            v for v in range(g.n) if any(g.adj[u] & g.adj[v] for u in bits(g.adj[v]))
+        )
         self.memo: dict[int, int] = {}
 
-    def _peel(self, P: int) -> tuple[int, int]:
-        """Force in vertices of degree <= 1; returns (forced count, rest mask)."""
+    def _reduce(self, P: int, dirty: int) -> tuple[int, int]:
+        """Apply the rules at the vertices of dirty, and again at the neighbours
+        of every vertex they remove; returns (taken count, rest mask).
+
+        Vertices of P outside dirty must already admit no rule.
+        """
         adj = self.adj
+        closed = self.closed
+        on_triangle = self.on_triangle
         size = 0
-        changed = True
-        while changed and P:
-            changed = False
-            m = P
-            while m:
-                low = m & -m
-                m ^= low
-                if not P & low:
-                    continue
-                v = low.bit_length() - 1
-                d = adj[v] & P
-                c = d.bit_count()
-                if c == 0:
-                    size += 1
-                    P ^= low
-                    changed = True
-                elif c == 1:
-                    size += 1
-                    P &= ~(d | low)
-                    changed = True
+        dirty &= P
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            d = adj[low.bit_length() - 1] & P
+            if not d & (d - 1):
+                size += 1
+                P ^= low | d
+                if d:
+                    dirty = (dirty | adj[d.bit_length() - 1]) & P
+            elif low & on_triangle:
+                near = d | low
+                m = d
+                while m:
+                    bit = m & -m
+                    m ^= bit
+                    u = bit.bit_length() - 1
+                    if not near & ~closed[u]:
+                        P ^= bit
+                        near ^= bit
+                        dirty |= adj[u]
+                dirty &= P
         return size, P
+
+    def _branch_vertex(self, Q: int) -> tuple[int, int]:
+        """The lowest vertex of maximum degree in Q, and that degree."""
+        adj = self.adj
+        top = self.max_degree
+        best = best_degree = -1
+        m = Q
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            d = (adj[v] & Q).bit_count()
+            if d > best_degree:
+                best, best_degree = v, d
+                if d == top:
+                    break
+        return best, best_degree
+
+    def _path_or_cycle(self, Q: int) -> int:
+        """alpha of a connected Q of maximum degree <= 2: a path or a cycle."""
+        m = Q.bit_count()
+        edges = sum((self.adj[v] & Q).bit_count() for v in bits(Q)) // 2
+        return (m + 1) // 2 if edges < m else m // 2
+
+    def _take(self, Q: int, v: int) -> tuple[int, int]:
+        """The child of Q that takes v, and the neighbours of the vertices it removed."""
+        gone = self.closed[v] & Q
+        touched = 0
+        for u in bits(gone):
+            touched |= self.adj[u]
+        return Q & ~gone, touched
 
     def alpha(self, P: int | None = None) -> int:
         if P is None:
             P = self.full
+        return self._alpha(P, P)
+
+    def _alpha(self, P: int, dirty: int) -> int:
         if P == 0:
             return 0
         hit = self.memo.get(P)
         if hit is not None:
             return hit
-        size, Q = self._peel(P)
+        size, Q = self._reduce(P, dirty)
         if Q:
             comps = connected_components(self.g, within=Q)
             if len(comps) > 1:
-                size += sum(self.alpha(c) for c in comps)
+                size += sum(self._alpha(c, 0) for c in comps)
             else:
-                adj = self.adj
-                v = max(bits(Q), key=lambda u: (adj[u] & Q).bit_count())
-                size += max(
-                    1 + self.alpha(Q & ~self.closed[v]),
-                    self.alpha(Q & ~(1 << v)),
-                )
+                v, degree = self._branch_vertex(Q)
+                if degree <= 2:
+                    size += self._path_or_cycle(Q)
+                else:
+                    size += max(
+                        1 + self._alpha(*self._take(Q, v)),
+                        self._alpha(Q & ~(1 << v), self.adj[v]),
+                    )
         self.memo[P] = size
         return size
 
@@ -79,6 +140,9 @@ class AlphaSolver:
         """True iff the induced subgraph on P has an independent set of size k."""
         if P is None:
             P = self.full
+        return self._at_least(k, P, P)
+
+    def _at_least(self, k: int, P: int, dirty: int) -> bool:
         if k <= 0:
             return True
         if P.bit_count() < k:
@@ -86,7 +150,7 @@ class AlphaSolver:
         hit = self.memo.get(P)
         if hit is not None:
             return hit >= k
-        size, Q = self._peel(P)
+        size, Q = self._reduce(P, dirty)
         if size >= k:
             return True
         k -= size
@@ -96,14 +160,16 @@ class AlphaSolver:
         if len(comps) > 1:
             total = 0
             for comp in sorted(comps, key=int.bit_count, reverse=True):
-                total += self.alpha(comp)
+                total += self._alpha(comp, 0)
                 if total >= k:
                     return True
             return False
-        v = max(bits(Q), key=lambda u: (self.adj[u] & Q).bit_count())
-        if self.at_least(k - 1, Q & ~self.closed[v]):
+        v, degree = self._branch_vertex(Q)
+        if degree <= 2:
+            return self._path_or_cycle(Q) >= k
+        if self._at_least(k - 1, *self._take(Q, v)):
             return True
-        return self.at_least(k, Q & ~(1 << v))
+        return self._at_least(k, Q & ~(1 << v), self.adj[v])
 
     def lex_min_maximum_set(self) -> tuple[int, ...]:
         """Lexicographically least maximum independent set (as a sorted tuple)."""
@@ -119,7 +185,7 @@ class AlphaSolver:
                     remaining -= 1
                     break
             else:
-                raise AssertionError("no completable vertex; solver inconsistent")
+                raise VerificationError("no completable vertex; solver inconsistent")
         return tuple(chosen)
 
 

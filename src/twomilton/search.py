@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import factorial
@@ -190,6 +189,10 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     if workers == 1:
         chunks = [_scan_task(t) for t in tasks]
     else:
+        # imported here, so that importing this module (every CLI start) loads
+        # neither concurrent.futures nor multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     survivors = [order for chunk in chunks for order in chunk]
@@ -304,7 +307,7 @@ def find_exceptional(n: int) -> ExceptionalPair:
             if zeta(g) != target - 1 or alpha_value(g) != target:
                 continue
             return ExceptionalPair(g, (std, partner), target, target - 1)
-    raise AssertionError(
+    raise VerificationError(
         "no exceptional pair found at n = %d; this falsifies the expected sharpness" % n
     )
 

@@ -35,6 +35,18 @@ CASES = {
         m.verify_independent = lambda g, vs: False
         m.csoka_lift(red, [])
     """,
+    "independence.lex_min_maximum_set": """
+        import twomilton.independence as m
+        from twomilton.graphs import standard_cycle, union
+        # the whole graph claims alpha 1, yet no vertex leaves a remainder of 0
+        m.AlphaSolver.alpha = lambda self, P=None: 1 if P is None else 5
+        m.alpha_exact(union([standard_cycle(5)]))
+    """,
+    "search.find_exceptional": """
+        import twomilton.search as m
+        m.zeta = lambda g: -1
+        m.find_exceptional(8)
+    """,
     "reduction.lift_independent.size": """
         import dataclasses
         import twomilton.reduction as m

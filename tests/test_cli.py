@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: exit codes, documents, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twomilton
 from twomilton.cli import main
 
 
@@ -195,6 +199,14 @@ def test_corpus_johnson_kind(capsys):
         assert rec["kind"] == "johnson" and rec["sets"]
 
 
+@pytest.mark.parametrize("name, default_n", [("exceptional", 8), ("circulant", 9)])
+def test_construct_size_defaults_per_construction(capsys, name, default_n):
+    rc, out = run(capsys, "construct", name)
+    assert rc == 0
+    assert json.loads(out)["n"] == default_n
+    assert run(capsys, "construct", name, "--n", str(default_n)) == (0, out)
+
+
 def test_amplify_requires_seed(capsys):
     rc, _ = run(capsys, "construct", "amplify")
     assert rc == 2
@@ -219,3 +231,18 @@ def test_bad_input_file(capsys, tmp_path):
 def test_pair_out_of_range(capsys, triple8_doc):
     rc, _ = run(capsys, "alpha", "--input", triple8_doc, "--pair", "0", "9")
     assert rc == 2
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported inside compute_f, where workers > 1 needs it
+    script = (
+        "import sys, twomilton.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    src = os.path.dirname(os.path.dirname(twomilton.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,11 +2,14 @@
 certificates, and the degree-2 contraction."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twomilton.graphs import UGraph, cycle_graph, make_cycle, standard_cycle, union
+from twomilton.constructions import circulant_family
+from twomilton.corpus import random_pair
+from twomilton.graphs import UGraph, cycle_graph, make_cycle, mask_of, standard_cycle, union
 from twomilton.independence import (
     AlphaSolver,
     alpha_exact,
@@ -19,7 +22,7 @@ from twomilton.independence import (
     verify_independent,
 )
 
-from oracles import oracle_alpha
+from oracles import oracle_alpha, oracle_independent_sets
 
 
 def random_graph(n, p, seed):
@@ -42,6 +45,127 @@ def test_alpha_known_values():
     # a partner covering C8 by two K4s on {0..3} and {4..7}: alpha = 2
     h = union([standard_cycle(8), make_cycle([2, 0, 3, 1, 6, 4, 7, 5])])
     assert alpha_value(h) == 2
+
+
+def clique_rich_graph(n, size, count, extra, seed):
+    """count random cliques of the given size plus `extra` random edges."""
+    rng = random.Random(f"cliques:{n}:{size}:{count}:{extra}:{seed}")
+    edges = set()
+    for _ in range(count):
+        edges.update(combinations(sorted(rng.sample(range(n), size)), 2))
+    while extra > 0:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+        extra -= 1
+    return UGraph.from_edges(n, sorted(edges))
+
+
+def oracle_cases():
+    """Seeded general graphs, n <= 16: sparse to dense (max degree well above
+    4), triangle-rich, K4-rich, complete, edgeless and empty."""
+    cases = [UGraph.from_edges(0, [])]
+    cases += [UGraph.from_edges(n, list(combinations(range(n), 2))) for n in (1, 2, 3, 6, 9)]
+    cases += [random_graph(n, p, 3000 + seed)
+              for seed, (n, p) in enumerate((n, p) for n in (5, 9, 12, 16)
+                                            for p in (0.0, 0.15, 0.3, 0.5, 0.7))]
+    cases += [clique_rich_graph(n, 3, n // 2, n // 4, seed) for n in (8, 12, 16) for seed in range(4)]
+    cases += [clique_rich_graph(n, 4, n // 3, 2, seed) for n in (8, 12, 16) for seed in range(4)]
+    return cases
+
+
+def test_solver_matches_oracle_general_graphs():
+    cases = oracle_cases()
+    assert max(max((a.bit_count() for a in g.adj), default=0) for g in cases) > 4
+    for i, g in enumerate(cases):
+        a = oracle_alpha(g)
+        cert = alpha_exact(g)
+        assert cert.value == a, f"case {i}"
+        # combinations() lists sets in lexicographic order
+        assert cert.vertices == oracle_independent_sets(g, a)[0], f"case {i}"
+        assert [has_independent_set(g, k) for k in (a - 1, a, a + 1)] == [True, True, False], f"case {i}"
+        assert not oracle_independent_sets(g, a + 1), f"case {i}"
+
+
+def path_and_cycle_union(parts):
+    """Disjoint union of ("path", m) and ("cycle", m) components, with the
+    vertex mask of each component."""
+    edges, masks, base = [], [], 0
+    for kind, m in parts:
+        vs = list(range(base, base + m))
+        edges += list(zip(vs, vs[1:]))
+        if kind == "cycle":
+            edges.append((vs[0], vs[-1]))
+        masks.append(mask_of(vs))
+        base += m
+    return UGraph.from_edges(base, edges), masks
+
+
+@pytest.mark.parametrize("parts", [
+    [("path", 1), ("path", 2), ("path", 5), ("path", 8)],
+    [("cycle", 3), ("cycle", 4), ("cycle", 5), ("cycle", 10), ("cycle", 11)],
+    [("path", 7), ("cycle", 7), ("path", 4), ("cycle", 6), ("cycle", 9), ("path", 3)],
+])
+def test_closed_form_on_paths_and_cycles(parts):
+    g, masks = path_and_cycle_union(parts)
+    expected = [(m + 1) // 2 if kind == "path" else m // 2 for kind, m in parts]
+    solver = AlphaSolver(g)
+    assert [solver._path_or_cycle(mask) for mask in masks] == expected
+    assert alpha_value(g) == sum(expected) == oracle_alpha(g)
+    assert has_independent_set(g, sum(expected))
+    assert not has_independent_set(g, sum(expected) + 1)
+
+
+# alpha_exact certificates taken before the solver gained the worklist and the
+# domination rule; a change to the solver must leave every one unchanged.
+PINNED_CERTIFICATES = {
+    "c45:0-1": "0 3 6 9 12 15 18 21 24 27 30 33 36 39 42",
+    "c45:0-2": "0 3 6 9 12 15 18 21 24 27 30 33 36 39 42",
+    "c45:0-3": "0 2 4 7 10 13 16 19 22 25 28 31 34 37 40",
+    "c45:0-4": "0 2 5 8 11 14 17 20 23 26 29 32 35 38 43",
+    "c45:1-2": "0 1 5 6 9 12 15 18 21 24 27 30 33 36 39",
+    "c45:1-3": "0 1 4 7 10 13 16 19 22 25 28 31 34 37 40",
+    "c45:1-4": "0 1 4 5 8 11 14 17 20 23 26 29 32 35 38",
+    "c45:2-3": "0 3 6 9 12 15 18 21 24 27 30 33 36 39 42",
+    "c45:2-4": "0 1 3 6 9 12 15 18 21 24 27 30 33 36 39",
+    "c45:3-4": "0 1 2 7 8 13 14 19 20 25 26 31 32 37 38",
+    "c63:0-1": "0 3 6 9 12 15 18 21 24 27 30 33 36 39 42 45 48 51 54 57 60",
+    "c63:0-2": "0 3 6 9 12 15 18 21 24 27 30 33 36 39 42 45 48 51 54 57 60",
+    "c63:0-3": "0 2 4 7 10 13 16 19 22 25 28 31 34 37 40 43 46 49 52 55 58",
+    "c63:0-4": "0 2 5 8 11 14 17 20 23 26 29 32 35 38 41 44 47 50 53 56 61",
+    "c63:1-2": "0 1 5 6 9 12 15 18 21 24 27 30 33 36 39 42 45 48 51 54 57",
+    "c63:1-3": "0 1 4 7 10 13 16 19 22 25 28 31 34 37 40 43 46 49 52 55 58",
+    "c63:1-4": "0 1 4 5 8 11 14 17 20 23 26 29 32 35 38 41 44 47 50 53 56",
+    "c63:2-3": "0 3 6 9 12 15 18 21 24 27 30 33 36 39 42 45 48 51 54 57 60",
+    "c63:2-4": "0 1 3 6 9 12 15 18 21 24 27 30 33 36 39 42 45 48 51 54 57",
+    "c63:3-4": "0 1 2 7 8 13 14 19 20 25 26 31 32 37 38 43 44 49 50 55 56",
+    "r48:pin:0": "1 2 5 7 8 11 16 22 23 24 28 32 35 36 37 40 41 44 45 47",
+    "r48:pin:1": "0 1 7 10 11 12 14 15 18 19 20 22 27 28 29 31 32 35 37 41",
+    "r48:pin:2": "1 2 4 5 8 9 12 16 19 20 29 31 33 35 36 37 41 45 46 47",
+    "r48:pin:3": "0 2 4 7 8 9 10 12 13 14 17 25 27 29 32 34 37 40 43",
+    "r48:pin:4": "0 2 3 5 6 7 8 9 13 14 17 24 25 27 28 40 42 44 47",
+    "r48:pin:5": "3 5 6 9 10 12 15 16 20 22 26 27 28 29 32 33 38 42 44",
+    "r64:pin:0": "0 2 4 6 8 9 10 11 12 13 15 16 20 21 22 29 34 37 44 47 51 53 54 60 62 63",
+    "r64:pin:1": "0 2 7 9 11 12 13 18 19 20 21 25 26 29 30 31 37 40 42 44 47 50 51 54 57 60",
+    "r64:pin:2": "0 2 6 7 11 13 14 15 16 19 20 21 24 25 26 27 30 34 36 44 51 53 54 57 61 62",
+    "r64:pin:3": "0 1 4 7 8 17 19 22 23 26 27 28 29 30 31 33 35 38 40 48 53 54 56 58 60",
+    "r64:pin:4": "0 1 2 3 4 11 12 13 17 18 28 29 30 32 36 44 45 49 50 53 54 59 60 62 63",
+    "r64:pin:5": "0 2 4 5 6 7 8 10 16 17 18 24 26 28 33 35 36 37 38 39 40 44 47 49 56 58",
+}
+
+
+def pinned_graph(key):
+    kind, rest = key.split(":", 1)
+    if kind[0] == "c":
+        fam = circulant_family(int(kind[1:]))
+        i, j = map(int, rest.split("-"))
+        return union([fam[i], fam[j]])
+    return union(random_pair(int(kind[1:]), rest))
+
+
+@pytest.mark.parametrize("key", list(PINNED_CERTIFICATES))
+def test_certificate_pinned(key):
+    cert = alpha_exact(pinned_graph(key))
+    assert " ".join(map(str, cert.vertices)) == PINNED_CERTIFICATES[key]
 
 
 def test_alpha_matches_oracle_random():
