@@ -199,10 +199,39 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _check_claim(doc: FamilyDocument, claim: str):
-    """Returns (ok, detail) for one claim string."""
+_QUANTITIES = {"alpha": alpha_value, "zeta": zeta, "psi": psi_exact}
+_COVERS = {
+    "k4-covered": (find_k4_cover, "K4"),
+    "triangle-covered": (find_triangle_cover, "triangle"),
+}
+
+
+def _parse_claim(claim: str):
+    """(pairwise, key, op, want) for one claim string; ValueError if it is none.
+
+    A cover claim has key "k4-covered" or "triangle-covered" and op None; a
+    value claim has key alpha, zeta or psi and op one of <=, >=, =.
+    """
     pairwise = claim.startswith("pairwise-")
     body = claim[len("pairwise-"):] if pairwise else claim
+    if pairwise and body in _COVERS:
+        return pairwise, body, None, None
+    for op in ("<=", ">=", "="):
+        if op in body:
+            key, _, raw = body.partition(op)
+            try:
+                want = int(raw)
+            except ValueError:
+                raise ValueError(f"claim {claim!r}: bad claim value {raw!r}") from None
+            if key not in _QUANTITIES:
+                raise ValueError(f"claim {claim!r}: unknown quantity {key!r}")
+            return pairwise, key, op, want
+    raise ValueError(f"unparseable claim {claim!r}")
+
+
+def _check_claim(doc: FamilyDocument, parsed):
+    """Returns (ok, detail) for one claim parsed by _parse_claim."""
+    pairwise, key, op, want = parsed
     if pairwise and len(doc.cycles) < 2:
         return False, "pairwise claim on a document with fewer than two cycles"
     pairs = [
@@ -210,42 +239,29 @@ def _check_claim(doc: FamilyDocument, claim: str):
         for i in range(len(doc.cycles))
         for j in range(i + 1, len(doc.cycles))
     ]
-    if pairwise and body == "k4-covered":
+    if op is None:
+        find_cover, label = _COVERS[key]
         for i, j in pairs:
-            if find_k4_cover(union([doc.cycles[i], doc.cycles[j]])) is None:
-                return False, f"pair ({i},{j}) has no K4 cover"
-        return True, f"{len(pairs)} pairs K4-covered"
-    if pairwise and body == "triangle-covered":
-        for i, j in pairs:
-            if find_triangle_cover(union([doc.cycles[i], doc.cycles[j]])) is None:
-                return False, f"pair ({i},{j}) has no triangle cover"
-        return True, f"{len(pairs)} pairs triangle-covered"
-    for op in ("<=", ">=", "="):
-        if op in body:
-            key, _, raw = body.partition(op)
-            try:
-                want = int(raw)
-            except ValueError:
-                return False, f"bad claim value {raw!r}"
-            fns = {"alpha": alpha_value, "zeta": zeta, "psi": psi_exact}
-            if key not in fns:
-                return False, f"unknown quantity {key!r}"
-            fn = fns[key]
-            targets = (
-                [(f"pair ({i},{j})", union([doc.cycles[i], doc.cycles[j]])) for i, j in pairs]
-                if pairwise
-                else [("graph", doc.graph())]
-            )
-            for label, g in targets:
-                got = fn(g)
-                ok = got <= want if op == "<=" else got >= want if op == ">=" else got == want
-                if not ok:
-                    return False, f"{label}: {key} is {got}, claim was {key}{op}{want}"
-            return True, f"{key}{op}{want} on {len(targets)} graph(s)"
-    return False, f"unparseable claim {claim!r}"
+            if find_cover(union([doc.cycles[i], doc.cycles[j]])) is None:
+                return False, f"pair ({i},{j}) has no {label} cover"
+        return True, f"{len(pairs)} pairs {label}-covered"
+    fn = _QUANTITIES[key]
+    targets = (
+        [(f"pair ({i},{j})", union([doc.cycles[i], doc.cycles[j]])) for i, j in pairs]
+        if pairwise
+        else [("graph", doc.graph())]
+    )
+    for label, g in targets:
+        got = fn(g)
+        ok = got <= want if op == "<=" else got >= want if op == ">=" else got == want
+        if not ok:
+            return False, f"{label}: {key} is {got}, claim was {key}{op}{want}"
+    return True, f"{key}{op}{want} on {len(targets)} graph(s)"
 
 
 def cmd_verify(args) -> int:
+    # every claim is parsed before any work: a malformed one is a usage error
+    claims = [(claim, _parse_claim(claim)) for claim in args.claim or []]
     doc = _load_doc(args.input)
     results = []
     ok_all = True
@@ -260,8 +276,8 @@ def cmd_verify(args) -> int:
         results.append({"claim": "embedded-alpha-certificate", "ok": good,
                         "detail": f"value {cert.get('value')}, {len(vs)} vertices"})
         ok_all &= good
-    for claim in args.claim or []:
-        ok, detail = _check_claim(doc, claim)
+    for claim, parsed in claims:
+        ok, detail = _check_claim(doc, parsed)
         results.append({"claim": claim, "ok": ok, "detail": detail})
         ok_all &= ok
     _emit(args, {"command": "verify", "ok": ok_all, "claims": results})

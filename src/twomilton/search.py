@@ -9,8 +9,13 @@ that survive the pinned filter.
 
 The filter itself is exact: alpha(C_std | C) <= k iff every (k+1)-subset that
 is independent in the standard cycle contains an edge of C.  Subsets are
-indexed once and each candidate cycle folds its n edges into one hit mask, so
-a cycle is scanned in O(n) big-int operations.
+indexed once per (n, k) and a cycle's edges fold into one hit mask.  The scan
+builds each order as a path, one vertex at a time, and shares the hit mask
+along the path's prefix.  It cuts a prefix as soon as some subset is unhit
+and has at most one *open* vertex (the path end, the closing vertex or an
+unvisited one): every edge still to be placed joins two open vertices, so
+such a subset stays unhit in every completion.  A table over all vertex sets
+gives the subsets with two or more open members in one lookup.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -98,32 +104,91 @@ def _pair_rows(n, subsets):
     return rows
 
 
-def _scan_task(args):
-    """Survivor orders among cycles (0, p1, p2, *rest): one fixed-prefix task."""
-    n, k, p1, p2 = args
+@lru_cache(maxsize=16)
+def _scan_tables(n, k):
+    """(rows, full, reach) for the pinned scan at (n, k), built once per process.
+
+    rows[a][b] holds the independent (k+1)-subsets of the standard cycle that
+    contain both a and b, and full all of them.  reach[o] is the OR of
+    rows[a][b] over the pairs {a, b} inside the vertex set o, that is, the
+    subsets with at least two members in o.  Splitting o at its two lowest
+    members v < w, a pair inside o either misses v, misses w, or is {v, w}.
+    """
     subsets = _independent_subsets(n, k + 1)
-    rows = _pair_rows(n, subsets)
+    rows = tuple(map(tuple, _pair_rows(n, subsets)))
     full = (1 << len(subsets)) - 1
+    reach = [0] * (1 << n)
+    for o in range(1 << n):
+        rest = o & (o - 1)
+        if rest:
+            v = (o & -o).bit_length() - 1
+            w = (rest & -rest).bit_length() - 1
+            reach[o] = reach[rest] | reach[o ^ (1 << w)] | rows[v][w]
+    return rows, full, tuple(reach)
+
+
+def _scan_task(args):
+    """Survivor orders among cycles (0, p1, p2, *mid, last) with last > p1.
+
+    A depth-first extension of the path from p2, with `last` fixed first and
+    the next vertex taken in ascending order, yields the orders in the
+    lexicographic order of a flat loop over `last` and then over
+    permutations of the middle.  acc holds the subsets hit by the edges
+    placed so far, the closing edge (last, 0) included.  The edges still to
+    place join two *open* vertices: the path end, the unvisited vertices and
+    `last`.  So a subset not in acc | reach[open] (at most one open member)
+    can never be hit, and the whole subtree is cut.  The last two levels are
+    unrolled, which keeps the recursion cheap where nothing is cut.
+    """
+    n, k, p1, p2 = args
+    rows, full, reach = _scan_tables(n, k)
+    head = (0, p1, p2)
     base = rows[0][p1] | rows[p1][p2]
     pool = [v for v in range(1, n) if v != p1 and v != p2]
     out = []
     if not pool:
         if p1 < p2 and base | rows[p2][0] == full:
-            out.append((0, p1, p2))
+            out.append(head)
         return out
+
+    def extend(prev, free, acc, path):
+        row = rows[prev]
+        rest = free & (free - 1)
+        if not rest & (rest - 1):
+            if not free:
+                if acc | row[last] == full:
+                    out.append(path + (last,))
+                return
+            a = (free & -free).bit_length() - 1
+            if not rest:
+                if acc | row[a] | last_row[a] == full:
+                    out.append(path + (a, last))
+                return
+            b = rest.bit_length() - 1
+            acc |= rows[a][b]
+            if acc | row[a] | last_row[b] == full:
+                out.append(path + (a, b, last))
+            if acc | row[b] | last_row[a] == full:
+                out.append(path + (b, a, last))
+            return
+        # each child's open set is free | last, so one lookup prunes them all
+        need = full & ~(acc | reach[free | last_bit])
+        rest = free
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            if not need & ~row[v]:
+                extend(v, free ^ bit, acc | row[v], path + (v,))
+
+    pool_mask = sum(1 << v for v in pool)
+    need = full & ~(base | reach[pool_mask | 1 << p2])
     for last in pool:
-        if last < p1:
+        last_row = rows[last]
+        if last < p1 or need & ~last_row[0]:
             continue
-        closing = rows[last][0]
-        remaining = [v for v in pool if v != last]
-        for mid in permutations(remaining):
-            acc = base
-            prev = p2
-            for v in mid:
-                acc |= rows[prev][v]
-                prev = v
-            if acc | rows[prev][last] | closing == full:
-                out.append((0, p1, p2) + mid + (last,))
+        last_bit = 1 << last
+        extend(p2, pool_mask ^ last_bit, base | last_row[0], head)
     return out
 
 
@@ -154,7 +219,8 @@ class FSearchResult:
     value: int
     witnesses: tuple[HamCycle, ...]
     mode: str  # "exhaustive" or "lower-bound"
-    examined: int
+    examined: int  # cycles the pinned filter scanned; 0 when no scan ran
+    survivors: int  # cycles the pinned filter kept; 0 when no scan ran
     elapsed: float
     log: tuple[str, ...]
 
@@ -180,7 +246,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
         witnesses = tuple(enumerate_cycles(n)) if total <= 1000 else ()
         log.append(f"alpha of any union <= floor(n/2) = {n // 2} <= k = {k}")
         log.append(f"f({n},{k}) = {total}: the family of all distinct cycles")
-        return FSearchResult(n, k, total, witnesses, "exhaustive", 0, time.perf_counter() - t0, tuple(log))
+        return FSearchResult(n, k, total, witnesses, "exhaustive", 0, 0, time.perf_counter() - t0, tuple(log))
     if n > 12:
         return _construction_lower_bound(n, k, t0, log)
     check_limit("enum", n, "exhaustive f-search")
@@ -222,7 +288,9 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
             )
     log.append(f"maximum clique among survivors: {len(clique)}")
     log.append(f"f({n},{k}) = {value}; witness family re-verified pairwise")
-    return FSearchResult(n, k, value, witnesses, "exhaustive", total, time.perf_counter() - t0, tuple(log))
+    return FSearchResult(
+        n, k, value, witnesses, "exhaustive", total, len(survivors), time.perf_counter() - t0, tuple(log)
+    )
 
 
 def _family_alpha_ok(cycles, k):
@@ -247,7 +315,7 @@ def _construction_lower_bound(n, k, t0, log):
     if not verifiable:
         log.append("witness values taken from the constructions; n exceeds the alpha solver limit")
     log.append(f"f({n},{k}) >= {len(best)} (lower-bound mode)")
-    return FSearchResult(n, k, len(best), best, "lower-bound", 0, time.perf_counter() - t0, tuple(log))
+    return FSearchResult(n, k, len(best), best, "lower-bound", 0, 0, time.perf_counter() - t0, tuple(log))
 
 
 def _complement_path(n, start):

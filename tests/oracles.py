@@ -157,3 +157,47 @@ def oracle_connected(g: UGraph, vertices: set[int] | None = None) -> bool:
                 seen.add(u)
                 stack.append(u)
     return seen == verts
+
+
+def oracle_scan_survivors(n: int, k: int) -> list[tuple[int, ...]]:
+    """Pinned-scan survivors by a flat loop over every candidate order.
+
+    The orders are (0, p1, p2, *mid, last) with last > p1, taken by p1, then
+    p2, then last, then `mid` in the order of `permutations`; an order is kept
+    when every (k+1)-subset independent in the standard cycle holds one of
+    its edges.
+    """
+    subsets = [
+        s for s in combinations(range(n), k + 1)
+        if all((b - a) % n not in (1, n - 1) for a, b in combinations(s, 2))
+    ]
+    rows = [[0] * n for _ in range(n)]
+    for i, s in enumerate(subsets):
+        for a, b in combinations(s, 2):
+            rows[a][b] |= 1 << i
+            rows[b][a] |= 1 << i
+    full = (1 << len(subsets)) - 1
+    out = []
+    for p1 in range(1, n):
+        for p2 in range(1, n):
+            if p2 == p1:
+                continue
+            base = rows[0][p1] | rows[p1][p2]
+            pool = [v for v in range(1, n) if v != p1 and v != p2]
+            if not pool:
+                if p1 < p2 and base | rows[p2][0] == full:
+                    out.append((0, p1, p2))
+                continue
+            for last in pool:
+                if last < p1:
+                    continue
+                remaining = [v for v in pool if v != last]
+                for mid in permutations(remaining):
+                    acc = base | rows[last][0]
+                    prev = p2
+                    for v in mid:
+                        acc |= rows[prev][v]
+                        prev = v
+                    if acc | rows[prev][last] == full:
+                        out.append((0, p1, p2) + mid + (last,))
+    return out

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import twomilton
+from twomilton import cli
 from twomilton.cli import main
 
 
@@ -112,9 +113,26 @@ def test_verify_tampered_certificate(capsys, strip4_doc, tmp_path):
 
 
 def test_verify_unparseable_claim(capsys, strip4_doc):
-    rc, rep = run_json(capsys, "verify", "--input", strip4_doc, "--claim", "gamma=1")
-    assert rc == 1
-    assert "unknown quantity" in rep["claims"][-1]["detail"]
+    # a malformed claim is a usage error: exit 2, a message and no report
+    rc = main(["verify", "--input", strip4_doc, "--claim", "gamma=1"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "unknown quantity" in err
+
+
+@pytest.mark.parametrize("claim", ["zeta=>3", "alpha<=x", "k4-covered", "pairwise-cover", "psi"])
+def test_verify_rejects_malformed_claims_before_work(capsys, monkeypatch, strip4_doc, claim):
+    # the good claim comes first, but nothing is evaluated or printed
+    def evaluated(g):
+        raise AssertionError("a claim was evaluated before all claims were parsed")
+
+    monkeypatch.setitem(cli._QUANTITIES, "alpha", evaluated)
+    rc = main(["verify", "--input", strip4_doc, "--claim", "alpha<=4", "--claim", claim])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and repr(claim) in err
 
 
 def test_reduce_strip(capsys, strip4_doc):

@@ -1,5 +1,6 @@
 """Exhaustive f(n, k) search, exceptional graphs, and covered-triple scans."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from twomilton.graphs import HamCycle, canonical_key, make_cycle, standard_cycle
 from twomilton.independence import alpha_value
 from twomilton.k4 import find_k4_cover, zeta
 from twomilton.search import (
+    _scan_task,
     compute_f,
     dihedral_stabilizer,
     enumerate_cycles,
@@ -21,7 +23,7 @@ from twomilton.search import (
     window_partners,
 )
 
-from oracles import oracle_alpha
+from oracles import oracle_alpha, oracle_scan_survivors
 
 
 def test_enumerate_counts():
@@ -151,10 +153,58 @@ def test_compute_f_shortcut_when_alpha_cap_is_free():
 
 
 def test_compute_f_workers_agree():
-    a = compute_f(7, 1, workers=1)
-    b = compute_f(7, 1, workers=2)
-    assert a.value == b.value
-    assert [c.order for c in a.witnesses] == [c.order for c in b.witnesses]
+    for n, k in [(7, 1), (8, 2), (10, 2), (11, 3), (12, 3)]:
+        a = compute_f(n, k, workers=1)
+        b = compute_f(n, k, workers=2)
+        assert a.value == b.value, (n, k)
+        assert [c.order for c in a.witnesses] == [c.order for c in b.witnesses], (n, k)
+        assert (a.examined, a.survivors) == (b.examined, b.survivors), (n, k)
+        # the log names the worker count in one line; every other byte agrees
+        assert [line.replace("(workers=2)", "(workers=1)") for line in b.log] == list(a.log), (n, k)
+
+
+def scan_survivors(n, k):
+    """The pinned scan's survivors over all prefix tasks, in compute_f's task order."""
+    tasks = [(n, k, p1, p2) for p1 in range(1, n) for p2 in range(1, n) if p2 != p1]
+    return [order for task in tasks for order in _scan_task(task)]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_scan_matches_flat_oracle(n):
+    # same survivors in the same order: the witness tie-break indexes them
+    for k in range(0, (n + 1) // 2):
+        assert scan_survivors(n, k) == oracle_scan_survivors(n, k), (n, k)
+
+
+# (count, sha256 of repr(list of orders)) of the survivor lists, taken from
+# the flat scan the pruned one replaced
+SCAN_DIGESTS = {
+    (10, 0): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (10, 1): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (10, 2): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (10, 3): (22070, "991c4e44d2b148b31d06b6a8ac9286c4a638c96fe6a7bedd1dbd00dddedcac50"),
+    (10, 4): (180000, "0c533995b94576e2360d4498e847773994fabb39921c01de1c81dc0bb305a7a4"),
+    (11, 3): (4402, "f9a0d7c41a96351780515962f2a72ffacd002c7aadc4625eb226dedc2c9cc210"),
+    (12, 3): (56, "13d11f25e4f43e2b92bfefbcd1db37e412e5b4c21cb25bdb0366d3511a24af9d"),
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(SCAN_DIGESTS))
+def test_scan_survivors_pinned(n, k):
+    survivors = scan_survivors(n, k)
+    assert (len(survivors), hashlib.sha256(repr(survivors).encode()).hexdigest()) == SCAN_DIGESTS[n, k]
+
+
+@pytest.mark.parametrize("n,k,want", [(8, 2, 40), (10, 2, 0), (11, 3, 4402), (12, 3, 56)])
+def test_compute_f_survivor_count(n, k, want):
+    res = compute_f(n, k)
+    assert res.survivors == want
+    assert f"survivors with alpha(union with standard) <= {k}: {want}" in res.log
+
+
+def test_compute_f_survivors_zero_without_scan():
+    assert compute_f(6, 3).survivors == 0  # k >= n // 2: no scan
+    assert compute_f(16, 4).survivors == 0  # lower-bound mode
 
 
 def test_compute_f_lower_bound_mode_beyond_range():
