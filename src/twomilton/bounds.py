@@ -43,16 +43,16 @@ def stoneage_check(g: UGraph) -> bool:
     return 4 * alpha_value(g) > g.n
 
 
-def quality_bound(n: int, zeta_count: int, psi_count: int, slack: Fraction = DEFAULT_SLACK) -> Fraction:
-    """7n/26 - zeta/13 + psi/2 - slack."""
+def quality_bound(n: int, zeta_count: int, psi_count: int) -> Fraction:
+    """7n/26 - zeta/13 + psi/2 - DEFAULT_SLACK."""
     if n < 0 or zeta_count < 0 or psi_count < 0:
         raise ValueError("counts must be nonnegative")
-    return Fraction(7 * n, 26) - Fraction(zeta_count, 13) + Fraction(psi_count, 2) - slack
+    return Fraction(7 * n, 26) - Fraction(zeta_count, 13) + Fraction(psi_count, 2) - DEFAULT_SLACK
 
 
-def quality_check(g: UGraph, slack: Fraction = DEFAULT_SLACK) -> bool:
+def quality_check(g: UGraph) -> bool:
     """alpha(g) >= quality_bound for a graph built from two Hamiltonian cycles."""
-    return alpha_value(g) >= quality_bound(g.n, zeta(g), psi_exact(g), slack)
+    return alpha_value(g) >= quality_bound(g.n, zeta(g), psi_exact(g))
 
 
 def smooth_bound(n: int, zeta_count: int) -> Fraction:

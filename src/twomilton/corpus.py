@@ -12,7 +12,7 @@ from math import ceil
 from random import Random
 
 from .graphs import HamCycle, UGraph, canonical_key, make_cycle, relabel_cycle, union
-from .k4 import creates_k4
+from .k4 import creates_k4, window_path
 
 
 def random_cycle(n: int, rng: Random) -> HamCycle:
@@ -48,11 +48,11 @@ def planted_pair(n: int, k4s: int, seed: str) -> tuple[HamCycle, HamCycle]:
             starts = cand
             break
     in_window = set()
-    pieces: list[list[int]] = []
+    pieces: list[tuple[int, ...]] = []
     for s in starts:
-        pieces.append([s + 2, s, s + 3, s + 1])
+        pieces.append(window_path(n, s))
         in_window.update(range(s, s + 4))
-    pieces.extend([v] for v in range(n) if v not in in_window)
+    pieces.extend((v,) for v in range(n) if v not in in_window)
     rng.shuffle(pieces)
     order: list[int] = []
     for piece in pieces:
@@ -91,12 +91,12 @@ def random_k4free(n: int, seed: str) -> UGraph:
     return g
 
 
-def random_johnson_system(n: int, x, eps, seed: str, tries: int = 2000) -> list[frozenset[int]]:
+def random_johnson_system(n: int, x, eps, seed: str) -> list[frozenset[int]]:
     """A qualifying set system by greedy rejection sampling.
 
-    Draws sets of exactly ceil(x*n) elements and keeps one when every pairwise
-    intersection with the kept sets stays at or below (1-eps)*x^2*n, so the
-    output always satisfies the set-system preconditions.
+    Draws 2000 sets of exactly ceil(x*n) elements and keeps one when every
+    pairwise intersection with the kept sets stays at or below (1-eps)*x^2*n,
+    so the output always satisfies the set-system preconditions.
     """
     x = Fraction(x)
     eps = Fraction(eps)
@@ -106,7 +106,7 @@ def random_johnson_system(n: int, x, eps, seed: str, tries: int = 2000) -> list[
     cap = (1 - eps) * x * x * n
     rng = Random(f"johnson:{n}:{x}:{eps}:{seed}")
     out: list[frozenset[int]] = []
-    for _ in range(tries):
+    for _ in range(2000):
         cand = frozenset(rng.sample(range(n), size))
         if all(len(cand & kept) <= cap for kept in out):
             out.append(cand)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 FORMAT_VERSION = 1
+MAX_VERTICES = 1 << 16  # the largest n a document may declare; bounds the rows it costs
 
 
 class VerificationError(Exception):
@@ -56,18 +57,6 @@ class HamCycle:
             out.append((u, v) if u < v else (v, u))
         return out
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges())
-
-    def successors(self) -> tuple[tuple[int, int], ...]:
-        """For each vertex, its two cycle neighbours (ascending)."""
-        o = self.order
-        n = len(o)
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for i, u in enumerate(o):
-            nbrs[u] = sorted((o[i - 1], o[(i + 1) % n]))
-        return tuple((a, b) for a, b in nbrs)
-
 
 def make_cycle(order: Sequence[int]) -> HamCycle:
     """Validate and build a Hamiltonian cycle from a visiting order.
@@ -103,13 +92,9 @@ def canonical_key(cycle: HamCycle) -> tuple[int, ...]:
     return min(fwd, rev)
 
 
-def canonical_cycle(cycle: HamCycle) -> HamCycle:
-    return HamCycle(canonical_key(cycle))
-
-
 def relabel_cycle(cycle: HamCycle, perm: Sequence[int]) -> HamCycle:
     """Apply the vertex relabeling v -> perm[v] and return the canonical form."""
-    return canonical_cycle(HamCycle(tuple(perm[v] for v in cycle.order)))
+    return HamCycle(canonical_key(HamCycle(tuple(perm[v] for v in cycle.order))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,15 +147,6 @@ class UGraph:
         adj[v] |= 1 << u
         return UGraph(self.n, tuple(adj))
 
-    def without_vertices(self, drop: int) -> "UGraph":
-        """Isolate the vertices in mask drop (ids are preserved)."""
-        keep = ~drop
-        adj = [0 if (drop >> v) & 1 else self.adj[v] & keep for v in range(self.n)]
-        return UGraph(self.n, tuple(adj))
-
-    def induced(self, vertices_mask: int) -> "UGraph":
-        return self.without_vertices(((1 << self.n) - 1) & ~vertices_mask)
-
 
 def cycle_graph(cycle: HamCycle) -> UGraph:
     return UGraph.from_edges(cycle.n, cycle.edges())
@@ -219,8 +195,8 @@ def connected_components(g: UGraph, within: int | None = None) -> list[int]:
     return comps
 
 
-def is_connected(g: UGraph, within: int | None = None) -> bool:
-    return len(connected_components(g, within)) <= 1
+def is_connected(g: UGraph) -> bool:
+    return len(connected_components(g)) <= 1
 
 
 def max_clique(adj: Sequence[int]) -> tuple[int, ...]:
@@ -305,33 +281,58 @@ def serialize_family(doc: FamilyDocument) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _ints(raw, what: str) -> list[int]:
+    """raw itself when it is a JSON list of integers; bools and floats are refused."""
+    if not isinstance(raw, list) or not all(type(v) is int for v in raw):
+        raise ValueError(f"{what} must be a list of integers")
+    return raw
+
+
+def _typed(payload: dict, key: str, kind: type, default):
+    value = payload.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f"{key} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
 def parse_family(text: str) -> FamilyDocument:
-    """Parse a family document, validating version, n, and every cycle."""
+    """Parse a family document, checking every value's JSON type before use.
+
+    n is an integer in [3, MAX_VERTICES]; cycles is a list of integer lists,
+    each a permutation of 0..n-1; edges is a list of integer pairs with
+    distinct endpoints in [0, n); certificates, meta and certificates.alpha
+    are objects, and certificates.alpha.vertices a list of integers.  Anything
+    else raises ValueError.
+    """
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("document must be a JSON object")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     n = payload.get("n")
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"bad n {n!r}")
+    if type(n) is not int or not 3 <= n <= MAX_VERTICES:
+        raise ValueError(f"n must be an integer in [3, {MAX_VERTICES}]")
     cycles = []
-    for raw in payload.get("cycles", []):
-        c = make_cycle(raw)
+    for raw in _typed(payload, "cycles", list, []):
+        c = make_cycle(_ints(raw, "a cycle"))
         if c.n != n:
             raise ValueError(f"cycle length {c.n} != n={n}")
         cycles.append(c)
     edges = None
     if "edges" in payload:
-        edges = tuple(
-            (int(u), int(v)) if u < v else (int(v), int(u))
-            for u, v in payload["edges"]
-        )
+        raw = _typed(payload, "edges", list, None)
+        edges = tuple(tuple(sorted(_ints(e, "an edge"))) for e in raw)
+        if any(len(e) != 2 or e[0] == e[1] or e[0] < 0 or e[1] >= n for e in edges):
+            raise ValueError(f"an edge must join two distinct vertices of 0..{n - 1}")
+    certificates = _typed(payload, "certificates", dict, {})
+    if "alpha" in certificates:
+        _ints(_typed(certificates, "alpha", dict, None).get("vertices", []),
+              "certificates.alpha.vertices")
     return FamilyDocument(
         n=n,
         cycles=tuple(cycles),
-        certificates=payload.get("certificates", {}),
-        meta=payload.get("meta", {}),
+        certificates=certificates,
+        meta=_typed(payload, "meta", dict, {}),
         edges=edges,
     )

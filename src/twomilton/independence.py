@@ -136,11 +136,9 @@ class AlphaSolver:
         self.memo[P] = size
         return size
 
-    def at_least(self, k: int, P: int | None = None) -> bool:
-        """True iff the induced subgraph on P has an independent set of size k."""
-        if P is None:
-            P = self.full
-        return self._at_least(k, P, P)
+    def at_least(self, k: int) -> bool:
+        """True iff the graph has an independent set of size k."""
+        return self._at_least(k, self.full, self.full)
 
     def _at_least(self, k: int, P: int, dirty: int) -> bool:
         if k <= 0:

@@ -40,20 +40,29 @@ def zeta(g: UGraph) -> int:
     return len(find_k4s(g))
 
 
-def creates_k4(adj, u: int, v: int, ignore: int = 0):
+def creates_k4(adj, u: int, v: int):
     """The K4 that adding edge (u, v) would complete, or None.
 
-    adj holds bitset rows, as UGraph.adj does; the vertices in the ignore mask
-    count as deleted.  Only K4s through the new edge can appear, so it
-    suffices to find an adjacent pair among the common neighbours of u and v.
+    adj holds bitset rows, as UGraph.adj does.  Only K4s through the new edge
+    can appear, so it suffices to find an adjacent pair among the common
+    neighbours of u and v.  The reduction pipeline asks this about two
+    neighbours of an archipelago it is about to delete; no vertex of that
+    archipelago can be one of the pair, since a K4 vertex has at most one
+    neighbour outside its K4 when the maximum degree is 4.
     """
-    common = adj[u] & adj[v] & ~ignore
+    common = adj[u] & adj[v]
     for a in bits(common):
         inner = adj[a] & common
         for b in bits(inner):
             if b > a:
                 return tuple(sorted((u, v, a, b)))
     return None
+
+
+def window_path(n: int, v: int) -> tuple[int, int, int, int]:
+    """The Hamiltonian path of the window v..v+3 (mod n) that shares no edge
+    with the standard cycle: with the window's three cycle edges it is a K4."""
+    return (v + 2) % n, v % n, (v + 3) % n, (v + 1) % n
 
 
 def check_cover(g: UGraph, blocks, size: int) -> bool:
@@ -122,33 +131,32 @@ def find_triangle_cover(g: UGraph) -> tuple | None:
     return _cover_search(g, find_triangles(g))
 
 
-def induced_paths4(g: UGraph) -> tuple[tuple[int, int, int, int], ...]:
-    """All induced 3-edge paths a-b-c-d (deduplicated by reversal: a < d)."""
-    out = []
-    for b in range(g.n):
-        nb = g.adj[b]
-        for c in bits(nb):
-            nc = g.adj[c]
-            for a in bits(nb & ~nc & ~(1 << c)):
-                tail = nc & ~nb & ~g.adj[a] & ~(1 << a) & ~(1 << b)
-                for d in bits(tail):
-                    if a < d:
-                        out.append((a, b, c, d))
-    return tuple(sorted(set(out)))
-
-
 def good_paths4(g: UGraph) -> tuple[tuple[int, int, int, int], ...]:
-    """Induced 3-edge paths a-b-c-d whose interior vertices have degree 2.
+    """Induced 3-edge paths a-b-c-d whose interior vertices have degree 2,
+    each once (a < d), ascending.
 
     These are the paths the degree-2 contraction applies to: b and c have no
     neighbors outside the path, so removing b, c, d (or a, b, c) and rewiring
     trades 2 vertices for 1 guaranteed independent pick.  A shared K4 of two
     unions contributes exactly such a path, never a plain induced path.
+
+    Each path is read off its middle edge b-c: a and d are the other
+    neighbours of b and c, and the path is induced iff a != d and a, d are
+    not adjacent (b and c have no further neighbours to check).
     """
-    return tuple(
-        p for p in induced_paths4(g)
-        if g.degree(p[1]) == 2 and g.degree(p[2]) == 2
-    )
+    adj = g.adj
+    out = []
+    for b in range(g.n):
+        if adj[b].bit_count() != 2:
+            continue
+        for c in bits(adj[b] >> (b + 1) << (b + 1)):
+            if adj[c].bit_count() != 2:
+                continue
+            a = (adj[b] ^ 1 << c).bit_length() - 1
+            d = (adj[c] ^ 1 << b).bit_length() - 1
+            if a != d and not adj[a] >> d & 1:
+                out.append((a, b, c, d) if a < d else (d, c, b, a))
+    return tuple(sorted(out))
 
 
 def psi_exact(g: UGraph) -> int:
@@ -214,14 +222,13 @@ class Archipelago:
         return len(self.matching) >= len(self.k4s)
 
 
-def archipelagos(g: UGraph, k4s=None) -> tuple[Archipelago, ...]:
+def archipelagos(g: UGraph) -> tuple[Archipelago, ...]:
     """Archipelagos of g, ordered by smallest vertex.
 
     Requires the K4s to be pairwise disjoint (true in any union of two
     Hamiltonian cycles); raises ValueError otherwise.
     """
-    if k4s is None:
-        k4s = find_k4s(g)
+    k4s = find_k4s(g)
     if not k4s:
         return ()
     covered = 0

@@ -23,6 +23,15 @@ otherwise one transversal per neighbourhood vertex u whose outside edges all
 point at u.  lift_independent turns an independent set of the remainder into
 one of the input union, gaining exactly one vertex per K4.
 
+The working graph and the maintained cycles are bitset rows (cycle_graph's
+adj): splicing a cycle through a new edge a-b is two XORs, and step 2 walks
+the first cycle by leaving each vertex through the row bit that is not the
+previous vertex.  An edge between two neighbours of an archipelago is tested
+with creates_k4 while that archipelago is still present.  That cannot change
+the answer: a K4 vertex has three neighbours in its K4 and, at maximum degree
+4, at most one outside, so no archipelago vertex is adjacent to both ends;
+and only non-K4 vertices ever gain edges.
+
 No step may complete a new K4; for genuine unions of two Hamiltonian cycles on
 n > 13 vertices this is a theorem, so a trigger means the input (or the
 theory) is broken and the offending state is reported as a falsification
@@ -41,6 +50,7 @@ from .graphs import (
     VerificationError,
     bits,
     connected_components,
+    cycle_graph,
     distinct_cycles,
     mask_of,
     union,
@@ -108,23 +118,17 @@ class _Pipeline:
         self.archs = archipelagos(g)
         self.trace: list[TraceStep] = []
         self.lift: list[LiftEntry] = []
-        # cycle neighbour lists for splicing (first cycle also routes step 2)
-        self.cyc: list[list[list[int]] | None] = [
-            [list(pair) for pair in c.successors()] for c in cycles or ()
+        # bitset rows of the maintained cycles (the first also routes step 2)
+        self.cyc: list[list[int] | None] = [
+            list(cycle_graph(c).adj) for c in cycles or ()
         ]
 
     # -- state helpers ----------------------------------------------------
 
     def _artifact(self, detail: dict) -> FamilyDocument:
-        edges = []
-        for v in bits(self.alive):
-            for u in bits(self.adj[v]):
-                if u > v:
-                    edges.append((v, u))
-        return FamilyDocument(
-            n=self.n, cycles=(), edges=tuple(edges),
-            meta={"detail": detail},
-        )
+        # deleted vertices have empty rows, so these are the live edges
+        edges = UGraph(self.n, tuple(self.adj)).edges()
+        return FamilyDocument(n=self.n, cycles=(), edges=tuple(edges), meta={"detail": detail})
 
     def _fail(self, step: str, reason: str, **detail):
         raise StructureViolation(
@@ -148,7 +152,7 @@ class _Pipeline:
         archipelago is gone.  For an archipelago from _open_archs the edge is
         also new, so it passes every check of _add_edge."""
         for a, b in combinations(arch.neighborhood, 2):
-            if creates_k4(self.adj, a, b, arch.mask) is None:
+            if creates_k4(self.adj, a, b) is None:
                 return a, b
         return None
 
@@ -157,11 +161,10 @@ class _Pipeline:
         self.adj[v] |= 1 << u
         self.trace.append(TraceStep(step, arch.vertices, (u, v)))
 
-    def _add_edge(self, step: str, u: int, v: int, arch: Archipelago,
-                  ignore: int = 0):
+    def _add_edge(self, step: str, u: int, v: int, arch: Archipelago):
         if self.adj[u] >> v & 1:
             self._fail(step, f"edge ({u},{v}) already present", edge=[u, v])
-        quad = creates_k4(self.adj, u, v, ignore)
+        quad = creates_k4(self.adj, u, v)
         if quad is not None:
             self._fail(
                 step,
@@ -226,23 +229,21 @@ class _Pipeline:
     # -- step 1: small archipelagos ---------------------------------------
 
     def _splice_cycles(self, arch: Archipelago, a: int, b: int):
-        for nbrs in self.cyc:
-            if nbrs is None:
+        for rows in self.cyc:
+            if rows is None:
                 continue
-            ka = [w for w in nbrs[a] if arch.mask >> w & 1]
-            kb = [w for w in nbrs[b] if arch.mask >> w & 1]
-            if len(ka) != 1 or len(kb) != 1:
+            ka = rows[a] & arch.mask
+            kb = rows[b] & arch.mask
+            if ka.bit_count() != 1 or kb.bit_count() != 1:
                 self._fail(
                     "small",
                     "cycle does not pass the small archipelago as one arc",
                     archipelago=list(arch.vertices), a=a, b=b,
                 )
-            nbrs[a][nbrs[a].index(ka[0])] = b
-            nbrs[b][nbrs[b].index(kb[0])] = a
-            nbrs[a].sort()
-            nbrs[b].sort()
+            rows[a] ^= ka | 1 << b
+            rows[b] ^= kb | 1 << a
             for v in arch.vertices:
-                nbrs[v] = []
+                rows[v] = 0
 
     def step1(self):
         while True:
@@ -250,8 +251,7 @@ class _Pipeline:
             if arch is None:
                 return
             a, b = arch.neighborhood
-            # the archipelago counts as deleted, so the test sees the final state
-            quad = creates_k4(self.adj, a, b, arch.mask)
+            quad = creates_k4(self.adj, a, b)
             if quad is not None:
                 self._fail(
                     "small",
@@ -291,19 +291,18 @@ class _Pipeline:
         for idx, arch in enumerate(self.archs):
             for v in bits(arch.mask & self.alive):
                 arch_of[v] = idx
-        # walk the maintained cycle once, recording arcs through archipelagos
-        start = None
-        for v in bits(plain):
-            start = v
-            break
+        # walk the maintained cycle once, recording arcs through archipelagos;
+        # each step leaves by the row bit that is not the previous vertex (the
+        # lowest at the start); a broken cycle stops after n steps at most
+        start = (plain & -plain).bit_length() - 1
         seq = [start]
-        prev, cur = None, start
-        while True:
-            a, b = route[cur]
-            nxt = b if a == prev else a
-            if nxt == start:
+        prev, cur = 0, start
+        while len(seq) <= self.n:
+            rest = route[cur] & ~prev
+            nxt = (rest & -rest).bit_length() - 1
+            if nxt == start or not rest:
                 break
-            prev, cur = cur, nxt
+            prev, cur = 1 << cur, nxt
             seq.append(cur)
         if len(seq) != self.alive.bit_count():
             self._fail("connect", "maintained cycle lost vertices", length=len(seq))
@@ -421,7 +420,7 @@ class _Pipeline:
                     risky.append((arch, edge))
             if risky:
                 arch, (a, b) = risky[0]
-                self._add_edge("three-risky", a, b, arch, ignore=arch.mask)
+                self._add_edge("three-risky", a, b, arch)
                 self._delete_arch(arch)
                 continue
             arch = live[0]
@@ -482,12 +481,9 @@ class _Pipeline:
         self.step4()
         h_vertices = tuple(bits(self.alive))
         new_id = {old: i for i, old in enumerate(h_vertices)}
-        h_edges = []
-        for v in h_vertices:
-            for u in bits(self.adj[v]):
-                if u > v:
-                    h_edges.append((new_id[v], new_id[u]))
-        h = UGraph.from_edges(len(h_vertices), h_edges)
+        h = UGraph.from_edges(len(h_vertices), [
+            (new_id[u], new_id[v]) for u, v in UGraph(self.n, tuple(self.adj)).edges()
+        ])
         post = self._postconditions(h, h_vertices, zeta_total)
         return ReductionResult(
             g=self.g,

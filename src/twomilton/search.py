@@ -29,12 +29,17 @@ from math import factorial
 
 from .constructions import circulant_family, k4_strip
 from .graphs import (
-    HamCycle, VerificationError, bits, canonical_key, cycle_graph, make_cycle, max_clique,
-    standard_cycle, union,
+    HamCycle, VerificationError, bits, cycle_graph, make_cycle, max_clique, standard_cycle, union,
 )
 from .independence import alpha_value
-from .k4 import zeta
+from .k4 import window_path, zeta
 from .limits import check_limit, limit
+
+
+# compute_f refuses compatibility rows (a bit per pair of survivors) over
+# 128 MiB, that is, more than 32,768 survivors
+MAX_ROW_BITS = 1 << 30
+SAMPLE_CAP = 2_000_000  # verify_nothree: every pair up to this many, a sample beyond
 
 
 class WitnessCheckError(VerificationError):
@@ -56,30 +61,17 @@ def dihedral_stabilizer(cycle: HamCycle) -> tuple[tuple[int, ...], ...]:
     return tuple(maps)
 
 
-def enumerate_cycles(n: int, pinned: HamCycle | None = None):
+def enumerate_cycles(n: int):
     """Yield each of the (n-1)!/2 distinct Hamiltonian cycles exactly once.
 
     Orders are normalized to start at 0 with the smaller neighbor second.
-    With `pinned`, only one representative per orbit of the pinned cycle's
-    dihedral stabilizer is yielded.
     """
     if n < 3:
         raise ValueError("a Hamiltonian cycle needs n >= 3")
     check_limit("enum", n, "cycle enumeration")
-    maps = None
-    if pinned is not None:
-        if pinned.n != n:
-            raise ValueError("pinned cycle is on the wrong vertex count")
-        maps = dihedral_stabilizer(pinned)
     for tail in permutations(range(1, n)):
-        if tail[0] > tail[-1]:
-            continue
-        order = (0,) + tail
-        if maps is not None:
-            key = canonical_key(HamCycle(order))
-            if any(canonical_key(HamCycle(tuple(m[v] for v in order))) < key for m in maps):
-                continue
-        yield make_cycle(order)
+        if tail[0] < tail[-1]:
+            yield make_cycle((0,) + tail)
 
 
 def _independent_subsets(n, r):
@@ -262,6 +254,11 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     survivors = [order for chunk in chunks for order in chunk]
+    if len(survivors) ** 2 > MAX_ROW_BITS:
+        raise ValueError(
+            f"f({n},{k}): {len(survivors)} survivors need {len(survivors) ** 2} bits "
+            f"of compatibility rows, more than the {MAX_ROW_BITS} allowed"
+        )
     log.append(f"examined {total} distinct cycles across {len(tasks)} prefix tasks (workers={workers})")
     log.append(f"survivors with alpha(union with standard) <= {k}: {len(survivors)}")
 
@@ -279,13 +276,13 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     clique = max_clique(_compatibility_rows(masks))
     value = 1 + len(clique)
     witnesses = (standard_cycle(n),) + tuple(make_cycle(survivors[i]) for i in clique)
-    for a, b in combinations(witnesses, 2):
-        alpha_ab = alpha_value(union([a, b]))
-        if alpha_ab > k:
-            raise WitnessCheckError(
-                f"f({n},{k}) witnesses {a.order} and {b.order}: "
-                f"alpha of their union is {alpha_ab} > {k}"
-            )
+    bad = _pair_over(witnesses, k)
+    if bad is not None:
+        a, b, alpha_ab = bad
+        raise WitnessCheckError(
+            f"f({n},{k}) witnesses {a.order} and {b.order}: "
+            f"alpha of their union is {alpha_ab} > {k}"
+        )
     log.append(f"maximum clique among survivors: {len(clique)}")
     log.append(f"f({n},{k}) = {value}; witness family re-verified pairwise")
     return FSearchResult(
@@ -293,8 +290,13 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     )
 
 
-def _family_alpha_ok(cycles, k):
-    return all(alpha_value(union([a, b])) <= k for a, b in combinations(cycles, 2))
+def _pair_over(cycles, k):
+    """The first pair (a, b, alpha) whose union has alpha > k, or None."""
+    for a, b in combinations(cycles, 2):
+        alpha_ab = alpha_value(union([a, b]))
+        if alpha_ab > k:
+            return a, b, alpha_ab
+    return None
 
 
 def _construction_lower_bound(n, k, t0, log):
@@ -303,12 +305,12 @@ def _construction_lower_bound(n, k, t0, log):
     verifiable = n <= limit("alpha")
     if n % 4 == 0 and n // 4 <= k:
         pair = k4_strip(n // 4)
-        if not verifiable or _family_alpha_ok(pair, k):
+        if not verifiable or _pair_over(pair, k) is None:
             best = pair
             log.append(f"strip pair: alpha of the union is n/4 = {n // 4} <= k")
     if n % 2 == 1 and n % 3 == 0 and n >= 9 and n // 3 <= k:
         fam = circulant_family(n)
-        if not verifiable or _family_alpha_ok(fam, k):
+        if not verifiable or _pair_over(fam, k) is None:
             if len(fam) > len(best):
                 best = tuple(fam)
                 log.append(f"circulant family: 10 cycles, pairwise alpha <= n/3 = {n // 3} <= k")
@@ -316,13 +318,6 @@ def _construction_lower_bound(n, k, t0, log):
         log.append("witness values taken from the constructions; n exceeds the alpha solver limit")
     log.append(f"f({n},{k}) >= {len(best)} (lower-bound mode)")
     return FSearchResult(n, k, len(best), best, "lower-bound", 0, 0, time.perf_counter() - t0, tuple(log))
-
-
-def _complement_path(n, start):
-    """The unique Hamiltonian path supplying the 3 edges a K4 needs on a
-    window of four consecutive standard-cycle vertices."""
-    v = start % n
-    return (v + 2) % n, v, (v + 3) % n, (v + 1) % n
 
 
 def _closings(pieces, singles):
@@ -366,7 +361,7 @@ def find_exceptional(n: int) -> ExceptionalPair:
     target = n // 4
     window_sets = [(0,)] if n == 8 else [(0, b) for b in (4, 5, 6, 7, 8)]
     for starts in window_sets:
-        pieces = [_complement_path(n, s) for s in starts]
+        pieces = [window_path(n, s) for s in starts]
         used = {v for p in pieces for v in p}
         singles = [v for v in range(n) if v not in used]
         for order in _closings(pieces, singles):
@@ -393,7 +388,7 @@ def window_partners(n: int) -> list[HamCycle]:
         raise ValueError("K4-covered unions need n divisible by 4, n >= 8")
     out = []
     for offset in range(4):
-        pieces = [_complement_path(n, offset + 4 * i) for i in range(n // 4)]
+        pieces = [window_path(n, offset + 4 * i) for i in range(n // 4)]
         out.extend(make_cycle(order) for order in _closings(pieces, []))
     return out
 
@@ -426,13 +421,13 @@ class NothreeReport:
     witnesses: tuple[tuple[HamCycle, HamCycle, HamCycle], ...]
 
 
-def verify_nothree(n: int, seed=0, sample_cap: int = 2_000_000) -> NothreeReport:
+def verify_nothree(n: int, seed=0) -> NothreeReport:
     """Search for three cycles with all three pairwise unions K4-covered.
 
     The first cycle is pinned to the standard one, the other two then run
     over the complete list of window partners; each candidate pair is tested
     for a K4 cover of its own union.  Exhaustive while the pair count fits
-    under sample_cap, seeded sampling beyond that.
+    under SAMPLE_CAP, seeded sampling beyond that.
     """
     if n % 4 != 0 or not 8 <= n <= 24:
         raise ValueError("triple verification covers n divisible by 4 with 8 <= n <= 24")
@@ -440,7 +435,7 @@ def verify_nothree(n: int, seed=0, sample_cap: int = 2_000_000) -> NothreeReport
     partners = window_partners(n)
     adj = [cycle_graph(c).adj for c in partners]
     total_pairs = len(partners) * (len(partners) - 1) // 2
-    if total_pairs <= sample_cap:
+    if total_pairs <= SAMPLE_CAP:
         mode = "exhaustive"
         pair_iter = combinations(range(len(partners)), 2)
         checked = total_pairs
@@ -448,9 +443,9 @@ def verify_nothree(n: int, seed=0, sample_cap: int = 2_000_000) -> NothreeReport
         mode = "sampled"
         rng = random.Random(f"{seed}:nothree:{n}")
         pair_iter = (
-            tuple(rng.sample(range(len(partners)), 2)) for _ in range(sample_cap)
+            tuple(rng.sample(range(len(partners)), 2)) for _ in range(SAMPLE_CAP)
         )
-        checked = sample_cap
+        checked = SAMPLE_CAP
     found = 0
     witnesses = []
     for i, j in pair_iter:

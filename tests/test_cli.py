@@ -176,6 +176,13 @@ def test_search_f_small(capsys):
     assert len(rep["witnesses"]["cycles"]) == 3
 
 
+def test_search_f_refuses_dense_search(capsys):
+    rc = main(["search-f", "--n", "10", "--k", "4"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "180000 survivors" in err
+
+
 def test_search_f_out_of_range(capsys):
     rc, _ = run(capsys, "search-f", "--n", "14", "--k", "3")
     assert rc == 2
@@ -244,6 +251,32 @@ def test_bad_input_file(capsys, tmp_path):
     assert rc == 2
     rc, _ = run(capsys, "alpha", "--input", str(tmp_path / "missing.json"))
     assert rc == 2
+
+
+# one malformed field each, put into an otherwise valid document
+MALFORMED = {
+    "cycles-number": {"cycles": 5},
+    "cycle-number": {"cycles": [5]},
+    "edges-number": {"edges": 5},
+    "certificates-list": {"certificates": []},
+    "certificate-alpha-number": {"certificates": {"alpha": 5}},
+    "cycle-floats": {"cycles": [[0.5, 1.2, 2, 3]]},
+    "cycle-bool": {"cycles": [[0, True, 2, 3]]},
+    "edge-out-of-range": {"edges": [[0, 9]]},
+    "edge-loop": {"edges": [[1, 1]]},
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_document_is_an_input_error(capsys, tmp_path, name):
+    doc = {"format_version": 1, "n": 4, "cycles": [[0, 1, 2, 3]], "meta": {}, **MALFORMED[name]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("alpha", "verify"):
+        rc = main([command, "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, ""), command
+        assert err.startswith("error: "), command
 
 
 def test_pair_out_of_range(capsys, triple8_doc):

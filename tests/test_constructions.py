@@ -139,10 +139,10 @@ def test_amplify_block_structure():
     base = circulant_family(9)
     res = amplify(base, blocks=4, family_size=2, seed="blocks")
     for cyc, chain in zip(res.cycles, res.chains):
-        edges = set(cyc.edge_set())
+        edges = set(cyc.edges())
         for a, pick in enumerate(chain):
             block_edges = {
-                (a * 9 + u, a * 9 + v) for u, v in base[pick].edge_set()
+                (a * 9 + u, a * 9 + v) for u, v in base[pick].edges()
             }
             inside = {
                 e for e in edges if a * 9 <= e[0] < (a + 1) * 9 and a * 9 <= e[1] < (a + 1) * 9

@@ -16,7 +16,6 @@ from twomilton.k4 import (
     find_triangle_cover,
     find_triangles,
     good_paths4,
-    induced_paths4,
     k4s_disjoint,
     psi_exact,
     zeta,
@@ -58,14 +57,11 @@ def test_creates_k4():
     g = UGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4)])
     assert creates_k4(g.adj, 2, 3) == (0, 1, 2, 3)
     assert creates_k4(g.adj, 3, 4) is None
-    # ignored vertices count as deleted: without 0 the pair 2, 3 closes no K4
-    assert creates_k4(g.adj, 2, 3, ignore=1 << 0) is None
-    assert creates_k4(g.adj, 2, 3, ignore=1 << 4) == (0, 1, 2, 3)
 
 
 def test_creates_k4_matches_brute_force():
-    # on max-degree-4 graphs, creates_k4(adj, u, v, ignore) finds a K4 iff the
-    # graph with the ignored vertices isolated and (u, v) added has one through u, v
+    # on max-degree-4 graphs, creates_k4(adj, u, v) finds a K4 iff the graph
+    # with (u, v) added has one through u and v
     hits = 0
     for seed in range(300):
         rng = random.Random(f"creates:{seed}")
@@ -82,13 +78,8 @@ def test_creates_k4_matches_brute_force():
         close = [w for w in rest if (adj[u] & adj[w]).bit_count() >= 2]
         if seed % 2 and close:
             v = close[0]
-            rest = [w for w in range(n) if w not in (u, v)]
-        ignore = sum(1 << w for w in rest if rng.random() < 0.2)
-        through = [
-            q for q in find_k4s(g.without_vertices(ignore).with_edge(u, v))
-            if u in q and v in q
-        ]
-        got = creates_k4(g.adj, u, v, ignore)
+        through = [q for q in find_k4s(g.with_edge(u, v)) if u in q and v in q]
+        got = creates_k4(g.adj, u, v)
         assert (got is not None) == bool(through), f"seed={seed}"
         if got is not None:
             assert got in through, f"seed={seed}"
@@ -131,10 +122,18 @@ def test_triangle_cover():
     assert find_triangles(g) == ((0, 1, 2), (3, 4, 5))
 
 
-def test_induced_paths_match_oracle():
-    for seed in range(20):
-        g = random_graph(8, 0.35, 100 + seed)
-        assert induced_paths4(g) == tuple(oracle_induced_p4s(g))
+def test_good_paths_match_oracle():
+    # the dense graphs hold few degree-2 interiors; the sparse ones hold more
+    graphs = [random_graph(8, 0.35, 100 + seed) for seed in range(20)]
+    graphs += [random_graph(10, 0.22, 300 + seed) for seed in range(40)]
+    found = 0
+    for seed, g in enumerate(graphs):
+        want = tuple(
+            p for p in oracle_induced_p4s(g) if g.degree(p[1]) == 2 and g.degree(p[2]) == 2
+        )
+        assert good_paths4(g) == want, f"seed={seed}"
+        found += len(want)
+    assert found >= 25
 
 
 def test_psi_cycle_values():
@@ -164,7 +163,7 @@ def test_psi_requires_degree_two_interiors():
     # hop edges) but every vertex has degree >= 3, so none is contractible
     # and psi must be 0.  A pendant path keeps its degree-2 interior.
     strip = union(list(k4_strip(4)))
-    assert (2, 4, 6, 8) in induced_paths4(strip)
+    assert (2, 4, 6, 8) in oracle_induced_p4s(strip)
     assert good_paths4(strip) == ()
     assert psi_exact(strip) == 0
     tadpole = UGraph.from_edges(

@@ -96,6 +96,29 @@ def test_reconnection_step():
     check_result(res)
 
 
+# planted pairs (n, K4s, seed) whose step 1 splices both cycles and whose
+# step 2 then routes its arcs along the spliced first cycle; the two steps
+# were taken before the cycles became bitset rows
+SPLICE_THEN_CONNECT = [
+    ((34, 7, "8"), (
+        ("small", (11, 24, 28, 30), (6, 8)),
+        ("connect", (0, 1, 2, 3, 5, 10, 14, 15, 16, 17, 19, 25, 26, 27, 29, 31), (22, 32)),
+    )),
+    ((39, 7, "6"), (
+        ("small", (0, 25, 27, 34), (16, 28)),
+        ("connect", (3, 15, 24, 38), (6, 21)),
+    )),
+]
+
+
+@pytest.mark.parametrize("args,steps", SPLICE_THEN_CONNECT)
+def test_reconnection_walks_a_spliced_cycle(args, steps):
+    # a wrong splice in step 1 breaks step 2's walk along the first cycle
+    res = technical_reduce(*planted_pair(*args))
+    assert _trace(res)[:2] == steps
+    check_result(res)
+
+
 def three_neighbour_pair():
     """One K4 window at 0..3 with neighbourhood {4, 6, 15}: vertex 15 sends
     two spokes (so it is marked), and no risky outside pattern applies."""

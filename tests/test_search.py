@@ -4,13 +4,12 @@ import hashlib
 import os
 import subprocess
 import sys
-from itertools import permutations
 from math import factorial
 
 import pytest
 
 import twomilton
-from twomilton.graphs import HamCycle, canonical_key, make_cycle, standard_cycle, union
+from twomilton.graphs import canonical_key, make_cycle, standard_cycle, union
 from twomilton.independence import alpha_value
 from twomilton.k4 import find_k4_cover, zeta
 from twomilton.search import (
@@ -37,26 +36,12 @@ def test_enumerate_yields_distinct_cycles():
     assert len(seen) == 60
 
 
-def test_pinned_enumeration_matches_orbit_dedup():
-    n = 8
-    std = standard_cycle(n)
-    maps = dihedral_stabilizer(std)
-    assert len(maps) == 2 * n
-    reps = set()
-    for tail in permutations(range(1, n)):
-        if tail[0] > tail[-1]:
-            continue
-        order = (0,) + tail
-        reps.add(min(canonical_key(HamCycle(tuple(m[v] for v in order))) for m in maps))
-    got = [c for c in enumerate_cycles(n, pinned=std)]
-    assert len(got) == len(reps)
-    assert {canonical_key(c) for c in got} == reps
-
-
 def test_stabilizer_maps_preserve_pinned_cycle():
     std = standard_cycle(10)
     edges = set(std.edges())
-    for m in dihedral_stabilizer(std):
+    maps = dihedral_stabilizer(std)
+    assert len(set(maps)) == 20
+    for m in maps:
         mapped = {tuple(sorted((m[a], m[b]))) for a, b in edges}
         assert mapped == edges
 
@@ -205,6 +190,13 @@ def test_compute_f_survivor_count(n, k, want):
 def test_compute_f_survivors_zero_without_scan():
     assert compute_f(6, 3).survivors == 0  # k >= n // 2: no scan
     assert compute_f(16, 4).survivors == 0  # lower-bound mode
+
+
+def test_compute_f_refuses_dense_rows():
+    # (10, 4) keeps 180,000 survivors, whose compatibility rows would take
+    # about 4 GB; compute_f stops right after the scan instead
+    with pytest.raises(ValueError, match="180000 survivors"):
+        compute_f(10, 4)
 
 
 def test_compute_f_lower_bound_mode_beyond_range():
