@@ -1,6 +1,7 @@
 """Exact combinatorial toolkit for independent sets in unions of two Hamiltonian cycles."""
 
 from .bounds import (
+    exists_check,
     johnson_check,
     locke_lou_check,
     psizeta_stats,
@@ -29,7 +30,14 @@ from .graphs import (
     standard_cycle,
     union,
 )
-from .independence import alpha_exact, alpha_value, verify_independent
+from .independence import (
+    alpha_exact,
+    alpha_value,
+    csoka_lift,
+    csoka_reduce,
+    greedy_extend,
+    verify_independent,
+)
 from .k4 import find_k4_cover, find_k4s, find_triangle_cover, psi_exact, zeta
 from .reduction import diagnose_reduction, lift_independent, technical_reduce
 from .search import compute_f, find_exceptional, verify_nothree, window_partners
@@ -45,12 +53,16 @@ __all__ = [
     "circulant_family",
     "compute_f",
     "counterexample_strip",
+    "csoka_lift",
+    "csoka_reduce",
     "cycle_graph",
     "diagnose_reduction",
+    "exists_check",
     "find_exceptional",
     "find_k4_cover",
     "find_k4s",
     "find_triangle_cover",
+    "greedy_extend",
     "johnson_check",
     "k4_strip",
     "lift_independent",

@@ -168,15 +168,12 @@ def union(parts: Iterable[HamCycle | UGraph]) -> UGraph:
     return UGraph(n, tuple(adj))
 
 
-def relabel_graph(g: UGraph, perm: Sequence[int]) -> UGraph:
-    return UGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def connected_components(g: UGraph, within: int | None = None) -> list[int]:
     """Vertex masks of connected components, ordered by smallest vertex.
 
     within restricts to the induced subgraph on that vertex mask.
     """
+    adj = g.adj
     pool = ((1 << g.n) - 1) if within is None else within
     comps = []
     while pool:
@@ -185,8 +182,10 @@ def connected_components(g: UGraph, within: int | None = None) -> list[int]:
         frontier = seed
         while frontier:
             grow = 0
-            for v in bits(frontier):
-                grow |= g.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow |= adj[low.bit_length() - 1]
             grow &= pool & ~comp
             comp |= grow
             frontier = grow
@@ -241,6 +240,26 @@ def max_clique(adj: Sequence[int]) -> tuple[int, ...]:
 
     expand((1 << len(adj)) - 1)
     return tuple(best)
+
+
+def overlap_rows(masks: Sequence[int]) -> Iterator[int]:
+    """Yield the bitset adjacency rows of the graph where i ~ j iff i != j and
+    masks[i] & masks[j] != 0, in order.
+
+    holders[b] collects the members whose mask has bit b, so the members that
+    meet i are the union of holders[b] over the bits b of masks[i].  The rows
+    come one at a time, so a caller that keeps a sparser form of each (such
+    as its complement) never holds all of them.
+    """
+    holders = [0] * max(masks, default=0).bit_length()
+    for i, m in enumerate(masks):
+        for b in bits(m):
+            holders[b] |= 1 << i
+    for i, m in enumerate(masks):
+        meet = 0
+        for b in bits(m):
+            meet |= holders[b]
+        yield meet & ~(1 << i)
 
 
 def distinct_cycles(cycles: Sequence[HamCycle]) -> bool:

@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import UGraph, VerificationError, bits, connected_components, mask_of
+from .graphs import UGraph, VerificationError, bits, connected_components, mask_of, overlap_rows
+from .independence import AlphaSolver
 from .limits import check_limit
 
 
@@ -23,16 +24,6 @@ def find_k4s(g: UGraph) -> tuple[tuple[int, int, int, int], ...]:
                     if d > c:
                         out.append((a, b, c, d))
     return tuple(out)
-
-
-def k4s_disjoint(g: UGraph) -> bool:
-    seen = 0
-    for quad in find_k4s(g):
-        m = mask_of(quad)
-        if m & seen:
-            return False
-        seen |= m
-    return True
 
 
 def zeta(g: UGraph) -> int:
@@ -160,45 +151,18 @@ def good_paths4(g: UGraph) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def psi_exact(g: UGraph) -> int:
-    """Maximum number of disjoint induced 3-edge paths with degree-2 interiors."""
-    check_limit("psi", g.n, "psi_exact")
+    """Maximum number of disjoint induced 3-edge paths with degree-2 interiors.
+
+    This is the independence number of the path-conflict graph: one vertex
+    per path of good_paths4(g), two paths adjacent when they share a vertex.
+    That graph has at most n vertices, since each path is read off a middle
+    edge between two degree-2 vertices and those edges form paths and cycles
+    on the degree-2 vertices; its size is held to the alpha limit.
+    """
     paths = good_paths4(g)
-    masked = [(mask_of(p), p) for p in paths]
-    by_vertex: list[list[int]] = [[] for _ in range(g.n)]
-    for m, p in masked:
-        for v in p:
-            by_vertex[v].append(m)
-    memo: dict[int, int] = {}
-
-    def rec(avail: int) -> int:
-        if avail.bit_count() < 4:
-            return 0
-        hit = memo.get(avail)
-        if hit is not None:
-            return hit
-        # branch on the least vertex usable by some available path
-        pick = -1
-        options = None
-        probe = avail
-        while probe:
-            low = probe & -probe
-            probe ^= low
-            v = low.bit_length() - 1
-            usable = [m for m in by_vertex[v] if not m & ~avail]
-            if usable:
-                pick = v
-                options = usable
-                break
-        if pick < 0:
-            memo[avail] = 0
-            return 0
-        best = rec(avail & ~(1 << pick))
-        for m in options:
-            best = max(best, 1 + rec(avail & ~m))
-        memo[avail] = best
-        return best
-
-    return rec((1 << g.n) - 1)
+    check_limit("alpha", len(paths), "psi_exact's path-conflict graph")
+    rows = tuple(overlap_rows([mask_of(p) for p in paths]))
+    return AlphaSolver(UGraph(len(paths), rows)).alpha()
 
 
 @dataclass(frozen=True)

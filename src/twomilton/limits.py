@@ -1,15 +1,16 @@
 """Solver size limits, overridable via the TWOMILTON_LIMITS environment variable.
 
-Format: comma-separated key=value pairs, e.g. TWOMILTON_LIMITS="alpha=96,psi=64".
-Keys: alpha (exact independence number), psi (path packing), enum (exhaustive
-cycle enumeration).  Values are max vertex counts; larger inputs raise.
+Format: comma-separated key=value pairs, e.g. TWOMILTON_LIMITS="alpha=96,enum=12".
+Keys: alpha (exact independence number, also of psi_exact's path-conflict
+graph) and enum (exhaustive cycle enumeration).  Values are max vertex
+counts; larger inputs raise.
 """
 
 from __future__ import annotations
 
 import os
 
-DEFAULTS = {"alpha": 64, "psi": 48, "enum": 13}
+DEFAULTS = {"alpha": 64, "enum": 13}
 
 
 def limit(key: str) -> int:

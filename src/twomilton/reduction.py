@@ -115,7 +115,10 @@ class _Pipeline:
         self.cycles = cycles
         self.adj = list(g.adj)  # mutable working adjacency
         self.alive = (1 << g.n) - 1  # an archipelago is live while its vertices are
-        self.archs = archipelagos(g)
+        try:
+            self.archs = archipelagos(g)
+        except ValueError as exc:  # overlapping K4s: no archipelago structure
+            self._fail("archipelagos", str(exc))
         self.trace: list[TraceStep] = []
         self.lift: list[LiftEntry] = []
         # bitset rows of the maintained cycles (the first also routes step 2)

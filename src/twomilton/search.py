@@ -29,7 +29,7 @@ from math import factorial
 
 from .constructions import circulant_family, k4_strip
 from .graphs import (
-    HamCycle, VerificationError, bits, cycle_graph, make_cycle, max_clique, standard_cycle, union,
+    HamCycle, VerificationError, cycle_graph, make_cycle, max_clique, overlap_rows, standard_cycle, union,
 )
 from .independence import alpha_value
 from .k4 import window_path, zeta
@@ -184,26 +184,6 @@ def _scan_task(args):
     return out
 
 
-def _compatibility_rows(masks):
-    """Bitset adjacency rows of the graph where i ~ j iff masks[i] & masks[j] == 0.
-
-    holders[b] collects the members whose mask has bit b, so the members that
-    clash with i are the union of holders[b] over the bits b of masks[i].
-    """
-    holders = [0] * max(masks, default=0).bit_length()
-    for i, m in enumerate(masks):
-        for b in bits(m):
-            holders[b] |= 1 << i
-    everyone = (1 << len(masks)) - 1
-    adj = []
-    for i, m in enumerate(masks):
-        clash = 1 << i
-        for b in bits(m):
-            clash |= holders[b]
-        adj.append(everyone & ~clash)
-    return adj
-
-
 @dataclass(frozen=True)
 class FSearchResult:
     n: int
@@ -273,7 +253,9 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
             hit |= rows[prev][v]
             prev = v
         masks.append(full & ~hit)
-    clique = max_clique(_compatibility_rows(masks))
+    # two survivors are compatible iff their masks are disjoint
+    everyone = (1 << len(masks)) - 1
+    clique = max_clique([everyone & ~(row | 1 << i) for i, row in enumerate(overlap_rows(masks))])
     value = 1 + len(clique)
     witnesses = (standard_cycle(n),) + tuple(make_cycle(survivors[i]) for i in clique)
     bad = _pair_over(witnesses, k)

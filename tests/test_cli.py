@@ -160,6 +160,19 @@ def test_reduce_diagnose_counterexample(capsys, tmp_path):
     assert rep["artifact"]["n"] == 24
 
 
+def test_reduce_diagnose_overlapping_k4s(capsys, tmp_path):
+    path = tmp_path / "k5e.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "n": 5, "cycles": [], "meta": {},
+        "edges": [[a, b] for a in range(5) for b in range(a + 1, 5) if (a, b) != (3, 4)],
+    }))
+    rc, rep = run_json(capsys, "reduce", "--input", str(path), "--diagnose")
+    assert rc == 0
+    assert not rep["ok"]
+    assert rep["failed_step"] == "archipelagos"
+    assert len(rep["artifact"]["edges"]) == 9
+
+
 def test_counterexample_document_claims(capsys, tmp_path):
     path = tmp_path / "cx.json"
     assert run(capsys, "construct", "counterexample", "--units", "3", "--out", str(path))[0] == 0

@@ -16,7 +16,6 @@ from twomilton.k4 import (
     find_triangle_cover,
     find_triangles,
     good_paths4,
-    k4s_disjoint,
     psi_exact,
     zeta,
 )
@@ -49,7 +48,6 @@ def test_find_k4s_strip():
         (4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3) for i in range(4)
     )
     assert zeta(g) == 4
-    assert k4s_disjoint(g)
 
 
 def test_creates_k4():
@@ -143,19 +141,42 @@ def test_psi_cycle_values():
         assert psi_exact(cycle_graph(standard_cycle(m))) == m // 4
 
 
+def chorded_cycle(n, chords, seed):
+    """C_n plus a few random chords: every vertex off the chords has degree 2."""
+    rng = random.Random(f"chorded:{n}:{seed}")
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    for _ in range(chords):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return UGraph.from_edges(n, sorted(edges))
+
+
 def test_psi_matches_oracle():
     for seed in range(20):
         g = random_graph(9, 0.3, 200 + seed)
         assert psi_exact(g) == oracle_psi(g), f"seed={seed}"
+    packed = 0
+    for seed in range(40):
+        g = chorded_cycle(8 + seed % 9, 1 + seed % 3, seed)
+        psi = psi_exact(g)
+        assert psi == oracle_psi(g), f"chorded seed={seed}"
+        packed += psi >= 2
+    assert packed >= 10
     # complete graph has no induced path
     k5 = UGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     assert psi_exact(k5) == 0
 
 
 def test_psi_limit(monkeypatch):
-    monkeypatch.setenv("TWOMILTON_LIMITS", "psi=6")
-    with pytest.raises(ValueError, match="TWOMILTON_LIMITS"):
+    # C8 has 8 good paths, so its path-conflict graph exceeds alpha=6
+    monkeypatch.setenv("TWOMILTON_LIMITS", "alpha=6")
+    with pytest.raises(ValueError, match="psi_exact.*TWOMILTON_LIMITS=alpha=8"):
         psi_exact(cycle_graph(standard_cycle(8)))
+
+
+def test_psi_large_cycle_within_default_limits():
+    # C60 has 60 good paths: within the alpha limit, whatever n is
+    assert psi_exact(cycle_graph(standard_cycle(60))) == 15
 
 
 def test_psi_requires_degree_two_interiors():

@@ -202,6 +202,17 @@ def test_diagnose_accepts_clean_union():
     assert report.result.zeta >= 1
 
 
+def test_diagnose_reports_overlapping_k4s():
+    # K5 minus one edge has maximum degree 4 and two K4s sharing three vertices
+    g = UGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (3, 4)])
+    report = diagnose_reduction(g)
+    assert not report.ok
+    assert report.failed_step == "archipelagos"
+    assert "overlap" in report.reason
+    assert report.artifact.edges == tuple(g.edges())
+    assert report.result is None
+
+
 def test_diagnose_rejects_high_degree():
     star = UGraph.from_edges(6, [(0, i) for i in range(1, 6)])
     with pytest.raises(ValueError, match="degree"):
