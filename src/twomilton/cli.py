@@ -33,6 +33,7 @@ from .graphs import (
 )
 from .independence import alpha_exact, alpha_value, verify_independent
 from .k4 import find_k4_cover, find_triangle_cover, find_k4s, psi_exact, zeta
+from .limits import DEFAULTS, limit
 from .reduction import diagnose_reduction, lift_independent, technical_reduce
 from .search import compute_f, find_exceptional, verify_nothree
 
@@ -288,9 +289,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search_f(args) -> int:
-    if args.n > 12 and not args.lower_bound:
-        raise ValueError("n > 12 is out of exhaustive range; pass --lower-bound for a labeled bound")
     res = compute_f(args.n, args.k, workers=args.workers)
+    if res.mode == "lower-bound" and not args.lower_bound:
+        raise ValueError(
+            f"n > {limit('enum')} is out of exhaustive range; pass --lower-bound for a labeled bound"
+        )
     witness_doc = FamilyDocument(args.n, res.witnesses, {}, {"f": res.value, "mode": res.mode})
     _emit(args, {
         "command": "search-f", "n": args.n, "k": args.k, "workers": args.workers,
@@ -411,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--lower-bound", action="store_true",
-                   help="allow n > 12 and report a construction lower bound")
+                   help="accept a cover-certified construction lower bound when n exceeds "
+                        f"the enum limit (default {DEFAULTS['enum']}) and k < n/2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search_f)
 

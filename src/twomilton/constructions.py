@@ -48,60 +48,14 @@ def triple_n8() -> tuple[HamCycle, HamCycle, HamCycle]:
     )
 
 
-def _close_paths(n: int, edges: list[tuple[int, int]]) -> HamCycle:
-    """Close a disjoint union of paths into a Hamiltonian cycle.
-
-    Paths are oriented from their smaller endpoint, ordered by that endpoint,
-    and chained end-to-start (wrapping the last to the first).  Raises if the
-    edges do not form spanning disjoint paths or a closing edge already exists.
-    """
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    if any(len(b) > 2 for b in nbrs):
-        raise ValueError("edges are not a union of paths")
-    seen = [False] * n
-    paths: list[list[int]] = []
-    for start in range(n):
-        if seen[start] or len(nbrs[start]) == 2:
-            continue
-        walk = [start]
-        seen[start] = True
-        cur, prev = start, -1
-        while True:
-            nxt = [w for w in nbrs[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            if seen[cur]:
-                raise ValueError("edges contain a cycle")
-            seen[cur] = True
-            walk.append(cur)
-        paths.append(walk if walk[0] < walk[-1] else walk[::-1])
-    if not all(seen):
-        raise ValueError("edges contain a cycle")
-    paths.sort(key=lambda p: p[0])
-    existing = {frozenset(e) for e in edges}
-    order: list[int] = []
-    for i, path in enumerate(paths):
-        if i:
-            closing = frozenset((order[-1], path[0]))
-            if closing in existing:
-                raise ValueError("closing edge duplicates a path edge")
-        order.extend(path)
-    if frozenset((order[-1], order[0])) in existing and len(paths) > 1:
-        raise ValueError("closing edge duplicates a path edge")
-    return make_cycle(order)
-
-
 def circulant_family(n: int) -> tuple[HamCycle, ...]:
     """Five cycles on n vertices (n odd, 3 | n, n >= 9) with all ten pairwise
     unions triangle-covered, hence pairwise alpha <= n/3.
 
-    The first two are the distance-1 and distance-2 circulants; the other
-    three close the 2-edge-star forests centred at 3k, 3k+1, 3k+2 (edges to
-    centre+2 and centre+4, mod n).
+    The first two are the distance-1 and distance-2 circulants.  For each
+    residue r mod 3, the centres c = r, r+3, ... with edges to c+2 and c+4
+    (mod n) form n/3 disjoint paths (c+2, c, c+4) through every vertex; the
+    cycle runs them in the order of their smaller ends, each from that end.
     """
     if n < 9 or n % 2 == 0 or n % 3:
         raise ValueError("need odd n divisible by 3, n >= 9")
@@ -109,12 +63,9 @@ def circulant_family(n: int) -> tuple[HamCycle, ...]:
     c2 = make_cycle([(2 * i) % n for i in range(n)])
     closed = []
     for r in range(3):
-        edges = []
-        for k in range(n // 3):
-            centre = 3 * k + r
-            edges.append(tuple(sorted((centre, (centre + 2) % n))))
-            edges.append(tuple(sorted((centre, (centre + 4) % n))))
-        closed.append(_close_paths(n, edges))
+        paths = [((c + 2) % n, c, (c + 4) % n) for c in range(r, n, 3)]
+        paths = sorted(p if p[0] < p[-1] else p[::-1] for p in paths)
+        closed.append(make_cycle([v for p in paths for v in p]))
     return (c1, c2, *closed)
 
 

@@ -262,6 +262,36 @@ def overlap_rows(masks: Sequence[int]) -> Iterator[int]:
         yield meet & ~(1 << i)
 
 
+def depth_first(start, expand) -> tuple | None:
+    """The picks along the first path of a depth-first search that reaches a
+    goal, or None when no path does.
+
+    expand(state) is None when the state is a goal, and otherwise yields the
+    (pick, next state) steps to try, in order.  The open steps sit on an
+    explicit stack, so the depth is not held to the interpreter's recursion
+    limit; the picks and their order are those of the plain recursion.
+    """
+    options = expand(start)
+    if options is None:
+        return ()
+    picks: list = []
+    stack = [iter(options)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if picks:
+                picks.pop()
+            continue
+        pick, state = step
+        picks.append(pick)
+        options = expand(state)
+        if options is None:
+            return tuple(picks)
+        stack.append(iter(options))
+    return None
+
+
 def distinct_cycles(cycles: Sequence[HamCycle]) -> bool:
     keys = {canonical_key(c) for c in cycles}
     return len(keys) == len(cycles)

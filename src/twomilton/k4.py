@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import UGraph, VerificationError, bits, connected_components, mask_of, overlap_rows
+from .graphs import UGraph, VerificationError, bits, connected_components, depth_first, mask_of, overlap_rows
 from .independence import AlphaSolver
 from .limits import check_limit
 
@@ -78,23 +78,14 @@ def _cover_search(g: UGraph, cliques) -> tuple | None:
     for q in cliques:
         for v in q:
             by_vertex[v].append((mask_of(q), q))
-    full = (1 << g.n) - 1
 
-    def rec(uncovered: int, acc: list):
-        if uncovered == 0:
-            return tuple(acc)
+    def expand(uncovered: int):
+        if not uncovered:
+            return None
         v = (uncovered & -uncovered).bit_length() - 1
-        for m, q in by_vertex[v]:
-            if m & ~uncovered:
-                continue
-            acc.append(q)
-            got = rec(uncovered & ~m, acc)
-            if got is not None:
-                return got
-            acc.pop()
-        return None
+        return ((q, uncovered & ~m) for m, q in by_vertex[v] if not m & ~uncovered)
 
-    return rec(full, [])
+    return depth_first((1 << g.n) - 1, expand)
 
 
 def find_k4_cover(g: UGraph) -> tuple | None:

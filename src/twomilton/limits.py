@@ -1,16 +1,18 @@
 """Solver size limits, overridable via the TWOMILTON_LIMITS environment variable.
 
-Format: comma-separated key=value pairs, e.g. TWOMILTON_LIMITS="alpha=96,enum=12".
+Format: comma-separated key=value pairs, e.g. TWOMILTON_LIMITS="alpha=96,enum=13".
 Keys: alpha (exact independence number, also of psi_exact's path-conflict
-graph) and enum (exhaustive cycle enumeration).  Values are max vertex
-counts; larger inputs raise.
+graph; larger inputs raise) and enum (the largest n that compute_f scans
+exhaustively; beyond it compute_f reports a certified construction lower
+bound).  Values are vertex counts.  A key not listed here is refused, so a
+typo cannot leave a limit silently at its default.
 """
 
 from __future__ import annotations
 
 import os
 
-DEFAULTS = {"alpha": 64, "enum": 13}
+DEFAULTS = {"alpha": 64, "enum": 12}
 
 
 def limit(key: str) -> int:
@@ -23,9 +25,14 @@ def limit(key: str) -> int:
         if not item:
             continue
         name, sep, num = item.partition("=")
+        name = name.strip()
         if not sep:
             raise ValueError(f"bad TWOMILTON_LIMITS entry {item!r}")
-        if name.strip() == key:
+        if name not in DEFAULTS:
+            raise ValueError(
+                f"unknown TWOMILTON_LIMITS key {name!r}; known keys: {', '.join(sorted(DEFAULTS))}"
+            )
+        if name == key:
             value = int(num)
     return value
 

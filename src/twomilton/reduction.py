@@ -51,6 +51,7 @@ from .graphs import (
     bits,
     connected_components,
     cycle_graph,
+    depth_first,
     distinct_cycles,
     mask_of,
     union,
@@ -187,25 +188,17 @@ class _Pipeline:
     # -- lift transversals (against the original graph; static) -----------
 
     def _transversal(self, arch: Archipelago, allowed_outside: int):
-        g = self.g
+        adj = self.g.adj
         quads = arch.k4s
+        outside = ~arch.mask & ~allowed_outside
 
-        def rec(i: int, chosen: int, acc: list):
+        def expand(state):
+            i, chosen = state
             if i == len(quads):
-                return tuple(acc)
-            for v in quads[i]:
-                if g.adj[v] & chosen:
-                    continue
-                if g.adj[v] & ~arch.mask & ~allowed_outside:
-                    continue
-                acc.append(v)
-                got = rec(i + 1, chosen | 1 << v, acc)
-                if got is not None:
-                    return got
-                acc.pop()
-            return None
+                return None
+            return ((v, (i + 1, chosen | 1 << v)) for v in quads[i] if not adj[v] & (chosen | outside))
 
-        return rec(0, 0, [])
+        return depth_first((0, 0), expand)
 
     def _lift_entry(self, arch: Archipelago) -> LiftEntry:
         if arch.cyclic:

@@ -32,8 +32,8 @@ from .graphs import (
     HamCycle, VerificationError, cycle_graph, make_cycle, max_clique, overlap_rows, standard_cycle, union,
 )
 from .independence import alpha_value
-from .k4 import window_path, zeta
-from .limits import check_limit, limit
+from .k4 import check_cover, find_k4_cover, find_triangle_cover, window_path, zeta
+from .limits import limit
 
 
 # compute_f refuses compatibility rows (a bit per pair of survivors) over
@@ -59,19 +59,6 @@ def dihedral_stabilizer(cycle: HamCycle) -> tuple[tuple[int, ...], ...]:
                 perm[v] = order[(r + sign * pos[v]) % n]
             maps.append(tuple(perm))
     return tuple(maps)
-
-
-def enumerate_cycles(n: int):
-    """Yield each of the (n-1)!/2 distinct Hamiltonian cycles exactly once.
-
-    Orders are normalized to start at 0 with the smaller neighbor second.
-    """
-    if n < 3:
-        raise ValueError("a Hamiltonian cycle needs n >= 3")
-    check_limit("enum", n, "cycle enumeration")
-    for tail in permutations(range(1, n)):
-        if tail[0] < tail[-1]:
-            yield make_cycle((0,) + tail)
 
 
 def _independent_subsets(n, r):
@@ -197,11 +184,38 @@ class FSearchResult:
     log: tuple[str, ...]
 
 
-def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
-    """Exact f(n, k) for n <= 12; a labeled construction lower bound beyond.
+def _survivors(n, k, workers):
+    """The pinned scan's survivor orders over all prefix tasks, in task order.
 
-    The exhaustive mode streams all (n-1)!/2 cycle orders in deterministic
-    prefix-task order, so the result is independent of `workers`.
+    The tasks run in a fixed order and their outputs are joined in that
+    order, so the list is the same for every worker count.
+    """
+    tasks = [(n, k, p1, p2) for p1 in range(1, n) for p2 in range(1, n) if p2 != p1]
+    if workers == 1:
+        chunks = [_scan_task(t) for t in tasks]
+    else:
+        # imported here, so that importing this module (every CLI start) loads
+        # neither concurrent.futures nor multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_scan_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    return [order for chunk in chunks for order in chunk]
+
+
+def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
+    """f(n, k) in one of three modes, chosen here and nowhere else.
+
+    - k >= n/2 ("exhaustive"): every union has alpha <= floor(n/2) <= k, so
+      f counts all (n-1)!/2 cycles; they are listed as witnesses (sorted
+      pinned-scan output, which keeps every cycle here) while there are at
+      most 1000 of them.
+    - n <= limit("enum") ("exhaustive"): the pinned scan over all cycle
+      orders, then a maximum clique of compatible survivors, whose witness
+      family is re-checked pairwise by alpha.  Orders stream in a fixed
+      prefix-task order, so the result does not depend on `workers`.
+    - otherwise ("lower-bound"): the best construction that applies, each of
+      its pairwise unions certified by a clique cover (_construction_lower_bound).
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -213,33 +227,22 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     total = factorial(n - 1) // 2
     log = ["pinned first cycle to the standard order; families are closed under relabeling"]
     if k >= n // 2:
-        # any union of two cycles has alpha <= floor(n/2) <= k, so every pair
-        # of distinct cycles qualifies and the family of all cycles is maximum
-        witnesses = tuple(enumerate_cycles(n)) if total <= 1000 else ()
+        # no (k+1)-set is independent in the standard cycle, so the scan keeps
+        # every cycle, and the family of all cycles is maximum
+        witnesses = tuple(make_cycle(o) for o in sorted(_survivors(n, k, 1))) if total <= 1000 else ()
         log.append(f"alpha of any union <= floor(n/2) = {n // 2} <= k = {k}")
         log.append(f"f({n},{k}) = {total}: the family of all distinct cycles")
         return FSearchResult(n, k, total, witnesses, "exhaustive", 0, 0, time.perf_counter() - t0, tuple(log))
-    if n > 12:
+    if n > limit("enum"):
         return _construction_lower_bound(n, k, t0, log)
-    check_limit("enum", n, "exhaustive f-search")
 
-    tasks = [(n, k, p1, p2) for p1 in range(1, n) for p2 in range(1, n) if p2 != p1]
-    if workers == 1:
-        chunks = [_scan_task(t) for t in tasks]
-    else:
-        # imported here, so that importing this module (every CLI start) loads
-        # neither concurrent.futures nor multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    survivors = [order for chunk in chunks for order in chunk]
+    survivors = _survivors(n, k, workers)
     if len(survivors) ** 2 > MAX_ROW_BITS:
         raise ValueError(
             f"f({n},{k}): {len(survivors)} survivors need {len(survivors) ** 2} bits "
             f"of compatibility rows, more than the {MAX_ROW_BITS} allowed"
         )
-    log.append(f"examined {total} distinct cycles across {len(tasks)} prefix tasks (workers={workers})")
+    log.append(f"examined {total} distinct cycles across {(n - 1) * (n - 2)} prefix tasks (workers={workers})")
     log.append(f"survivors with alpha(union with standard) <= {k}: {len(survivors)}")
 
     all_subsets = list(combinations(range(n), k + 1))
@@ -281,23 +284,37 @@ def _pair_over(cycles, k):
     return None
 
 
+def _certify_cover(cycles, find_cover, size, name):
+    """Raise VerificationError unless every pairwise union of the cycles is
+    partitioned into cliques of the given size.  An independent set meets
+    each clique at most once, so such a cover bounds alpha by n/size."""
+    for (i, a), (j, b) in combinations(enumerate(cycles), 2):
+        g = union([a, b])
+        blocks = find_cover(g)
+        if blocks is None or not check_cover(g, blocks, size):
+            raise VerificationError(f"{name}: the union of cycles {i} and {j} has no cover by {size}-cliques")
+
+
 def _construction_lower_bound(n, k, t0, log):
-    log.append("n > 12 is out of exhaustive range; reporting a construction lower bound")
+    """A family whose pairwise unions have alpha <= k, proved by clique covers.
+
+    The strip pair (4 | n) is covered by n/4 disjoint K4s and the five
+    circulant cycles (n odd, 3 | n) pairwise by n/3 disjoint triangles; a
+    cover that fails to check raises instead of dropping the construction.
+    """
+    log.append(f"n > {limit('enum')} is out of exhaustive range; reporting a construction lower bound")
     best = (standard_cycle(n),)
-    verifiable = n <= limit("alpha")
     if n % 4 == 0 and n // 4 <= k:
-        pair = k4_strip(n // 4)
-        if not verifiable or _pair_over(pair, k) is None:
-            best = pair
-            log.append(f"strip pair: alpha of the union is n/4 = {n // 4} <= k")
-    if n % 2 == 1 and n % 3 == 0 and n >= 9 and n // 3 <= k:
-        fam = circulant_family(n)
-        if not verifiable or _pair_over(fam, k) is None:
-            if len(fam) > len(best):
-                best = tuple(fam)
-                log.append(f"circulant family: 10 cycles, pairwise alpha <= n/3 = {n // 3} <= k")
-    if not verifiable:
-        log.append("witness values taken from the constructions; n exceeds the alpha solver limit")
+        best = k4_strip(n // 4)
+        _certify_cover(best, find_k4_cover, 4, "strip pair")
+        log.append(f"strip pair: a cover by n/4 = {n // 4} disjoint K4s gives alpha <= {n // 4} <= k")
+    elif n % 2 == 1 and n % 3 == 0 and n >= 9 and n // 3 <= k:
+        best = circulant_family(n)
+        _certify_cover(best, find_triangle_cover, 3, "circulant family")
+        log.append(
+            f"circulant family: 5 cycles, each of the 10 pairwise unions covered by "
+            f"n/3 = {n // 3} disjoint triangles, so alpha <= {n // 3} <= k"
+        )
     log.append(f"f({n},{k}) >= {len(best)} (lower-bound mode)")
     return FSearchResult(n, k, len(best), best, "lower-bound", 0, 0, time.perf_counter() - t0, tuple(log))
 

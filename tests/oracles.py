@@ -137,7 +137,7 @@ def oracle_psi(g: UGraph) -> int:
 
 
 def oracle_all_cycles(n: int) -> set[tuple[int, ...]]:
-    """Canonical keys of all Hamiltonian cycles of K_n (use only for n <= 7)."""
+    """Canonical keys of all Hamiltonian cycles of K_n (use only for n <= 8)."""
     return {
         canonical_key(HamCycle((0,) + rest))
         for rest in permutations(range(1, n))

@@ -6,6 +6,7 @@ import pytest
 
 from twomilton.bounds import (
     DEFAULT_SLACK,
+    FamilyStats,
     delta_fn,
     exists_check,
     family_stats,
@@ -251,6 +252,18 @@ def test_step_check_reports_gain():
     assert rep.gain == 1
     assert rep.ok
     assert rep.m_x == Fraction(1, 4)
+
+
+def test_step_check_conclusion_on_hand_built_stats():
+    # hypothesis holds on every pair (psi/n below (1-eps)(zeta/n)^2 - eps), and
+    # the auxiliary clique (0, 2) has m(Y) = 1/2 with m(Y)^2 > m(X)^2 + 1/99
+    stats = FamilyStats(100, 3, ((0, 1, 20, 0, 40), (0, 2, 50, 10, 30), (1, 2, 50, 10, 30)))
+    rep = step_check(stats, Fraction(1, 100))
+    assert rep.hypothesis_holds
+    assert rep.subfamily == (0, 2)
+    assert rep.m_x == Fraction(1, 5) and rep.m_y == Fraction(1, 2)
+    assert rep.gain == Fraction(1, 99)
+    assert rep.ok
 
 
 def test_exists_check_finds_dense_pair():

@@ -47,6 +47,11 @@ CASES = {
         m.zeta = lambda g: -1
         m.find_exceptional(8)
     """,
+    "search.construction_lower_bound": """
+        import twomilton.search as m
+        m.check_cover = lambda g, blocks, size: False
+        m.compute_f(16, 4)
+    """,
     "reduction.lift_independent.size": """
         import dataclasses
         import twomilton.reduction as m

@@ -197,13 +197,43 @@ def test_search_f_refuses_dense_search(capsys):
 
 
 def test_search_f_out_of_range(capsys):
-    rc, _ = run(capsys, "search-f", "--n", "14", "--k", "3")
-    assert rc == 2
+    rc = main(["search-f", "--n", "14", "--k", "3"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: n > 12 is out of exhaustive range; pass --lower-bound for a labeled bound\n"
+
+
+def test_search_f_closed_form_beyond_enum_limit(capsys):
+    # k >= n/2 is answered exactly at any n, so no --lower-bound is needed
+    rc, rep = run_json(capsys, "search-f", "--n", "14", "--k", "7")
+    assert rc == 0 and rep["mode"] == "exhaustive" and rep["value"] == 3113510400
+
+
+def test_search_f_refuses_unknown_limit_key(capsys, monkeypatch):
+    monkeypatch.setenv("TWOMILTON_LIMITS", "alpah=1")
+    rc = main(["search-f", "--n", "8", "--k", "2"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert "unknown TWOMILTON_LIMITS key 'alpah'" in err
 
 
 def test_search_f_lower_bound_mode(capsys):
     rc, rep = run_json(capsys, "search-f", "--n", "16", "--k", "4", "--lower-bound")
     assert rc == 0 and rep["mode"] == "lower-bound"
+
+
+def test_strip_beyond_recursion_depth(capsys, tmp_path):
+    # 1,000 K4 blocks: the cover and transversal searches go 1,000 levels deep
+    path = str(tmp_path / "s1000.json")
+    assert run(capsys, "construct", "strip", "--k", "1000", "--out", path)[0] == 0
+    rc, rep = run_json(capsys, "cover", "--input", path)
+    assert rc == 0 and len(rep["blocks"]) == 1000
+    rc, rep = run_json(capsys, "verify", "--input", path, "--claim", "pairwise-k4-covered")
+    assert rc == 0 and rep["ok"]
+    rc, rep = run_json(capsys, "reduce", "--input", path)
+    assert rc == 0 and rep["zeta"] == 1000 and rep["lift_demo"]["size"] == 1000
+    rc, rep = run_json(capsys, "reduce", "--input", path, "--diagnose")
+    assert rc == 0 and rep["ok"]
 
 
 def test_nothree_n12(capsys):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from twomilton.constructions import (
-    _close_paths,
     amplify,
     base_alpha_ratio,
     circulant_family,
@@ -48,17 +47,6 @@ def test_triple_n8_is_valid():
             g = union([trio[i], trio[j]])
             assert find_k4_cover(g) is not None
             assert alpha_value(g) == 2
-
-
-def test_close_paths():
-    c = _close_paths(6, [(0, 1), (2, 3), (4, 5)])
-    assert c.order == (0, 1, 2, 3, 4, 5)
-    with pytest.raises(ValueError, match="cycle"):
-        _close_paths(3, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(ValueError, match="paths"):
-        _close_paths(4, [(0, 1), (0, 2), (0, 3)])
-    # a single path closes into the cycle it spans
-    assert _close_paths(4, [(0, 1), (1, 2), (3, 0)]).order == (2, 1, 0, 3)
 
 
 def test_circulant_family_n9_frozen():

@@ -302,5 +302,12 @@ def test_limits_env_override(monkeypatch):
     monkeypatch.setenv("TWOMILTON_LIMITS", "alpha=8")
     with pytest.raises(ValueError, match="TWOMILTON_LIMITS"):
         alpha_value(g)
-    monkeypatch.setenv("TWOMILTON_LIMITS", "alpha=16,psi=64")
+    monkeypatch.setenv("TWOMILTON_LIMITS", "alpha=16")
     assert alpha_value(g) == 5
+
+
+def test_limits_refuse_unknown_key(monkeypatch):
+    # a misspelt key would otherwise leave the limit at its default unnoticed
+    monkeypatch.setenv("TWOMILTON_LIMITS", "alpah=1")
+    with pytest.raises(ValueError, match="'alpah'; known keys: alpha, enum"):
+        alpha_value(cycle_graph(standard_cycle(10)))

@@ -100,6 +100,17 @@ def test_check_cover_and_search():
     assert find_k4_cover(cycle_graph(standard_cycle(8))) is None
 
 
+def test_check_cover_rejects_each_defect():
+    g = union(list(k4_strip(2)))  # K4s {0,1,2,3} and {4,5,6,7}
+    good = [(0, 1, 2, 3), (4, 5, 6, 7)]
+    assert check_cover(g, good, 4)
+    assert not check_cover(g, [(0, 1, 2), (3, 4, 5, 6, 7)], 4)  # wrong block size
+    assert not check_cover(g, [(0, 1, 2, 2), (4, 5, 6, 7)], 4)  # repeated vertex
+    assert not check_cover(g, [(0, 1, 2, 3), (3, 5, 6, 7)], 4)  # overlapping blocks
+    assert not check_cover(g, [(0, 1, 2, 4), (3, 5, 6, 7)], 4)  # not a clique
+    assert not check_cover(g, [(0, 1, 2, 3)], 4)  # vertices left uncovered
+
+
 def test_triple_pairwise_covers():
     trio = triple_n8()
     for i in range(3):

@@ -9,31 +9,30 @@ from math import factorial
 import pytest
 
 import twomilton
+from twomilton.constructions import circulant_family, k4_strip
 from twomilton.graphs import canonical_key, make_cycle, standard_cycle, union
 from twomilton.independence import alpha_value
-from twomilton.k4 import find_k4_cover, zeta
+from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, zeta
 from twomilton.search import (
     _scan_task,
     compute_f,
     dihedral_stabilizer,
-    enumerate_cycles,
     find_exceptional,
     verify_nothree,
     window_partners,
 )
 
-from oracles import oracle_alpha, oracle_scan_survivors
+from oracles import oracle_all_cycles, oracle_alpha, oracle_scan_survivors
 
 
-def test_enumerate_counts():
-    for n, want in [(3, 1), (4, 3), (5, 12), (6, 60), (7, 360)]:
-        got = sum(1 for _ in enumerate_cycles(n))
-        assert got == want == factorial(n - 1) // 2
-
-
-def test_enumerate_yields_distinct_cycles():
-    seen = {tuple(sorted(c.edges())) for c in enumerate_cycles(6)}
-    assert len(seen) == 60
+@pytest.mark.parametrize("n", range(3, 8))
+def test_closed_form_witnesses_are_all_cycles(n):
+    # k >= n/2: the scan keeps every cycle, and the witnesses list each
+    # distinct cycle once, in its canonical order, sorted
+    res = compute_f(n, n // 2)
+    assert res.value == factorial(n - 1) // 2
+    assert [c.order for c in res.witnesses] == sorted(oracle_all_cycles(n))
+    assert (res.mode, res.examined, res.survivors) == ("exhaustive", 0, 0)
 
 
 def test_stabilizer_maps_preserve_pinned_cycle():
@@ -208,6 +207,36 @@ def test_compute_f_lower_bound_mode_beyond_range():
             assert alpha_value(union([b, c])) <= 4
 
 
+def test_compute_f_enum_limit_sets_the_exhaustive_range(monkeypatch):
+    assert compute_f(13, 3).mode == "lower-bound"
+    monkeypatch.setenv("TWOMILTON_LIMITS", "enum=13")
+    res = compute_f(13, 3)
+    assert (res.mode, res.value, res.survivors) == ("exhaustive", 1, 0)
+    assert res.examined == factorial(12) // 2
+
+
+def test_compute_f_closed_form_beyond_enum_limit():
+    # k >= n/2 is exact at every n, with no scan and no witness list
+    res = compute_f(14, 7)
+    assert (res.mode, res.value, res.witnesses) == ("exhaustive", factorial(13) // 2, ())
+
+
+def test_compute_f_lower_bounds_certified_by_covers():
+    # far beyond the alpha limit, each pairwise union is checked by its cover
+    res = compute_f(4000, 1000)
+    assert (res.mode, res.value) == ("lower-bound", 2)
+    assert [c.order for c in res.witnesses] == [c.order for c in k4_strip(1000)]
+    assert "a cover by n/4 = 1000 disjoint K4s" in res.log[2]
+    g = union(res.witnesses)
+    assert check_cover(g, find_k4_cover(g), 4)
+    res = compute_f(3003, 1001)
+    assert (res.mode, res.value) == ("lower-bound", 5)
+    assert [c.order for c in res.witnesses] == [c.order for c in circulant_family(3003)]
+    assert res.log[2].startswith("circulant family: 5 cycles, each of the 10 pairwise unions covered")
+    g = union(res.witnesses[3:])
+    assert check_cover(g, find_triangle_cover(g), 3)
+
+
 def test_compute_f_rejects_bad_input():
     with pytest.raises(ValueError):
         compute_f(2, 1)
@@ -251,9 +280,9 @@ def test_window_partners_complete_at_n8():
     # K4-covered exactly when the cycle is a window partner.
     std = standard_cycle(8)
     partners = {canonical_key(c) for c in window_partners(8)}
-    for c in enumerate_cycles(8):
-        covered = find_k4_cover(union([std, c])) is not None
-        assert covered == (canonical_key(c) in partners)
+    for key in oracle_all_cycles(8):
+        covered = find_k4_cover(union([std, make_cycle(key)])) is not None
+        assert covered == (key in partners)
 
 
 def test_window_partners_are_covered_with_standard():
