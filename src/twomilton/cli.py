@@ -12,30 +12,19 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
 from .bounds import delta_fn, johnson_q, semirandom_rate, threshold_lower
-from .constructions import (
-    amplify,
-    circulant_family,
-    counterexample_strip,
-    k4_strip,
-    triple_n8,
-)
+from .constructions import amplify, circulant_family, counterexample_strip, k4_strip, triple_n8
 from .corpus import random_johnson_system, random_k4free, random_pair
-from .graphs import (
-    FamilyDocument,
-    VerificationError,
-    parse_family,
-    serialize_family,
-    union,
-)
-from .independence import alpha_exact, alpha_value, verify_independent
+from .graphs import FamilyDocument, VerificationError, family_payload, parse_family, serialize_family, union
+from .independence import IndepCertificate, alpha_exact, alpha_value, verify_certificate, verify_independent
 from .k4 import find_k4_cover, find_triangle_cover, find_k4s, psi_exact, zeta
 from .limits import DEFAULTS, limit
 from .reduction import diagnose_reduction, lift_independent, technical_reduce
-from .search import compute_f, find_exceptional, verify_nothree
+from .search import compute_f, exact_range, find_exceptional, verify_nothree
 
 
 def _load_doc(path: str) -> FamilyDocument:
@@ -55,52 +44,58 @@ def _graph_for(doc: FamilyDocument, pair):
 
 
 def _emit(args, payload) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
+    if not isinstance(payload, str):
+        # a closed-form f(n, k) may exceed Python's int-to-str digit cap, which
+        # guards parsing; 0 is no cap, as on an interpreter without the setting
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if cap:
+            sys.set_int_max_str_digits(0)
+        try:
+            payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        finally:
+            if cap:
+                sys.set_int_max_str_digits(cap)
+    sys.stdout.write(payload)
+    if args.out:
+        Path(args.out).write_text(payload)
 
 
-def cmd_alpha(args) -> int:
-    doc = _load_doc(args.input)
-    g = _graph_for(doc, args.pair)
+def _alpha(g, args):
     cert = alpha_exact(g)
-    _emit(args, {
-        "command": "alpha", "n": g.n, "pair": args.pair,
-        "value": cert.value, "certificate": list(cert.vertices),
-    })
-    return 0
+    return {"value": cert.value, "certificate": list(cert.vertices)}, 0
 
 
-def cmd_zeta(args) -> int:
-    doc = _load_doc(args.input)
-    g = _graph_for(doc, args.pair)
-    _emit(args, {
-        "command": "zeta", "n": g.n, "pair": args.pair,
-        "value": zeta(g), "k4s": [list(q) for q in find_k4s(g)],
-    })
-    return 0
+def _zeta(g, args):
+    k4s = find_k4s(g)
+    return {"value": len(k4s), "k4s": [list(q) for q in k4s]}, 0
 
 
-def cmd_psi(args) -> int:
-    doc = _load_doc(args.input)
-    g = _graph_for(doc, args.pair)
-    _emit(args, {"command": "psi", "n": g.n, "pair": args.pair, "value": psi_exact(g)})
-    return 0
+def _psi(g, args):
+    return {"value": psi_exact(g)}, 0
 
 
-def cmd_cover(args) -> int:
-    doc = _load_doc(args.input)
-    g = _graph_for(doc, args.pair)
+def _cover(g, args):
     blocks = find_triangle_cover(g) if args.triangles else find_k4_cover(g)
     kind = "triangle" if args.triangles else "k4"
-    _emit(args, {
-        "command": "cover", "n": g.n, "kind": kind, "pair": args.pair,
-        "found": blocks is not None,
-        "blocks": None if blocks is None else [list(b) for b in blocks],
-    })
-    return 0 if blocks is not None else 1
+    if blocks is None:
+        return {"kind": kind, "found": False, "blocks": None}, 1
+    return {"kind": kind, "found": True, "blocks": [list(b) for b in blocks]}, 0
+
+
+# name -> (help, function of (graph, args) giving the report's own fields and the exit code)
+_GRAPH_COMMANDS = {
+    "alpha": ("exact alpha of a document graph", _alpha),
+    "zeta": ("exact zeta of a document graph", _zeta),
+    "psi": ("exact psi of a document graph", _psi),
+    "cover": ("find a K4 (or triangle) cover", _cover),
+}
+
+
+def cmd_graph(args) -> int:
+    g = _graph_for(_load_doc(args.input), args.pair)
+    fields, code = _GRAPH_COMMANDS[args.command][1](g, args)
+    _emit(args, {"command": args.command, "n": g.n, "pair": args.pair, **fields})
+    return code
 
 
 def cmd_reduce(args) -> int:
@@ -112,7 +107,7 @@ def cmd_reduce(args) -> int:
             "failed_step": report.failed_step, "reason": report.reason,
         }
         if report.artifact is not None:
-            payload["artifact"] = json.loads(serialize_family(report.artifact))
+            payload["artifact"] = family_payload(report.artifact)
         _emit(args, payload)
         return 0
     if len(doc.cycles) < 2:
@@ -129,74 +124,75 @@ def cmd_reduce(args) -> int:
             for t in result.trace
         ],
         "postconditions": result.postconditions,
-        "lift_demo": {
-            "remainder_set": list(cert.vertices),
-            "lifted_set": list(lifted),
-            "size": len(lifted),
-        },
+        "lift_demo": {"remainder_set": list(cert.vertices), "lifted_set": list(lifted), "size": len(lifted)},
     })
     return 0
 
 
 def _doc_with_alpha(n, cycles, vertices, meta, edges=None):
-    doc = FamilyDocument(
-        n=n,
-        cycles=tuple(cycles),
-        certificates={"alpha": {"value": len(vertices), "vertices": sorted(vertices)}},
-        meta=meta,
-        edges=edges,
-    )
-    if not verify_independent(doc.graph(), doc.certificates["alpha"]["vertices"]):
-        raise VerificationError(f"alpha certificate {sorted(vertices)} is not independent")
+    vertices = sorted(vertices)
+    certificates = {"alpha": {"value": len(vertices), "vertices": vertices}}
+    doc = FamilyDocument(n, tuple(cycles), certificates, meta, edges)
+    if not verify_independent(doc.graph(), vertices):
+        raise VerificationError(f"alpha certificate {vertices} is not independent")
     return doc
 
 
+def _strip(args):
+    meta = {"construction": "strip", "k": args.k}
+    return _doc_with_alpha(4 * args.k, k4_strip(args.k), range(0, 4 * args.k, 4), meta)
+
+
+def _circulant(args):
+    n = 9 if args.n is None else args.n
+    meta = {"construction": "circulant", "pairwise_alpha_at_most": n // 3}
+    return FamilyDocument(n, circulant_family(n), {}, meta)
+
+
+def _counterexample(args):
+    g = counterexample_strip(args.units)
+    return _doc_with_alpha(
+        g.n, (), [b for i in range(args.units) for b in (8 * i, 8 * i + 6)],
+        {"construction": "counterexample", "units": args.units},
+        edges=tuple(g.edges()),
+    )
+
+
+def _amplify(args):
+    if args.seed is None:
+        raise ValueError("construct amplify needs --seed")
+    eps = Fraction(args.eps)
+    res = amplify(circulant_family(args.n0), args.blocks, args.family_size, seed=args.seed, eps=eps)
+    return FamilyDocument(
+        res.n, res.cycles, {},
+        {
+            "construction": "amplify", "base": f"circulant-{args.n0}",
+            "blocks": args.blocks, "seed": args.seed, "eps": str(eps),
+            "agreement_cap": res.agreement_cap, "pairwise_alpha_bound": str(res.bound),
+            "chains": [list(c) for c in res.chains],
+        },
+    )
+
+
+def _exceptional(args):
+    found = find_exceptional(8 if args.n is None else args.n)
+    meta = {"construction": "exceptional", "zeta": found.zeta}
+    return _doc_with_alpha(found.graph.n, found.cycles, alpha_exact(found.graph).vertices, meta)
+
+
+# the construct command's choices and dispatch
+_CONSTRUCTIONS = {
+    "strip": _strip,
+    "triple8": lambda args: FamilyDocument(8, triple_n8(), {}, {"construction": "triple8"}),
+    "circulant": _circulant,
+    "counterexample": _counterexample,
+    "amplify": _amplify,
+    "exceptional": _exceptional,
+}
+
+
 def cmd_construct(args) -> int:
-    name = args.name
-    if name == "strip":
-        pair = k4_strip(args.k)
-        doc = _doc_with_alpha(
-            4 * args.k, pair, [4 * i for i in range(args.k)],
-            {"construction": "strip", "k": args.k},
-        )
-    elif name == "triple8":
-        doc = FamilyDocument(8, triple_n8(), {}, {"construction": "triple8"})
-    elif name == "circulant":
-        n = 9 if args.n is None else args.n
-        fam = circulant_family(n)
-        doc = FamilyDocument(n, fam, {}, {"construction": "circulant", "pairwise_alpha_at_most": n // 3})
-    elif name == "counterexample":
-        g = counterexample_strip(args.units)
-        doc = _doc_with_alpha(
-            g.n, (), [b for i in range(args.units) for b in (8 * i, 8 * i + 6)],
-            {"construction": "counterexample", "units": args.units},
-            edges=tuple(g.edges()),
-        )
-    elif name == "amplify":
-        if args.seed is None:
-            raise ValueError("construct amplify needs --seed")
-        base = circulant_family(args.n0)
-        res = amplify(base, args.blocks, args.family_size, seed=args.seed, eps=Fraction(args.eps))
-        doc = FamilyDocument(
-            res.n, res.cycles, {},
-            {
-                "construction": "amplify", "base": f"circulant-{args.n0}",
-                "blocks": args.blocks, "seed": args.seed, "eps": str(Fraction(args.eps)),
-                "agreement_cap": res.agreement_cap, "pairwise_alpha_bound": str(res.bound),
-                "chains": [list(c) for c in res.chains],
-            },
-        )
-    elif name == "exceptional":
-        n = 8 if args.n is None else args.n
-        found = find_exceptional(n)
-        doc = FamilyDocument(
-            n, found.cycles,
-            {"alpha": {"value": found.alpha, "vertices": list(alpha_exact(found.graph).vertices)}},
-            {"construction": "exceptional", "zeta": found.zeta},
-        )
-    else:
-        raise ValueError(f"unknown construction {name!r}")
-    _emit(args, serialize_family(doc))
+    _emit(args, serialize_family(_CONSTRUCTIONS[args.name](args)))
     return 0
 
 
@@ -235,28 +231,23 @@ def _check_claim(doc: FamilyDocument, parsed):
     pairwise, key, op, want = parsed
     if pairwise and len(doc.cycles) < 2:
         return False, "pairwise claim on a document with fewer than two cycles"
-    pairs = [
-        (i, j)
-        for i in range(len(doc.cycles))
-        for j in range(i + 1, len(doc.cycles))
-    ]
-    if op is None:
-        find_cover, label = _COVERS[key]
-        for i, j in pairs:
-            if find_cover(union([doc.cycles[i], doc.cycles[j]])) is None:
-                return False, f"pair ({i},{j}) has no {label} cover"
-        return True, f"{len(pairs)} pairs {label}-covered"
-    fn = _QUANTITIES[key]
     targets = (
-        [(f"pair ({i},{j})", union([doc.cycles[i], doc.cycles[j]])) for i, j in pairs]
+        [(f"pair ({i},{j})", union([a, b])) for (i, a), (j, b) in combinations(enumerate(doc.cycles), 2)]
         if pairwise
         else [("graph", doc.graph())]
     )
-    for label, g in targets:
+    if op is None:
+        find_cover, label = _COVERS[key]
+        for name, g in targets:
+            if find_cover(g) is None:
+                return False, f"{name} has no {label} cover"
+        return True, f"{len(targets)} pairs {label}-covered"
+    fn = _QUANTITIES[key]
+    for name, g in targets:
         got = fn(g)
         ok = got <= want if op == "<=" else got >= want if op == ">=" else got == want
         if not ok:
-            return False, f"{label}: {key} is {got}, claim was {key}{op}{want}"
+            return False, f"{name}: {key} is {got}, claim was {key}{op}{want}"
     return True, f"{key}{op}{want} on {len(targets)} graph(s)"
 
 
@@ -265,22 +256,16 @@ def cmd_verify(args) -> int:
     claims = [(claim, _parse_claim(claim)) for claim in args.claim or []]
     doc = _load_doc(args.input)
     results = []
-    ok_all = True
     cert = doc.certificates.get("alpha")
     if cert is not None:
         vs = cert.get("vertices", [])
-        good = (
-            isinstance(cert.get("value"), int)
-            and len(set(vs)) == cert["value"]
-            and verify_independent(doc.graph(), vs)
-        )
+        good = verify_certificate(doc.graph(), IndepCertificate(cert.get("value"), tuple(vs)))
         results.append({"claim": "embedded-alpha-certificate", "ok": good,
                         "detail": f"value {cert.get('value')}, {len(vs)} vertices"})
-        ok_all &= good
     for claim, parsed in claims:
         ok, detail = _check_claim(doc, parsed)
         results.append({"claim": claim, "ok": ok, "detail": detail})
-        ok_all &= ok
+    ok_all = all(r["ok"] for r in results)
     _emit(args, {"command": "verify", "ok": ok_all, "claims": results})
     if not ok_all:
         sys.stderr.write("falsified; reproducer document follows\n")
@@ -289,17 +274,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search_f(args) -> int:
-    res = compute_f(args.n, args.k, workers=args.workers)
-    if res.mode == "lower-bound" and not args.lower_bound:
+    if not (args.lower_bound or exact_range(args.n, args.k)):
         raise ValueError(
             f"n > {limit('enum')} is out of exhaustive range; pass --lower-bound for a labeled bound"
         )
-    witness_doc = FamilyDocument(args.n, res.witnesses, {}, {"f": res.value, "mode": res.mode})
+    res = compute_f(args.n, args.k, workers=args.workers)
+    witnesses = FamilyDocument(args.n, res.witnesses, {}, {"f": res.value, "mode": res.mode})
     _emit(args, {
         "command": "search-f", "n": args.n, "k": args.k, "workers": args.workers,
         "value": res.value, "mode": res.mode, "examined": res.examined,
         "elapsed_seconds": round(res.elapsed, 3), "log": list(res.log),
-        "witnesses": json.loads(serialize_family(witness_doc)),
+        "witnesses": family_payload(witnesses),
     })
     return 0
 
@@ -314,28 +299,33 @@ def cmd_nothree(args) -> int:
     return 0
 
 
+def _corpus_pair(n, tag, args):
+    return serialize_family(FamilyDocument(n, random_pair(n, tag), {}, {"kind": "pair", "seed": tag}))
+
+
+def _corpus_k4free(n, tag, args):
+    edges = tuple(random_k4free(n, tag).edges())
+    return serialize_family(FamilyDocument(n, (), {}, {"kind": "k4free", "seed": tag}, edges=edges))
+
+
+def _corpus_johnson(n, tag, args):
+    sets = random_johnson_system(n, Fraction(args.x), Fraction(args.eps), tag)
+    return json.dumps({
+        "kind": "johnson", "n": n, "x": args.x, "eps": args.eps,
+        "seed": tag, "sets": sorted(sorted(s) for s in sets),
+    }, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# the corpus command's --kind choices and dispatch: (n, seed tag, args) -> one line
+_CORPUS = {"pair": _corpus_pair, "k4free": _corpus_k4free, "johnson": _corpus_johnson}
+
+
 def cmd_corpus(args) -> int:
-    lines = []
     rng = Random(f"corpus:{args.kind}:{args.seed}")
+    lines = []
     for i in range(args.count):
         n = rng.randrange(args.n_min, args.n_max + 1)
-        tag = f"{args.seed}:{i}"
-        if args.kind == "pair":
-            c1, c2 = random_pair(n, tag)
-            doc = FamilyDocument(n, (c1, c2), {}, {"kind": "pair", "seed": tag})
-            lines.append(serialize_family(doc))
-        elif args.kind == "k4free":
-            g = random_k4free(n, tag)
-            doc = FamilyDocument(n, (), {}, {"kind": "k4free", "seed": tag}, edges=tuple(g.edges()))
-            lines.append(serialize_family(doc))
-        elif args.kind == "johnson":
-            sets = random_johnson_system(n, Fraction(args.x), Fraction(args.eps), tag)
-            lines.append(json.dumps({
-                "kind": "johnson", "n": n, "x": args.x, "eps": args.eps,
-                "seed": tag, "sets": sorted(sorted(s) for s in sets),
-            }, sort_keys=True, separators=(",", ":")) + "\n")
-        else:
-            raise ValueError(f"unknown corpus kind {args.kind!r}")
+        lines.append(_CORPUS[args.kind](n, f"{args.seed}:{i}", args))
     _emit(args, "".join(lines))
     return 0
 
@@ -358,38 +348,29 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _pair_arg(parser):
-    parser.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"), default=None,
-                        help="indices of the two cycles to union (default: whole document)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="twomilton", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    # options shared by several commands, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    doc = argparse.ArgumentParser(add_help=False)
+    doc.add_argument("--input", required=True, help="family document path or - for stdin")
+    graph = argparse.ArgumentParser(add_help=False, parents=[doc, out])
+    graph.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"), default=None,
+                       help="indices of the two cycles to union (default: whole document)")
 
-    for name, fn in (("alpha", cmd_alpha), ("zeta", cmd_zeta), ("psi", cmd_psi)):
-        p = sub.add_parser(name, help=f"exact {name} of a document graph")
-        p.add_argument("--input", required=True, help="family document path or - for stdin")
-        p.add_argument("--out", default=None)
-        _pair_arg(p)
-        p.set_defaults(func=fn)
+    for name, (text, _) in _GRAPH_COMMANDS.items():
+        sub.add_parser(name, help=text, parents=[graph]).set_defaults(func=cmd_graph)
+    sub.choices["cover"].add_argument("--triangles", action="store_true")
 
-    p = sub.add_parser("cover", help="find a K4 (or triangle) cover")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--triangles", action="store_true")
-    _pair_arg(p)
-    p.set_defaults(func=cmd_cover)
-
-    p = sub.add_parser("reduce", help="K4 removal pipeline with trace and lift demo")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("reduce", help="K4 removal pipeline with trace and lift demo", parents=[doc, out])
     p.add_argument("--diagnose", action="store_true",
                    help="report the failing step instead of raising")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("construct", help="emit a family document for a named construction")
-    p.add_argument("name", choices=["strip", "triple8", "circulant", "counterexample", "amplify", "exceptional"])
+    p = sub.add_parser("construct", help="emit a family document for a named construction", parents=[out])
+    p.add_argument("name", choices=list(_CONSTRUCTIONS))
     p.add_argument("--k", type=int, default=3, help="strip block count")
     p.add_argument("--n", type=int, default=None,
                    help="circulant size (default 9) or exceptional size (default 8)")
@@ -399,47 +380,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-size", type=int, default=6, help="amplify output family size")
     p.add_argument("--eps", default="1/4", help="amplify agreement slack")
     p.add_argument("--seed", default=None, help="mandatory for amplify")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="check claims against a document")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("verify", help="check claims against a document", parents=[doc, out])
     p.add_argument("--claim", action="append",
                    help="e.g. pairwise-alpha<=3, pairwise-k4-covered, zeta=4")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search-f", help="exact f(n, k) by exhaustive pinned search")
+    p = sub.add_parser("search-f", help="exact f(n, k) by exhaustive pinned search", parents=[out])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--lower-bound", action="store_true",
                    help="accept a cover-certified construction lower bound when n exceeds "
                         f"the enum limit (default {DEFAULTS['enum']}) and k < n/2")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search_f)
 
-    p = sub.add_parser("nothree", help="search for pairwise K4-covered triples")
+    p = sub.add_parser("nothree", help="search for pairwise K4-covered triples", parents=[out])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_nothree)
 
-    p = sub.add_parser("corpus", help="emit seeded random documents, one per line")
-    p.add_argument("--kind", choices=["pair", "k4free", "johnson"], required=True)
+    p = sub.add_parser("corpus", help="emit seeded random documents, one per line", parents=[out])
+    p.add_argument("--kind", choices=list(_CORPUS), required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--n-min", type=int, default=14)
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--x", default="1/4", help="johnson set density")
     p.add_argument("--eps", default="1/2", help="johnson intersection slack")
     p.add_argument("--seed", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_corpus)
 
-    p = sub.add_parser("bounds", help="exact threshold constants with decimals")
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("bounds", help="exact threshold constants with decimals", parents=[out])
     p.set_defaults(func=cmd_bounds)
-
     return top
 
 

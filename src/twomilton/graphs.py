@@ -314,8 +314,8 @@ class FamilyDocument:
         return union(self.cycles)
 
 
-def serialize_family(doc: FamilyDocument) -> str:
-    """Canonical JSON for a family document (bit-exact round-trips)."""
+def family_payload(doc: FamilyDocument) -> dict:
+    """The JSON object of a family document, as serialize_family writes it."""
     payload: dict = {
         "format_version": FORMAT_VERSION,
         "n": doc.n,
@@ -327,7 +327,12 @@ def serialize_family(doc: FamilyDocument) -> str:
         payload["meta"] = doc.meta
     if doc.edges is not None:
         payload["edges"] = [list(e) for e in doc.edges]
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return payload
+
+
+def serialize_family(doc: FamilyDocument) -> str:
+    """Canonical JSON for a family document (bit-exact round-trips)."""
+    return json.dumps(family_payload(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _ints(raw, what: str) -> list[int]:
@@ -350,8 +355,9 @@ def parse_family(text: str) -> FamilyDocument:
     n is an integer in [3, MAX_VERTICES]; cycles is a list of integer lists,
     each a permutation of 0..n-1; edges is a list of integer pairs with
     distinct endpoints in [0, n); certificates, meta and certificates.alpha
-    are objects, and certificates.alpha.vertices a list of integers.  Anything
-    else raises ValueError.
+    are objects, certificates.alpha.vertices a list of integers and
+    certificates.alpha.value, when present, an integer.  Anything else raises
+    ValueError.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict):
@@ -376,8 +382,10 @@ def parse_family(text: str) -> FamilyDocument:
             raise ValueError(f"an edge must join two distinct vertices of 0..{n - 1}")
     certificates = _typed(payload, "certificates", dict, {})
     if "alpha" in certificates:
-        _ints(_typed(certificates, "alpha", dict, None).get("vertices", []),
-              "certificates.alpha.vertices")
+        alpha = _typed(certificates, "alpha", dict, None)
+        _ints(alpha.get("vertices", []), "certificates.alpha.vertices")
+        if type(alpha.get("value", 0)) is not int:
+            raise ValueError("certificates.alpha.value must be an integer")
     return FamilyDocument(
         n=n,
         cycles=tuple(cycles),

@@ -72,8 +72,12 @@ def check_cover(g: UGraph, blocks, size: int) -> bool:
     return seen == (1 << g.n) - 1
 
 
-def _cover_search(g: UGraph, cliques) -> tuple | None:
-    """Exact partition-into-cliques search, branching on the least uncovered vertex."""
+def _cover_search(g: UGraph, cliques, size: int) -> tuple | None:
+    """Exact partition-into-cliques search, branching on the least uncovered vertex.
+
+    A partition it returns has passed check_cover; one that fails raises
+    VerificationError, so a found cover is a checked verdict.
+    """
     by_vertex: dict[int, list] = {v: [] for v in range(g.n)}
     for q in cliques:
         for v in q:
@@ -85,14 +89,17 @@ def _cover_search(g: UGraph, cliques) -> tuple | None:
         v = (uncovered & -uncovered).bit_length() - 1
         return ((q, uncovered & ~m) for m, q in by_vertex[v] if not m & ~uncovered)
 
-    return depth_first((1 << g.n) - 1, expand)
+    blocks = depth_first((1 << g.n) - 1, expand)
+    if blocks is not None and not check_cover(g, blocks, size):
+        raise VerificationError(f"clique cover {blocks} is not a partition into {size}-cliques")
+    return blocks
 
 
 def find_k4_cover(g: UGraph) -> tuple | None:
     """A partition of the vertices into K4s, or None if there is none."""
     if g.n % 4:
         return None
-    return _cover_search(g, find_k4s(g))
+    return _cover_search(g, find_k4s(g), 4)
 
 
 def find_triangles(g: UGraph) -> tuple[tuple[int, int, int], ...]:
@@ -110,7 +117,7 @@ def find_triangle_cover(g: UGraph) -> tuple | None:
     """A partition of the vertices into triangles, or None if there is none."""
     if g.n % 3:
         return None
-    return _cover_search(g, find_triangles(g))
+    return _cover_search(g, find_triangles(g), 3)
 
 
 def good_paths4(g: UGraph) -> tuple[tuple[int, int, int, int], ...]:

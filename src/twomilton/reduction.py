@@ -123,7 +123,7 @@ class _Pipeline:
         self.trace: list[TraceStep] = []
         self.lift: list[LiftEntry] = []
         # bitset rows of the maintained cycles (the first also routes step 2)
-        self.cyc: list[list[int] | None] = [
+        self.cyc: list[list[int]] = [
             list(cycle_graph(c).adj) for c in cycles or ()
         ]
 
@@ -226,8 +226,6 @@ class _Pipeline:
 
     def _splice_cycles(self, arch: Archipelago, a: int, b: int):
         for rows in self.cyc:
-            if rows is None:
-                continue
             ka = rows[a] & arch.mask
             kb = rows[b] & arch.mask
             if ka.bit_count() != 1 or kb.bit_count() != 1:
@@ -254,10 +252,9 @@ class _Pipeline:
                     f"joining neighbourhood ({a},{b}) completes K4 {quad}",
                     edge=[a, b], k4=list(quad),
                 )
-            if (self.alive & ~arch.mask).bit_count() <= 2:
-                # the archipelago plus its two neighbours was the whole graph
-                self.cyc = [None for _ in self.cyc]
-            else:
+            # when the archipelago and its two neighbours were the whole
+            # graph, nothing is left to splice, and step 2 reads no cycle
+            if (self.alive & ~arch.mask).bit_count() > 2:
                 self._splice_cycles(arch, a, b)
             self._delete_arch(arch)
             self._join("small", arch, a, b)

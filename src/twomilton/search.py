@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
@@ -32,7 +33,7 @@ from .graphs import (
     HamCycle, VerificationError, cycle_graph, make_cycle, max_clique, overlap_rows, standard_cycle, union,
 )
 from .independence import alpha_value
-from .k4 import check_cover, find_k4_cover, find_triangle_cover, window_path, zeta
+from .k4 import find_k4_cover, find_triangle_cover, window_path, zeta
 from .limits import limit
 
 
@@ -203,19 +204,25 @@ def _survivors(n, k, workers):
     return [order for chunk in chunks for order in chunk]
 
 
+def exact_range(n: int, k: int) -> bool:
+    """Does compute_f(n, k) answer exactly, in closed form or by the scan?"""
+    return k >= n // 2 or n <= limit("enum")
+
+
 def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     """f(n, k) in one of three modes, chosen here and nowhere else.
 
     - k >= n/2 ("exhaustive"): every union has alpha <= floor(n/2) <= k, so
-      f counts all (n-1)!/2 cycles; they are listed as witnesses (sorted
-      pinned-scan output, which keeps every cycle here) while there are at
-      most 1000 of them.
+      f counts all (n-1)!/2 cycles, at any n; they are listed as witnesses
+      (sorted pinned-scan output, which keeps every cycle here) while there
+      are at most 1000 of them.
     - n <= limit("enum") ("exhaustive"): the pinned scan over all cycle
       orders, then a maximum clique of compatible survivors, whose witness
       family is re-checked pairwise by alpha.  Orders stream in a fixed
       prefix-task order, so the result does not depend on `workers`.
-    - otherwise ("lower-bound"): the best construction that applies, each of
-      its pairwise unions certified by a clique cover (_construction_lower_bound).
+    - otherwise, outside exact_range ("lower-bound"): the best construction
+      that applies, each of its pairwise unions certified by a clique cover
+      (_construction_lower_bound).
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -231,9 +238,10 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
         # every cycle, and the family of all cycles is maximum
         witnesses = tuple(make_cycle(o) for o in sorted(_survivors(n, k, 1))) if total <= 1000 else ()
         log.append(f"alpha of any union <= floor(n/2) = {n // 2} <= k = {k}")
-        log.append(f"f({n},{k}) = {total}: the family of all distinct cycles")
+        # Decimal prints any number of digits; str(int) stops at Python's cap
+        log.append(f"f({n},{k}) = {Decimal(total)}: the family of all distinct cycles")
         return FSearchResult(n, k, total, witnesses, "exhaustive", 0, 0, time.perf_counter() - t0, tuple(log))
-    if n > limit("enum"):
+    if not exact_range(n, k):
         return _construction_lower_bound(n, k, t0, log)
 
     survivors = _survivors(n, k, workers)
@@ -286,12 +294,11 @@ def _pair_over(cycles, k):
 
 def _certify_cover(cycles, find_cover, size, name):
     """Raise VerificationError unless every pairwise union of the cycles is
-    partitioned into cliques of the given size.  An independent set meets
-    each clique at most once, so such a cover bounds alpha by n/size."""
+    partitioned into cliques of the given size (find_cover checks each
+    partition it returns).  An independent set meets each clique at most
+    once, so such a cover bounds alpha by n/size."""
     for (i, a), (j, b) in combinations(enumerate(cycles), 2):
-        g = union([a, b])
-        blocks = find_cover(g)
-        if blocks is None or not check_cover(g, blocks, size):
+        if find_cover(union([a, b])) is None:
             raise VerificationError(f"{name}: the union of cycles {i} and {j} has no cover by {size}-cliques")
 
 

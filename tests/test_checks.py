@@ -48,8 +48,9 @@ CASES = {
         m.find_exceptional(8)
     """,
     "search.construction_lower_bound": """
+        import twomilton.k4
         import twomilton.search as m
-        m.check_cover = lambda g, blocks, size: False
+        twomilton.k4.check_cover = lambda g, blocks, size: False
         m.compute_f(16, 4)
     """,
     "reduction.lift_independent.size": """
@@ -77,6 +78,20 @@ CASES = {
         import twomilton.cli as m
         m.verify_independent = lambda g, vs: False
         m.main(["construct", "strip"])
+    """,
+    "cli.cover": """
+        import os
+        import tempfile
+        import twomilton.cli as m
+        import twomilton.k4
+        from twomilton.constructions import k4_strip
+        from twomilton.graphs import FamilyDocument, serialize_family
+        twomilton.k4.check_cover = lambda g, blocks, size: False
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "s2.json")
+            with open(path, "w") as f:
+                f.write(serialize_family(FamilyDocument(8, k4_strip(2))))
+            m.main(["cover", "--input", path])
     """,
     "k4.archipelagos": """
         import twomilton.k4 as m

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from math import factorial
 
 import pytest
 
 import twomilton
-from twomilton import cli
+from twomilton import cli, search
 from twomilton.cli import main
 
 
@@ -203,10 +205,33 @@ def test_search_f_out_of_range(capsys):
     assert err == "error: n > 12 is out of exhaustive range; pass --lower-bound for a labeled bound\n"
 
 
+def test_search_f_refuses_before_it_builds(capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("a lower bound was built for a refused search")
+
+    monkeypatch.setattr(search, "_construction_lower_bound", built)
+    rc = main(["search-f", "--n", "3003", "--k", "1001"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: n > 12 is out of exhaustive range; pass --lower-bound for a labeled bound\n"
+
+
 def test_search_f_closed_form_beyond_enum_limit(capsys):
     # k >= n/2 is answered exactly at any n, so no --lower-bound is needed
     rc, rep = run_json(capsys, "search-f", "--n", "14", "--k", "7")
     assert rc == 0 and rep["mode"] == "exhaustive" and rep["value"] == 3113510400
+
+
+def test_search_f_closed_form_past_the_digit_cap(capsys):
+    # (n-1)!/2 has 5,732 digits: the report prints it, and the cap that
+    # guards parsing is back in place afterwards
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    before = cap()
+    rc, out = run(capsys, "search-f", "--n", "2000", "--k", "1000")
+    assert rc == 0 and cap() == before
+    rep = json.loads(out, parse_int=Decimal)
+    assert rep["value"] == rep["witnesses"]["meta"]["f"] == Decimal(factorial(1999) // 2)
+    assert rep["log"][-1].startswith(f"f(2000,1000) = {Decimal(factorial(1999) // 2)}: ")
 
 
 def test_search_f_refuses_unknown_limit_key(capsys, monkeypatch):
@@ -307,6 +332,9 @@ MALFORMED = {
     "cycle-bool": {"cycles": [[0, True, 2, 3]]},
     "edge-out-of-range": {"edges": [[0, 9]]},
     "edge-loop": {"edges": [[1, 1]]},
+    "certificate-value-bool": {"certificates": {"alpha": {"value": True, "vertices": [0]}}},
+    "certificate-value-float": {"certificates": {"alpha": {"value": 1.0, "vertices": [0]}}},
+    "certificate-value-string": {"certificates": {"alpha": {"value": "1", "vertices": [0]}}},
 }
 
 
@@ -315,6 +343,17 @@ def test_malformed_document_is_an_input_error(capsys, tmp_path, name):
     doc = {"format_version": 1, "n": 4, "cycles": [[0, 1, 2, 3]], "meta": {}, **MALFORMED[name]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    for command in ("alpha", "verify"):
+        rc = main([command, "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, ""), command
+        assert err.startswith("error: "), command
+
+
+def test_huge_number_in_a_document_is_an_input_error(capsys, tmp_path):
+    # the int-to-str digit cap stays on while a document is parsed
+    path = tmp_path / "huge.json"
+    path.write_text('{"format_version": 1, "n": ' + "9" * 5000 + ', "cycles": []}')
     for command in ("alpha", "verify"):
         rc = main([command, "--input", str(path)])
         out, err = capsys.readouterr()

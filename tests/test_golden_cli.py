@@ -67,6 +67,27 @@ GOLDEN = [
      "0e59fb60b8493a117acb4d70c3c588a9d0dd49fd72edc78c23e8425365f323be"),
     ("bounds", 0,
      "befc13afb90a2b8aec5ceee4b3fe3667b5d862ec6fb5bf89229527292d66f264"),
+    # taken before the command tables and the shared option parsers
+    ("verify --input {s4} --claim pairwise-triangle-covered", 1,
+     "3676272d295d51a664168d7962779b8ab7691a9b71cd17424d7f5423ae1e0e1f"),
+    ("cover --triangles --input {c9} --pair 0 1", 0,
+     "dc95364929be127bf616b497b48ab419fda1cf9da87769b5f98637e90e3a14c3"),
+    ("zeta --input {c9} --pair 0 1", 0,
+     "607107f82e10010f0a7b60cc94898af368a8f584f0fa13c836ec7e12bd070fd9"),
+    ("psi --input {c9} --pair 1 3", 0,
+     "98a39f5ae440b05c0b09c8ffea0f912125e43cf21a3063609b19ba19fec50403"),
+    ("construct exceptional --n 12", 0,
+     "8e4c5b043878c881c4bb822cb3645ed5a47a8a8db80b803e2ae949a1cc72cccd"),
+    ("corpus --kind pair --count 2 --seed g", 0,
+     "23d2e3d910c1bd56deb70d9fb7134642367f27ec626bf3748305da82b7614196"),
+    ("corpus --kind k4free --count 2 --seed g", 0,
+     "81e15afce9f08da6d3252ded249371f97dbf24b1378a359e3df02fcdad462691"),
+    ("corpus --kind johnson --count 2 --n-min 40 --n-max 48 --seed g", 0,
+     "4ad2cf6a70cdc41eafb9abff5479237cc1f8daf66b6c549ae94e22991aa2028a"),
+    ("reduce --diagnose --input {s4}", 0,
+     "a3fd6e7fd14b1d878969a4b8b7534edbfbf8b95e40ef3ebb3de43938872436e2"),
+    ("search-f --n 14 --k 7", 0,
+     "11e4873b9d2605ecfe4513faf0abe3a537a958fc5642b409e4b3453e2ea04292"),
 ]
 
 

@@ -119,6 +119,17 @@ def test_reconnection_walks_a_spliced_cycle(args, steps):
     check_result(res)
 
 
+def test_small_archipelago_that_is_the_whole_graph():
+    # a 4-regular chain of three K4s: step 1 deletes all twelve K4 vertices at
+    # once, and its two neighbours, joined, are the whole remainder
+    c1 = make_cycle((0, 1, 2, 3, 4, 5, 7, 6, 13, 9, 8, 10, 11, 12))
+    c2 = make_cycle((0, 2, 13, 10, 9, 11, 8, 7, 4, 6, 5, 12, 1, 3))
+    res = technical_reduce(c1, c2)
+    assert [(t.step, t.added_edge) for t in res.trace] == [("small", (12, 13))]
+    assert (res.h.n, res.h.edges(), res.h_vertex_map) == (2, [(0, 1)], (12, 13))
+    assert len(check_result(res)) == alpha_value(res.g) == 4
+
+
 def three_neighbour_pair():
     """One K4 window at 0..3 with neighbourhood {4, 6, 15}: vertex 15 sends
     two spokes (so it is marked), and no risky outside pattern applies."""

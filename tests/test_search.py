@@ -17,6 +17,7 @@ from twomilton.search import (
     _scan_task,
     compute_f,
     dihedral_stabilizer,
+    exact_range,
     find_exceptional,
     verify_nothree,
     window_partners,
@@ -219,6 +220,9 @@ def test_compute_f_closed_form_beyond_enum_limit():
     # k >= n/2 is exact at every n, with no scan and no witness list
     res = compute_f(14, 7)
     assert (res.mode, res.value, res.witnesses) == ("exhaustive", factorial(13) // 2, ())
+    assert exact_range(14, 7) and not exact_range(14, 6)
+    # (n-1)!/2 has 5,732 digits here, past Python's int-to-str cap of 4,300
+    assert compute_f(2000, 1000).value == factorial(1999) // 2
 
 
 def test_compute_f_lower_bounds_certified_by_covers():
