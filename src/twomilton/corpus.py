@@ -22,7 +22,9 @@ def random_cycle(n: int, rng: Random) -> HamCycle:
 
 
 def random_pair(n: int, seed: str) -> tuple[HamCycle, HamCycle]:
-    """Two distinct uniform Hamiltonian cycles on n vertices."""
+    """Two distinct uniform Hamiltonian cycles on n vertices, n >= 4."""
+    if n < 4:
+        raise ValueError("need n >= 4: the triangle is the only cycle on 3 vertices")
     rng = Random(f"pair:{n}:{seed}")
     c1 = random_cycle(n, rng)
     while True:
@@ -38,6 +40,8 @@ def planted_pair(n: int, k4s: int, seed: str) -> tuple[HamCycle, HamCycle]:
     of 4 consecutive vertices of the first and threads the rest randomly; both
     cycles are then relabeled by a random permutation.
     """
+    if n < 4:
+        raise ValueError("need n >= 4: the triangle is the only cycle on 3 vertices")
     if n < 4 * k4s + (2 if k4s else 0) or k4s < 0:
         raise ValueError("too many K4s requested for this n")
     rng = Random(f"planted:{n}:{k4s}:{seed}")

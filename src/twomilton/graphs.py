@@ -357,9 +357,12 @@ def parse_family(text: str) -> FamilyDocument:
     distinct endpoints in [0, n); certificates, meta and certificates.alpha
     are objects, certificates.alpha.vertices a list of integers and
     certificates.alpha.value, when present, an integer.  Anything else raises
-    ValueError.
+    ValueError, and so does nesting too deep for the JSON parser.
     """
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("document nests too deeply to parse") from None
     if not isinstance(payload, dict):
         raise ValueError("document must be a JSON object")
     version = payload.get("format_version")

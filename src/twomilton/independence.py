@@ -17,7 +17,9 @@ are examined again.  A branch child hands on the neighbours of the vertices
 it removed, and the components of a reduced subproblem start clean.  A
 connected subproblem of maximum degree <= 2 is a path or a cycle and has a
 closed form; otherwise the solver branches on the lowest vertex of maximum
-degree.  Subproblem values are memoised per solver.
+degree.  One memoised search with a target k answers every query: it returns
+alpha exactly when that is below k and otherwise stops at the first value >= k
+it finds.  Only the exact values, those below the target, are memoised.
 """
 
 from __future__ import annotations
@@ -108,66 +110,41 @@ class AlphaSolver:
             touched |= self.adj[u]
         return Q & ~gone, touched
 
-    def alpha(self, P: int | None = None) -> int:
-        if P is None:
-            P = self.full
-        return self._alpha(P, P)
+    def alpha(self) -> int:
+        return self._alpha(self.full, self.full, self.n + 1)
 
-    def _alpha(self, P: int, dirty: int) -> int:
+    def at_least(self, k: int) -> bool:
+        """True iff the graph has an independent set of size k."""
+        return self._alpha(self.full, self.full, k) >= k
+
+    def _alpha(self, P: int, dirty: int, k: int) -> int:
+        """alpha(P) when that is below k; otherwise some value >= k, returned
+        as soon as one is found.  Only the exact values (below k) are memoised."""
         if P == 0:
             return 0
         hit = self.memo.get(P)
         if hit is not None:
             return hit
         size, Q = self._reduce(P, dirty)
-        if Q:
+        if Q and size < k:
             comps = connected_components(self.g, within=Q)
             if len(comps) > 1:
-                size += sum(self._alpha(c, 0) for c in comps)
+                for c in comps:
+                    size += self._alpha(c, 0, k - size)
+                    if size >= k:
+                        break
             else:
                 v, degree = self._branch_vertex(Q)
                 if degree <= 2:
                     size += self._path_or_cycle(Q)
                 else:
-                    size += max(
-                        1 + self._alpha(*self._take(Q, v)),
-                        self._alpha(Q & ~(1 << v), self.adj[v]),
-                    )
-        self.memo[P] = size
+                    best = 1 + self._alpha(*self._take(Q, v), k - size - 1)
+                    if best < k - size:
+                        best = max(best, self._alpha(Q & ~(1 << v), self.adj[v], k - size))
+                    size += best
+        if size < k:
+            self.memo[P] = size
         return size
-
-    def at_least(self, k: int) -> bool:
-        """True iff the graph has an independent set of size k."""
-        return self._at_least(k, self.full, self.full)
-
-    def _at_least(self, k: int, P: int, dirty: int) -> bool:
-        if k <= 0:
-            return True
-        if P.bit_count() < k:
-            return False
-        hit = self.memo.get(P)
-        if hit is not None:
-            return hit >= k
-        size, Q = self._reduce(P, dirty)
-        if size >= k:
-            return True
-        k -= size
-        if Q.bit_count() < k:
-            return False
-        comps = connected_components(self.g, within=Q)
-        if len(comps) > 1:
-            total = 0
-            for comp in sorted(comps, key=int.bit_count, reverse=True):
-                total += self._alpha(comp, 0)
-                if total >= k:
-                    return True
-            return False
-        v, degree = self._branch_vertex(Q)
-        if degree <= 2:
-            return self._path_or_cycle(Q) >= k
-        if self._at_least(k - 1, *self._take(Q, v)):
-            return True
-        return self._at_least(k, Q & ~(1 << v), self.adj[v])
 
     def lex_min_maximum_set(self) -> tuple[int, ...]:
         """Lexicographically least maximum independent set (as a sorted tuple)."""
@@ -177,9 +154,11 @@ class AlphaSolver:
         remaining = value
         while remaining:
             for v in bits(P):
-                if self.alpha(P & ~self.closed[v]) == remaining - 1:
+                # alpha(P minus N[v]) <= remaining - 1 always, so this tests equality
+                rest = P & ~self.closed[v]
+                if self._alpha(rest, rest, remaining - 1) >= remaining - 1:
                     chosen.append(v)
-                    P &= ~self.closed[v]
+                    P = rest
                     remaining -= 1
                     break
             else:

@@ -20,6 +20,7 @@ gives the subsets with two or more open members in one lookup.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -189,7 +190,9 @@ def _survivors(n, k, workers):
     """The pinned scan's survivor orders over all prefix tasks, in task order.
 
     The tasks run in a fixed order and their outputs are joined in that
-    order, so the list is the same for every worker count.
+    order, so the list is the same for every worker count.  The pool starts
+    all its processes at once, so it gets no more than there are tasks or
+    processors.
     """
     tasks = [(n, k, p1, p2) for p1 in range(1, n) for p2 in range(1, n) if p2 != p1]
     if workers == 1:
@@ -199,8 +202,9 @@ def _survivors(n, k, workers):
         # neither concurrent.futures nor multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        procs = min(workers, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            chunks = list(pool.map(_scan_task, tasks, chunksize=max(1, len(tasks) // (4 * procs))))
     return [order for chunk in chunks for order in chunk]
 
 

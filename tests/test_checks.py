@@ -38,8 +38,9 @@ CASES = {
     "independence.lex_min_maximum_set": """
         import twomilton.independence as m
         from twomilton.graphs import standard_cycle, union
-        # the whole graph claims alpha 1, yet no vertex leaves a remainder of 0
-        m.AlphaSolver.alpha = lambda self, P=None: 1 if P is None else 5
+        # the whole graph claims alpha 2, yet no vertex leaves a remainder of alpha 1
+        m.AlphaSolver.alpha = lambda self: 2
+        m.AlphaSolver._alpha = lambda self, P, dirty, k: 0
         m.alpha_exact(union([standard_cycle(5)]))
     """,
     "search.find_exceptional": """

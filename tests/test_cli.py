@@ -361,6 +361,31 @@ def test_huge_number_in_a_document_is_an_input_error(capsys, tmp_path):
         assert err.startswith("error: "), command
 
 
+def test_deeply_nested_document_is_an_input_error(capsys, tmp_path):
+    # json.loads raises RecursionError on this; parse_family makes it a ValueError
+    path = tmp_path / "deep.json"
+    path.write_text('{"format_version": 1, "n": 4, "cycles": [[0, 1, 2, 3]], "meta": '
+                    + "[" * 100_000 + "]" * 100_000 + "}")
+    for command in ("alpha", "verify"):
+        rc = main([command, "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, ""), command
+        assert err.startswith("error: "), command
+
+
+def test_corpus_pair_needs_four_vertices():
+    # the triangle is the only cycle on 3 vertices, so no distinct pair exists;
+    # a subprocess with a timeout, so that an endless search for one fails
+    # instead of hanging
+    src = os.path.dirname(os.path.dirname(twomilton.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["corpus", "--kind", "pair", "--count", "1", "--n-min", "3", "--n-max", "3", "--seed", "x"]
+    proc = subprocess.run([sys.executable, "-m", "twomilton.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
+
+
 def test_pair_out_of_range(capsys, triple8_doc):
     rc, _ = run(capsys, "alpha", "--input", triple8_doc, "--pair", "0", "9")
     assert rc == 2

@@ -222,6 +222,17 @@ def test_solver_memo_reuse():
     assert not s.at_least(7)
 
 
+def test_shared_solver_stays_exact():
+    # at_least memoises only values below its target; a solver that answered
+    # any k afterwards answers alpha() and every other k exactly
+    for i, g in enumerate(oracle_cases()):
+        a = oracle_alpha(g)
+        for ks in (range(a + 2), range(a + 1, -1, -1)):
+            s = AlphaSolver(g)
+            assert [s.at_least(k) for k in ks] == [k <= a for k in ks], f"case {i}"
+            assert s.alpha() == a, f"case {i}"
+
+
 def test_verify_independent():
     g = cycle_graph(standard_cycle(5))
     assert verify_independent(g, [0, 2])

@@ -174,6 +174,17 @@ def test_random_pairs_mostly_trivial():
         check_result(res)
 
 
+def test_pair_generators_need_four_vertices():
+    # the triangle is the only cycle on 3 vertices: no distinct partner exists
+    # (random_pair at n = 3 is checked through the CLI, in a subprocess with a
+    # timeout, so that an endless search for a partner fails instead of hanging)
+    with pytest.raises(ValueError, match="n >= 4"):
+        planted_pair(3, 0, "x")
+    c1, c2 = random_pair(4, "x")
+    assert c1.n == c2.n == 4 and c1.order != c2.order
+    assert planted_pair(4, 0, "x")[0].n == 4
+
+
 def test_determinism():
     c1, c2 = planted_pair(24, 2, "det")
     r1 = technical_reduce(c1, c2)

@@ -148,6 +148,33 @@ def test_compute_f_workers_agree():
         assert [line.replace("(workers=2)", "(workers=1)") for line in b.log] == list(a.log), (n, k)
 
 
+def test_pool_size_capped_by_tasks_and_processors(monkeypatch):
+    # the pool starts all its processes at once; the fake maps serially and
+    # starts none, so the large request is never acted on
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    res = compute_f(7, 2, workers=10_000)
+    assert sizes == [min(6 * 5, os.cpu_count() or 1)]
+    assert res.value == 5
+    assert "(workers=10000)" in " ".join(res.log)
+
+
 def scan_survivors(n, k):
     """The pinned scan's survivors over all prefix tasks, in compute_f's task order."""
     tasks = [(n, k, p1, p2) for p1 in range(1, n) for p2 in range(1, n) if p2 != p1]
