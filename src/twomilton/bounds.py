@@ -81,8 +81,11 @@ def johnson_check(n: int, sets, x, eps) -> bool:
 
     Qualifying means every set has at least x*n elements and every pairwise
     intersection at most (1-eps)*x^2*n; violations are input errors, not
-    falsifications.
+    falsifications, and so is n < 1, where the empty set qualifies any
+    number of times.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     x = Fraction(x)
     eps = Fraction(eps)
     members = [frozenset(s) for s in sets]

@@ -290,7 +290,7 @@ def cmd_search_f(args) -> int:
 
 
 def cmd_nothree(args) -> int:
-    rep = verify_nothree(args.n, seed=args.seed or 0)
+    rep = verify_nothree(args.n)
     _emit(args, {
         "command": "nothree", "n": args.n, "partners": rep.partners,
         "pairs_checked": rep.pairs_checked, "mode": rep.mode,
@@ -398,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nothree", help="search for pairwise K4-covered triples", parents=[out])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", default=None)
     p.set_defaults(func=cmd_nothree)
 
     p = sub.add_parser("corpus", help="emit seeded random documents, one per line", parents=[out])

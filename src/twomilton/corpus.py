@@ -100,12 +100,13 @@ def random_johnson_system(n: int, x, eps, seed: str) -> list[frozenset[int]]:
 
     Draws 2000 sets of exactly ceil(x*n) elements and keeps one when every
     pairwise intersection with the kept sets stays at or below (1-eps)*x^2*n,
-    so the output always satisfies the set-system preconditions.
+    so the output always satisfies the set-system preconditions.  eps = 1
+    asks for pairwise disjoint sets; beyond it the cap is negative.
     """
     x = Fraction(x)
     eps = Fraction(eps)
-    if not 0 < x <= 1 or eps <= 0:
-        raise ValueError("need 0 < x <= 1 and eps > 0")
+    if n < 1 or not 0 < x <= 1 or not 0 < eps <= 1:
+        raise ValueError("need n >= 1, 0 < x <= 1 and 0 < eps <= 1")
     size = ceil(x * n)
     cap = (1 - eps) * x * x * n
     rng = Random(f"johnson:{n}:{x}:{eps}:{seed}")

@@ -331,7 +331,10 @@ def family_payload(doc: FamilyDocument) -> dict:
 
 
 def serialize_family(doc: FamilyDocument) -> str:
-    """Canonical JSON for a family document (bit-exact round-trips)."""
+    """Canonical JSON for a family document (bit-exact round-trips); like
+    parse_family, it refuses n > MAX_VERTICES with ValueError."""
+    if doc.n > MAX_VERTICES:
+        raise ValueError(f"n = {doc.n} exceeds the document cap of {MAX_VERTICES} vertices")
     return json.dumps(family_payload(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -21,17 +21,16 @@ gives the subsets with two or more open members in one lookup.
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import factorial
 
 from .constructions import circulant_family, k4_strip
 from .graphs import (
-    HamCycle, VerificationError, cycle_graph, make_cycle, max_clique, overlap_rows, standard_cycle, union,
+    HamCycle, VerificationError, bits, make_cycle, max_clique, overlap_rows, standard_cycle, union,
 )
 from .independence import alpha_value
 from .k4 import find_k4_cover, find_triangle_cover, window_path, zeta
@@ -41,7 +40,6 @@ from .limits import limit
 # compute_f refuses compatibility rows (a bit per pair of survivors) over
 # 128 MiB, that is, more than 32,768 survivors
 MAX_ROW_BITS = 1 << 30
-SAMPLE_CAP = 2_000_000  # verify_nothree: every pair up to this many, a sample beyond
 
 
 class WitnessCheckError(VerificationError):
@@ -403,64 +401,55 @@ def window_partners(n: int) -> list[HamCycle]:
     return out
 
 
-def _covered_pair(b_cycle, adj_c):
-    """Is the union of the two cycles K4-covered?  The K4s would partition
-    b's order into consecutive blocks whose missing edges b cannot supply,
-    so each block needs its three non-path pairs present in c."""
-    order = b_cycle.order
-    n = len(order)
-    for offset in range(4):
-        for i in range(offset, n + offset, 4):
-            w0, w1, w2, w3 = (order[(i + j) % n] for j in range(4))
-            if not (
-                adj_c[w0] >> w2 & 1 and adj_c[w0] >> w3 & 1 and adj_c[w1] >> w3 & 1
-            ):
-                break
-        else:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class NothreeReport:
     n: int
     partners: int
     pairs_checked: int
-    mode: str  # "exhaustive" or "sampled"
+    mode: str  # always "exhaustive": every pair of partners is counted
     triples_found: int
     witnesses: tuple[tuple[HamCycle, HamCycle, HamCycle], ...]
 
 
-def verify_nothree(n: int, seed=0) -> NothreeReport:
-    """Search for three cycles with all three pairwise unions K4-covered.
+def verify_nothree(n: int) -> NothreeReport:
+    """Count the triples of cycles whose three pairwise unions are K4-covered.
 
-    The first cycle is pinned to the standard one, the other two then run
-    over the complete list of window partners; each candidate pair is tested
-    for a K4 cover of its own union.  Exhaustive while the pair count fits
-    under SAMPLE_CAP, seeded sampling beyond that.
+    The first cycle is pinned to the standard one, so the other two run over
+    the pairs of window partners.  A K4 in the union of two cycles takes a
+    3-edge path from each, so a cover of the union of b and c splits b's
+    order into consecutive blocks w0 w1 w2 w3 (at one of four offsets) and c
+    holds each block's non-path pairs w0w2, w0w3 and w1w3.  holders[u][v] is
+    the bitmask of the partners holding edge uv; for partner i, the AND of
+    holders over one offset's pairs is the set of partners that cover it at
+    that offset.  Every pair is counted, at every n, and the witnesses are
+    the first eight pairs i < j in ascending order.
     """
     if n % 4 != 0 or not 8 <= n <= 24:
         raise ValueError("triple verification covers n divisible by 4 with 8 <= n <= 24")
     std = standard_cycle(n)
     partners = window_partners(n)
-    adj = [cycle_graph(c).adj for c in partners]
-    total_pairs = len(partners) * (len(partners) - 1) // 2
-    if total_pairs <= SAMPLE_CAP:
-        mode = "exhaustive"
-        pair_iter = combinations(range(len(partners)), 2)
-        checked = total_pairs
-    else:
-        mode = "sampled"
-        rng = random.Random(f"{seed}:nothree:{n}")
-        pair_iter = (
-            tuple(rng.sample(range(len(partners)), 2)) for _ in range(SAMPLE_CAP)
-        )
-        checked = SAMPLE_CAP
+    holders = [[0] * n for _ in range(n)]
+    for i, c in enumerate(partners):
+        bit = 1 << i
+        for u, v in c.edges():
+            holders[u][v] |= bit
+            holders[v][u] |= bit
+    everyone = (1 << len(partners)) - 1
     found = 0
     witnesses = []
-    for i, j in pair_iter:
-        if _covered_pair(partners[i], adj[j]):
-            found += 1
-            if len(witnesses) < 8:
-                witnesses.append((std, partners[i], partners[j]))
-    return NothreeReport(n, len(partners), checked, mode, found, tuple(witnesses))
+    for i, b in enumerate(partners):
+        order = b.order * 2
+        covers = 0
+        for offset in range(4):
+            acc = everyone
+            for s in range(offset, n, 4):
+                w0, w1, w2, w3 = order[s:s + 4]
+                acc &= holders[w0][w2] & holders[w0][w3] & holders[w1][w3]
+                if not acc:
+                    break
+            covers |= acc
+        later = covers >> (i + 1)
+        found += later.bit_count()
+        witnesses += [(std, b, partners[i + 1 + j]) for j in islice(bits(later), 8 - len(witnesses))]
+    pairs = len(partners) * (len(partners) - 1) // 2
+    return NothreeReport(n, len(partners), pairs, "exhaustive", found, tuple(witnesses))

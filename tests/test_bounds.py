@@ -102,6 +102,15 @@ def test_johnson_check_rejects_violations():
         johnson_check(16, [big, big | {8}], Fraction(1, 4), Fraction(1, 2))
 
 
+def test_johnson_needs_a_nonempty_ground_set():
+    # at n = 0 every empty set qualifies, so any count would "falsify" q
+    with pytest.raises(ValueError):
+        johnson_check(0, [set()] * 8, Fraction(1, 4), Fraction(1, 2))
+    for n, eps in ((0, Fraction(1, 2)), (-3, Fraction(1, 2)), (16, Fraction(3, 2))):
+        with pytest.raises(ValueError):
+            random_johnson_system(n, Fraction(1, 4), eps, "j")
+
+
 def test_delta_examples_and_monotonicity():
     assert delta_fn(1, 1) == Fraction(1, 5)
     eps = Fraction(1, 2)

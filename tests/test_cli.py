@@ -2,10 +2,12 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +268,13 @@ def test_nothree_n12(capsys):
     assert rc == 0 and rep["triples_found"] == 0
 
 
+def test_nothree_takes_no_seed():
+    # every pair is counted, so there is nothing to sample
+    with pytest.raises(SystemExit) as err:
+        main(["nothree", "--n", "8", "--seed", "3"])
+    assert err.value.code == 2
+
+
 def test_corpus_deterministic(capsys):
     args = ("corpus", "--kind", "pair", "--count", "3", "--n-min", "14",
             "--n-max", "20", "--seed", "cli")
@@ -290,6 +299,43 @@ def test_corpus_johnson_kind(capsys):
     for line in out.splitlines():
         rec = json.loads(line)
         assert rec["kind"] == "johnson" and rec["sets"]
+
+
+@pytest.mark.parametrize("n, eps", [("0", "1/2"), ("-3", "1/2"), ("40", "3/2")])
+def test_corpus_johnson_refuses_empty_ground_set_and_eps_over_1(capsys, n, eps):
+    # at n <= 0 only empty sets qualify, and past eps = 1 the cap is negative
+    rc = main(["corpus", "--kind", "johnson", "--count", "1", "--n-min", n, "--n-max", n,
+               "--eps", eps, "--seed", "x"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_corpus_johnson_eps_1_gives_disjoint_sets(capsys):
+    rc, out = run(capsys, "corpus", "--kind", "johnson", "--count", "1",
+                  "--n-min", "40", "--n-max", "40", "--eps", "1", "--seed", "x")
+    sets = json.loads(out)["sets"]
+    assert rc == 0 and len(sets) > 1
+    assert sum(map(len, sets)) == len(set().union(*sets))
+
+
+def test_corpus_refuses_documents_over_the_reader_cap(capsys):
+    # parse_family refuses n > 65,536, so the writer does too
+    rc = main(["corpus", "--kind", "pair", "--count", "1", "--n-min", "65537", "--n-max", "65537",
+               "--seed", "x"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_readme_commands_parse():
+    # every command line README.md shows is accepted by today's parser
+    readme = Path(twomilton.__file__).parents[2] / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("twomilton ")]
+    assert len(lines) >= 17
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 @pytest.mark.parametrize("name, default_n", [("exceptional", 8), ("circulant", 9)])

@@ -88,6 +88,9 @@ GOLDEN = [
      "a3fd6e7fd14b1d878969a4b8b7534edbfbf8b95e40ef3ebb3de43938872436e2"),
     ("search-f --n 14 --k 7", 0,
      "11e4873b9d2605ecfe4513faf0abe3a537a958fc5642b409e4b3453e2ea04292"),
+    # taken while nothree still tested each pair of partners on its own
+    ("nothree --n 20", 0,
+     "9b8193e2f21b7b5c257aecf44efa1bf4fe7ca98df0044370523b12d14959b93d"),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twomilton.graphs import (
+    MAX_VERTICES,
     FamilyDocument,
     HamCycle,
     UGraph,
@@ -158,6 +159,13 @@ def test_document_round_trip_bit_exact():
     payload = json.loads(text)
     assert payload["format_version"] == 1
     assert all(isinstance(v, int) for cyc in payload["cycles"] for v in cyc)
+
+
+def test_serialize_refuses_what_parse_refuses():
+    # n is capped at MAX_VERTICES on both sides of the document boundary
+    assert parse_family(serialize_family(FamilyDocument(n=MAX_VERTICES, cycles=()))).n == MAX_VERTICES
+    with pytest.raises(ValueError):
+        serialize_family(FamilyDocument(n=MAX_VERTICES + 1, cycles=()))
 
 
 def test_document_edge_payload():

@@ -2,17 +2,20 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from math import factorial
 
 import pytest
 
 import twomilton
+from twomilton import search
 from twomilton.constructions import circulant_family, k4_strip
 from twomilton.graphs import canonical_key, make_cycle, standard_cycle, union
 from twomilton.independence import alpha_value
-from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, zeta
+from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, window_path, zeta
 from twomilton.search import (
     _scan_task,
     compute_f,
@@ -23,7 +26,7 @@ from twomilton.search import (
     window_partners,
 )
 
-from oracles import oracle_all_cycles, oracle_alpha, oracle_scan_survivors
+from oracles import oracle_all_cycles, oracle_alpha, oracle_has_k4_cover, oracle_scan_survivors
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -335,11 +338,45 @@ def test_verify_nothree_n8_has_triples():
         assert find_k4_cover(union(list(pair))) is not None
 
 
-@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("n", [12, 16, 20, 24])
 def test_verify_nothree_none_beyond_n8(n):
     rep = verify_nothree(n)
     assert rep.triples_found == 0
     assert rep.pairs_checked == rep.partners * (rep.partners - 1) // 2
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_verify_nothree_matches_oracle_on_every_pair(n):
+    # the brute-force cover search on each union of two window partners; the
+    # witnesses are the first eight covered pairs in combinations order
+    std = standard_cycle(n)
+    covered = [
+        (b, c) for b, c in combinations(window_partners(n), 2) if oracle_has_k4_cover(union([b, c]))
+    ]
+    rep = verify_nothree(n)
+    assert (rep.mode, rep.triples_found) == ("exhaustive", len(covered))
+    assert [(a.order, b.order, c.order) for a, b, c in rep.witnesses] == [
+        (std.order, b.order, c.order) for b, c in covered[:8]
+    ]
+
+
+def test_verify_nothree_counts_covers_at_every_offset(monkeypatch):
+    # the window partners mapped onto a random order b are covered with b at
+    # each of the four offsets of b's blocks, and the near misses hold every
+    # block but the last (the one that wraps, at offsets 1 to 3); b comes
+    # first, so the index is read at every offset, and the count must match
+    # the oracle on each pair
+    order = list(range(12))
+    random.Random("nothree-offsets").shuffle(order)
+    near = [window_path(12, o) + window_path(12, o + 4) + tuple((o + j) % 12 for j in range(8, 12))
+            for o in range(4)]
+    others = [c.order for c in window_partners(12)] + near
+    cycles = [make_cycle(order)] + [make_cycle([order[v] for v in c]) for c in others]
+    monkeypatch.setattr(search, "window_partners", lambda n: cycles)
+    covered = [(b, c) for b, c in combinations(cycles, 2) if oracle_has_k4_cover(union([b, c]))]
+    rep = verify_nothree(12)
+    assert rep.triples_found == len(covered) >= 32
+    assert [(b.order, c.order) for _, b, c in rep.witnesses] == [(b.order, c.order) for b, c in covered[:8]]
 
 
 def test_verify_nothree_rejects_bad_n():
