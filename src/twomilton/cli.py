@@ -143,10 +143,13 @@ def _strip(args):
     return _doc_with_alpha(4 * args.k, k4_strip(args.k), range(0, 4 * args.k, 4), meta)
 
 
+def _triple8(args):
+    return FamilyDocument(8, triple_n8(), {}, {"construction": "triple8"})
+
+
 def _circulant(args):
-    n = 9 if args.n is None else args.n
-    meta = {"construction": "circulant", "pairwise_alpha_at_most": n // 3}
-    return FamilyDocument(n, circulant_family(n), {}, meta)
+    meta = {"construction": "circulant", "pairwise_alpha_at_most": args.n // 3}
+    return FamilyDocument(args.n, circulant_family(args.n), {}, meta)
 
 
 def _counterexample(args):
@@ -159,8 +162,6 @@ def _counterexample(args):
 
 
 def _amplify(args):
-    if args.seed is None:
-        raise ValueError("construct amplify needs --seed")
     eps = Fraction(args.eps)
     res = amplify(circulant_family(args.n0), args.blocks, args.family_size, seed=args.seed, eps=eps)
     return FamilyDocument(
@@ -175,24 +176,41 @@ def _amplify(args):
 
 
 def _exceptional(args):
-    found = find_exceptional(8 if args.n is None else args.n)
+    found = find_exceptional(args.n)
     meta = {"construction": "exceptional", "zeta": found.zeta}
     return _doc_with_alpha(found.graph.n, found.cycles, alpha_exact(found.graph).vertices, meta)
 
 
-# the construct command's choices and dispatch
+# the construct command's constructions: name -> (help, builder, the options
+# it reads as {flag: add_argument keywords}); each gets its own subparser, so
+# an option of another construction is a usage error
 _CONSTRUCTIONS = {
-    "strip": _strip,
-    "triple8": lambda args: FamilyDocument(8, triple_n8(), {}, {"construction": "triple8"}),
-    "circulant": _circulant,
-    "counterexample": _counterexample,
-    "amplify": _amplify,
-    "exceptional": _exceptional,
+    "strip": ("k disjoint K4s in a ring on 4k vertices, alpha = k", _strip, {
+        "--k": {"type": int, "default": 3, "help": "block count (default 3)"},
+    }),
+    "triple8": ("three cycles on 8 vertices, every pairwise union K4-covered", _triple8, {}),
+    "circulant": ("five cycles, every pairwise union triangle-covered", _circulant, {
+        "--n": {"type": int, "default": 9, "help": "size: odd, divisible by 3, >= 9 (default 9)"},
+    }),
+    "counterexample": ("a 4-regular graph, not two cycles, that the K4 reduction fails on",
+                       _counterexample, {
+        "--units": {"type": int, "default": 2, "help": "unit count, >= 2 (default 2)"},
+    }),
+    "amplify": ("chain products of the circulant family", _amplify, {
+        "--n0": {"type": int, "default": 9, "help": "circulant base size (default 9)"},
+        "--blocks": {"type": int, "default": 4, "help": "block count, even (default 4)"},
+        "--family-size": {"type": int, "default": 6, "help": "output family size (default 6)"},
+        "--eps": {"default": "1/4", "help": "agreement slack (default 1/4)"},
+        "--seed": {"required": True, "help": "mandatory: the chain draws follow it"},
+    }),
+    "exceptional": ("a union with alpha = n/4 but only n/4 - 1 K4s", _exceptional, {
+        "--n": {"type": int, "default": 8, "help": "8 or 12 (default 8)"},
+    }),
 }
 
 
 def cmd_construct(args) -> int:
-    _emit(args, serialize_family(_CONSTRUCTIONS[args.name](args)))
+    _emit(args, serialize_family(_CONSTRUCTIONS[args.name][1](args)))
     return 0
 
 
@@ -321,6 +339,8 @@ _CORPUS = {"pair": _corpus_pair, "k4free": _corpus_k4free, "johnson": _corpus_jo
 
 
 def cmd_corpus(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     rng = Random(f"corpus:{args.kind}:{args.seed}")
     lines = []
     for i in range(args.count):
@@ -369,17 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report the failing step instead of raising")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("construct", help="emit a family document for a named construction", parents=[out])
-    p.add_argument("name", choices=list(_CONSTRUCTIONS))
-    p.add_argument("--k", type=int, default=3, help="strip block count")
-    p.add_argument("--n", type=int, default=None,
-                   help="circulant size (default 9) or exceptional size (default 8)")
-    p.add_argument("--units", type=int, default=2, help="counterexample unit count")
-    p.add_argument("--n0", type=int, default=9, help="amplify base size")
-    p.add_argument("--blocks", type=int, default=4, help="amplify block count")
-    p.add_argument("--family-size", type=int, default=6, help="amplify output family size")
-    p.add_argument("--eps", default="1/4", help="amplify agreement slack")
-    p.add_argument("--seed", default=None, help="mandatory for amplify")
+    p = sub.add_parser("construct",
+                       help="emit a family document for a named construction (NAME -h lists its options)")
+    names = p.add_subparsers(dest="name", required=True, metavar="NAME")
+    for name, (text, _, options) in _CONSTRUCTIONS.items():
+        # no abbreviations: amplify would read a foreign --n as its --n0
+        q = names.add_parser(name, help=text, parents=[out], allow_abbrev=False)
+        for flag, keywords in options.items():
+            q.add_argument(flag, **keywords)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check claims against a document", parents=[doc, out])

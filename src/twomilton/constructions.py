@@ -20,6 +20,9 @@ from random import Random
 from .graphs import HamCycle, UGraph, VerificationError, make_cycle, standard_cycle, union
 from .independence import alpha_value
 
+# chain draws per family member before amplify gives up
+MAX_ATTEMPTS = 10000
+
 
 def k4_strip(k: int) -> tuple[HamCycle, HamCycle]:
     """Two cycles on n=4k vertices whose union is k disjoint K4s in a ring.
@@ -103,9 +106,7 @@ class AmplifyResult:
     cycles: tuple[HamCycle, ...]
     chains: tuple[tuple[int, ...], ...]
     bound: Fraction
-    base_alpha_ratio: Fraction
     agreement_cap: int
-    attempts: tuple[int, ...]
 
 
 def base_alpha_ratio(base: tuple[HamCycle, ...]) -> Fraction:
@@ -124,7 +125,6 @@ def amplify(
     family_size: int,
     seed: str = "amplify",
     eps: Fraction = Fraction(1, 4),
-    max_attempts: int = 10000,
 ) -> AmplifyResult:
     """Build family_size cycles on blocks * n0 vertices from a base family.
 
@@ -145,12 +145,13 @@ def amplify(
     n0 = base[0].n
     if blocks < 2 or blocks % 2:
         raise ValueError("blocks must be even and >= 2")
+    if family_size < 0:
+        raise ValueError("family_size must be >= 0")
     if any(c.n != n0 for c in base):
         raise ValueError("base cycles must share a vertex count")
     cap_exact = Fraction(blocks, k0) + eps * blocks
     cap = int(cap_exact)
     chains: list[tuple[int, ...]] = []
-    attempts_log: list[int] = []
     for j in range(family_size):
         attempt = 0
         while True:
@@ -162,13 +163,12 @@ def amplify(
             if all(x <= cap for x in agree):
                 break
             attempt += 1
-            if attempt >= max_attempts:
+            if attempt >= MAX_ATTEMPTS:
                 raise ValueError(
-                    f"chain {j}: no admissible chain within {max_attempts} attempts; "
+                    f"chain {j}: no admissible chain within {MAX_ATTEMPTS} attempts; "
                     f"raise eps or blocks"
                 )
         chains.append(chain)
-        attempts_log.append(attempt)
     cycles = tuple(_assemble(base, chain, n0) for chain in chains)
     c0 = base_alpha_ratio(base)
     bound = (
@@ -181,9 +181,7 @@ def amplify(
         cycles=cycles,
         chains=tuple(chains),
         bound=bound,
-        base_alpha_ratio=c0,
         agreement_cap=cap,
-        attempts=tuple(attempts_log),
     )
 
 

@@ -167,63 +167,49 @@ def psi_exact(g: UGraph) -> int:
 class Archipelago:
     """One connected component of the subgraph induced on K4 vertices.
 
-    matching holds the non-K4 edges inside the component; the component is
-    cyclic iff its K4-adjacency multigraph has a cycle, i.e. iff
-    len(matching) >= len(k4s).  neighborhood lists the outside vertices
-    adjacent to the component (static under the reduction pipeline).
+    cyclic tells whether its K4-adjacency multigraph (one node per K4, one
+    edge per non-K4 edge inside the component) has a cycle.  That multigraph
+    is connected, so it is cyclic iff it has at least as many edges as nodes.
+    neighborhood lists the outside vertices adjacent to the component (static
+    under the reduction pipeline).
     """
 
     vertices: tuple[int, ...]
     mask: int
     k4s: tuple[tuple[int, int, int, int], ...]
-    matching: tuple[tuple[int, int], ...]
+    cyclic: bool
     neighborhood: tuple[int, ...]
-
-    @property
-    def cyclic(self) -> bool:
-        return len(self.matching) >= len(self.k4s)
 
 
 def archipelagos(g: UGraph) -> tuple[Archipelago, ...]:
     """Archipelagos of g, ordered by smallest vertex.
 
     Requires the K4s to be pairwise disjoint (true in any union of two
-    Hamiltonian cycles); raises ValueError otherwise.
+    Hamiltonian cycles); raises ValueError otherwise.  A component's non-K4
+    edges are its internal edges less the six of each K4.
     """
     k4s = find_k4s(g)
-    if not k4s:
-        return ()
+    masks = [mask_of(q) for q in k4s]
     covered = 0
-    for quad in k4s:
-        m = mask_of(quad)
+    for m in masks:
         if m & covered:
             raise ValueError("K4s overlap; archipelago structure undefined")
         covered |= m
-    k4_masks = [mask_of(q) for q in k4s]
     out = []
     for comp in connected_components(g, within=covered):
+        inside = [i for i, m in enumerate(masks) if m & comp]
+        if any(masks[i] & ~comp for i in inside):
+            raise VerificationError(f"a K4 of {[k4s[i] for i in inside]} straddles two archipelagos")
         verts = tuple(bits(comp))
-        inside = [q for q, m in zip(k4s, k4_masks) if m & comp]
-        if any(mask_of(q) & ~comp for q in inside):
-            raise VerificationError(f"a K4 of {inside} straddles two archipelagos")
-        k4_edges = set()
-        for q in inside:
-            k4_edges.update(combinations(q, 2))
-        matching = []
-        nbhd = 0
+        ends = nbhd = 0  # ends counts each internal edge twice
         for v in verts:
-            for u in bits(g.adj[v]):
-                if not comp >> u & 1:
-                    nbhd |= 1 << u
-                elif u > v and (v, u) not in k4_edges:
-                    matching.append((v, u))
-        out.append(
-            Archipelago(
-                vertices=verts,
-                mask=comp,
-                k4s=tuple(inside),
-                matching=tuple(matching),
-                neighborhood=tuple(bits(nbhd)),
-            )
-        )
+            ends += (g.adj[v] & comp).bit_count()
+            nbhd |= g.adj[v]
+        out.append(Archipelago(
+            vertices=verts,
+            mask=comp,
+            k4s=tuple(k4s[i] for i in inside),
+            cyclic=ends // 2 - 6 * len(inside) >= len(inside),
+            neighborhood=tuple(bits(nbhd & ~comp)),
+        ))
     return tuple(out)

@@ -269,24 +269,16 @@ class _Pipeline:
         comps = connected_components(UGraph(self.n, tuple(self.adj)), within=plain)
         if len(comps) <= 1:
             return
-        route = self.cyc[0] if self.cyc else None
-        if route is None:
+        if not self.cyc:
             self._fail(
                 "connect",
                 "remainder is disconnected and no Hamiltonian cycle is available "
                 "to route reconnecting arcs",
             )
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for v in bits(comp):
-                comp_of[v] = ci
-        arch_of = {}
-        for idx, arch in enumerate(self.archs):
-            for v in bits(arch.mask & self.alive):
-                arch_of[v] = idx
-        # walk the maintained cycle once, recording arcs through archipelagos;
-        # each step leaves by the row bit that is not the previous vertex (the
-        # lowest at the start); a broken cycle stops after n steps at most
+        route = self.cyc[0]
+        # walk the maintained cycle once; each step leaves by the row bit that
+        # is not the previous vertex (the lowest at the start); a broken cycle
+        # stops after n steps at most
         start = (plain & -plain).bit_length() - 1
         seq = [start]
         prev, cur = 0, start
@@ -299,40 +291,29 @@ class _Pipeline:
             seq.append(cur)
         if len(seq) != self.alive.bit_count():
             self._fail("connect", "maintained cycle lost vertices", length=len(seq))
+        # each run of K4 vertices between two plain vertices u, v is an arc
+        # through the one archipelago that the run meets
         arcs = []
-        i = 0
-        L = len(seq)
-        while i < L:
-            if k4_alive >> seq[i] & 1:
-                j = i
-                while k4_alive >> seq[j % L] & 1:
-                    j += 1
-                u = seq[i - 1]
-                v = seq[j % L]
-                run_archs = {arch_of[seq[t % L]] for t in range(i, j)}
-                if len(run_archs) != 1:
-                    self._fail(
-                        "connect", "cycle arc crosses several archipelagos",
-                        arc=[u, v],
-                    )
-                arcs.append((min(u, v), max(u, v), run_archs.pop()))
-                i = j
-            else:
-                i += 1
-        # spanning tree over components, arcs in ascending endpoint order
-        parent = list(range(len(comps)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        run = 0
+        for v in seq + seq[:1]:
+            if k4_alive >> v & 1:
+                run |= 1 << v
+                continue
+            if run:
+                idx = next(i for i, arch in enumerate(self.archs) if arch.mask & run)
+                if run & ~self.archs[idx].mask:
+                    self._fail("connect", "cycle arc crosses several archipelagos", arc=[u, v])
+                arcs.append((min(u, v), max(u, v), idx))
+                run = 0
+            u = v
+        # spanning tree over the components, arcs in ascending endpoint order
+        groups = list(comps)
         chosen = []
         for u, v, idx in sorted(arcs):
-            ru, rv = find(comp_of[u]), find(comp_of[v])
-            if ru != rv:
-                parent[ru] = rv
+            gu = next(m for m in groups if m >> u & 1)
+            if not gu >> v & 1:
+                gv = next(m for m in groups if m >> v & 1)
+                groups = [m for m in groups if m not in (gu, gv)] + [gu | gv]
                 chosen.append((u, v, idx))
         for u, v, idx in chosen:
             arch = self.archs[idx]
@@ -342,75 +323,61 @@ class _Pipeline:
 
     # -- step 3: independent neighbourhoods of size 3 ----------------------
 
-    def _classify3(self, arch: Archipelago):
-        """Forbidden/risky patterns on an independent 3-neighbourhood.
+    def _classify3(self, arch: Archipelago) -> tuple[int, int] | None:
+        """The edge a risky pattern on an independent 3-neighbourhood demands,
+        or None; fails on a forbidden pattern.
 
-        Returns ("forbidden", None) or ("risky", (a, b)) with the edge to add,
-        or (None, None).  Outside pair (o1, o2): counts spokes from the three
-        neighbourhood vertices; 6 spokes + o1o2 edge is forbidden, 6 spokes
-        without the edge or 5 spokes + the edge is risky when the gap sits as
-        the pattern demands relative to the marked vertices (>= 2 edges into
-        the archipelago).
+        For each outside pair (o1, o2) it counts the spokes from the three
+        neighbourhood vertices to the pair: 6 spokes with the o1o2 edge is
+        forbidden; 6 spokes without the edge, or 5 spokes (2+2+1) with it, is
+        risky when the gap sits as the pattern demands relative to the marked
+        vertices (>= 2 edges into the archipelago).  The least (type, o1, o2,
+        a, b) over the risky pairs gives the edge ab.
         """
         trio = arch.neighborhood
-        marked = [
-            w for w in trio
-            if (self.g.adj[w] & arch.mask).bit_count() >= 2
-        ]
+        marked = [w for w in trio if (self.g.adj[w] & arch.mask).bit_count() >= 2]
         outside = 0
         excl = arch.mask | mask_of(trio)
         for w in trio:
             outside |= self.adj[w] & ~excl
-        hits = []
-        for o1, o2 in combinations(sorted(bits(outside)), 2):
-            spokes = {w: [] for w in trio}
-            for w in trio:
-                for o in (o1, o2):
-                    if self.adj[w] >> o & 1:
-                        spokes[w].append(o)
-            total = sum(len(s) for s in spokes.values())
-            o_edge = bool(self.adj[o1] >> o2 & 1)
+        best = None
+        for o1, o2 in combinations(bits(outside), 2):
+            pair = 1 << o1 | 1 << o2
+            spokes = [(self.adj[w] & pair).bit_count() for w in trio]
+            total = sum(spokes)
+            o_edge = self.adj[o1] >> o2 & 1
+            hit = None
             if total == 6 and o_edge:
-                return "forbidden", None
-            if total == 6 and not o_edge and marked:
+                self._fail(
+                    "three",
+                    f"forbidden archipelago {arch.vertices}: its neighbourhood "
+                    "pattern admits no safe reconnecting edge",
+                    archipelago=list(arch.vertices),
+                )
+            if total == 6 and marked:
                 a = marked[0]
-                b = min(w for w in trio if w != a)
-                hits.append((1, o1, o2, a, b))
+                hit = (1, o1, o2, a, min(w for w in trio if w != a))
             elif total == 5 and o_edge:
-                short = [w for w in trio if len(spokes[w]) == 1]
-                if len(short) != 1:
-                    continue
-                w0 = short[0]
+                w0 = trio[spokes.index(1)]
+                full_marked = [w for w in marked if w != w0]
                 if w0 in marked:
-                    others = [w for w in trio if w != w0]
-                    hits.append((3, o1, o2, w0, min(others)))
-                else:
-                    full_marked = [w for w in marked if w != w0]
-                    if full_marked:
-                        hits.append((2, o1, o2, full_marked[0], w0))
-        if hits:
-            hits.sort()
-            _, _, _, a, b = hits[0]
-            return "risky", (min(a, b), max(a, b))
-        return None, None
+                    hit = (3, o1, o2, w0, min(w for w in trio if w != w0))
+                elif full_marked:
+                    hit = (2, o1, o2, full_marked[0], w0)
+            if hit and (best is None or hit < best):
+                best = hit
+        if best is None:
+            return None
+        a, b = best[3:]
+        return min(a, b), max(a, b)
 
     def step3(self):
         while True:
             live = list(self._open_archs(3))
             if not live:
                 return
-            risky = []
-            for arch in live:
-                kind, edge = self._classify3(arch)
-                if kind == "forbidden":
-                    self._fail(
-                        "three",
-                        f"forbidden archipelago {arch.vertices}: its neighbourhood "
-                        "pattern admits no safe reconnecting edge",
-                        archipelago=list(arch.vertices),
-                    )
-                if kind == "risky":
-                    risky.append((arch, edge))
+            # every archipelago is classified first: a forbidden one fails
+            risky = [(arch, edge) for arch, edge in zip(live, map(self._classify3, live)) if edge]
             if risky:
                 arch, (a, b) = risky[0]
                 self._add_edge("three-risky", a, b, arch)

@@ -46,21 +46,6 @@ class WitnessCheckError(VerificationError):
     """A pair of cycles in a computed witness family has a union with alpha > k."""
 
 
-def dihedral_stabilizer(cycle: HamCycle) -> tuple[tuple[int, ...], ...]:
-    """The 2n vertex permutations that map the cycle onto itself."""
-    order = cycle.order
-    n = cycle.n
-    pos = {v: i for i, v in enumerate(order)}
-    maps = []
-    for r in range(n):
-        for sign in (1, -1):
-            perm = [0] * n
-            for v in range(n):
-                perm[v] = order[(r + sign * pos[v]) % n]
-            maps.append(tuple(perm))
-    return tuple(maps)
-
-
 def _independent_subsets(n, r):
     """r-subsets of range(n) with no two members adjacent on the standard cycle."""
     out = []

@@ -99,6 +99,46 @@ def oracle_has_k4_cover(g: UGraph) -> bool:
     return g.n % 4 == 0 and rec(frozenset(range(g.n)))
 
 
+def oracle_archipelagos(g: UGraph):
+    """(vertices, k4s, cyclic, neighborhood) per archipelago, by least vertex,
+    or None when two K4s share a vertex.
+
+    Union-find over the K4s, joined by the edges between two different K4s
+    (the non-K4 edges between K4 vertices): its classes are the archipelagos,
+    and a class is cyclic when one of those edges joins two K4s already in it.
+    """
+    k4s = oracle_k4s(g)
+    owner: dict[int, int] = {}
+    for i, q in enumerate(k4s):
+        for v in q:
+            if v in owner:
+                return None
+            owner[v] = i
+    parent = list(range(len(k4s)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    closing = []
+    for u, v in combinations(sorted(owner), 2):
+        if g.has_edge(u, v) and owner[u] != owner[v]:
+            ru, rv = find(owner[u]), find(owner[v])
+            if ru == rv:
+                closing.append(ru)
+            else:
+                parent[ru] = rv
+    cyclic_roots = {find(r) for r in closing}
+    out = []
+    for root in sorted({find(i) for i in range(len(k4s))}):
+        quads = [q for i, q in enumerate(k4s) if find(i) == root]
+        verts = sorted(v for q in quads for v in q)
+        nbhd = {u for v in verts for u in range(g.n) if g.has_edge(u, v) and u not in verts}
+        out.append((tuple(verts), tuple(quads), root in cyclic_roots, tuple(sorted(nbhd))))
+    return sorted(out)
+
+
 def oracle_induced_p4s(g: UGraph) -> list[tuple[int, int, int, int]]:
     """All induced 3-edge paths a-b-c-d, deduplicated by reversal (a < d)."""
     out = []

@@ -347,8 +347,41 @@ def test_construct_size_defaults_per_construction(capsys, name, default_n):
 
 
 def test_amplify_requires_seed(capsys):
-    rc, _ = run(capsys, "construct", "amplify")
-    assert rc == 2
+    with pytest.raises(SystemExit) as err:
+        main(["construct", "amplify"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "construct strip --n 12",
+    "construct triple8 --k 5",
+    "construct circulant --seed x",
+    "construct counterexample --k 2",
+    "construct exceptional --units 3",
+    "construct amplify --seed x --n 9",
+])
+def test_construct_refuses_options_of_other_constructions(capsys, argv):
+    # each construction reads only its own options; a foreign one is a usage error
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "corpus --kind pair --count -1 --seed x",
+    "construct amplify --family-size -3 --seed x",
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    rc = main(argv.split())
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_corpus_count_zero_is_an_empty_corpus(capsys):
+    assert run(capsys, "corpus", "--kind", "pair", "--count", "0", "--seed", "x") == (0, "")
 
 
 def test_bounds_table(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from twomilton import constructions
 from twomilton.constructions import (
     amplify,
     base_alpha_ratio,
@@ -151,10 +152,17 @@ def test_amplify_pair_alpha_within_bound():
             assert alpha_value(g) <= res.bound
 
 
-def test_amplify_validates():
+def test_amplify_validates(monkeypatch):
     base = circulant_family(9)
     with pytest.raises(ValueError, match="even"):
         amplify(base, blocks=3, family_size=2)
-    with pytest.raises(ValueError, match="attempts"):
+    monkeypatch.setattr(constructions, "MAX_ATTEMPTS", 50)
+    with pytest.raises(ValueError, match="within 50 attempts"):
         # cap 0 with many chains over a tiny base cannot be satisfied
-        amplify(base[:2], blocks=2, family_size=40, eps=Fraction(0), max_attempts=50)
+        amplify(base[:2], blocks=2, family_size=40, eps=Fraction(0))
+
+
+def test_amplify_refuses_negative_family_size():
+    with pytest.raises(ValueError, match="family_size"):
+        amplify(circulant_family(9), blocks=4, family_size=-3)
+    assert amplify(circulant_family(9), blocks=4, family_size=0).cycles == ()

@@ -16,9 +16,7 @@ import twomilton
 PACKAGE = Path(twomilton.__file__).parent
 CALLER_DIRS = (PACKAGE, PACKAGE.parent.parent / "benchmarks")
 
-ALLOWED = {
-    ("search", "dihedral_stabilizer"): "the symmetry the planned f(n, k) packing search restricts by",
-}
+ALLOWED: dict[tuple[str, str], str] = {}
 
 
 def _definitions():

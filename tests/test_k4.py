@@ -1,6 +1,7 @@
 """K4 detection, clique covers, path packings, archipelago taxonomy."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,7 @@ from twomilton.k4 import (
 )
 
 from oracles import (
+    oracle_archipelagos,
     oracle_clique_cover,
     oracle_has_k4_cover,
     oracle_induced_p4s,
@@ -212,7 +214,6 @@ def test_archipelago_single_k4():
     (arch,) = archipelagos(g)
     assert arch.vertices == (0, 1, 2, 3)
     assert arch.k4s == ((0, 1, 2, 3),)
-    assert arch.matching == ()
     assert not arch.cyclic
     assert arch.neighborhood == (4, 5)
 
@@ -228,11 +229,9 @@ def test_archipelago_tree_vs_cycle():
     tree = _two_k4s([(0, 4)])
     (arch,) = archipelagos(tree)
     assert len(arch.k4s) == 2
-    assert arch.matching == ((0, 4),)
     assert not arch.cyclic
     ring = _two_k4s([(0, 4), (1, 5)])
     (arch,) = archipelagos(ring)
-    assert arch.matching == ((0, 4), (1, 5))
     assert arch.cyclic
 
 
@@ -241,9 +240,74 @@ def test_archipelago_strip_is_one_cyclic_component():
     g = union([c1, c2])
     (arch,) = archipelagos(g)
     assert len(arch.k4s) == 4
-    assert len(arch.matching) == 8
     assert arch.cyclic
     assert arch.neighborhood == ()
+
+
+def _planted_archipelago_graph(rng, shape):
+    """Disjoint K4s on shuffled labels, joined by matching edges as a tree, a
+    tree plus one edge, or a ring, and some K4 vertices given an outside
+    neighbour; maximum degree 4 (an outside vertex on three vertices of one
+    K4 makes a second, overlapping K4)."""
+    m = rng.randint(1, 5)
+    rest_size = rng.choice([0, 0, rng.randint(1, 6)])
+    n = 4 * m + rest_size
+    label = rng.sample(range(n), n)
+    edges = set()
+    free = []
+    for i in range(m):
+        quad = label[4 * i:4 * i + 4]
+        edges.update(combinations(quad, 2))
+        free.append(list(quad))
+
+    def join(i, j):
+        if i != j and free[i] and free[j]:
+            edges.add((free[i].pop(rng.randrange(len(free[i]))),
+                       free[j].pop(rng.randrange(len(free[j])))))
+
+    if shape == "ring":
+        for i in range(m):
+            join(i, (i + 1) % m)
+    else:
+        for i in range(1, m):
+            join(i, rng.randrange(i))
+        if shape == "tree+1":
+            join(rng.randrange(m), rng.randrange(m))
+    rest = label[4 * m:]
+    degree = dict.fromkeys(rest, 0)
+    for v in (v for quad in free for v in quad):
+        o = rng.choice(rest) if rest and rng.random() < 0.5 else None
+        if o is not None and degree[o] < 4:
+            edges.add((v, o))
+            degree[o] += 1
+    for a, b in combinations(rest, 2):
+        if rng.random() < 0.3 and degree[a] < 4 and degree[b] < 4:
+            edges.add((a, b))
+            degree[a] += 1
+            degree[b] += 1
+    return UGraph.from_edges(n, sorted(edges))
+
+
+def test_archipelagos_match_union_find_oracle():
+    # cyclic comes from an edge count; the oracle finds cycles by union-find
+    rng = random.Random("archipelago-oracle")
+    seen = {"cyclic": 0, "acyclic": 0, "neighbours": 0, "closed": 0, "overlap": 0}
+    for i in range(300):
+        g = _planted_archipelago_graph(rng, ("tree", "tree+1", "ring")[i % 3])
+        assert g.max_degree() <= 4
+        want = oracle_archipelagos(g)
+        if want is None:
+            seen["overlap"] += 1
+            with pytest.raises(ValueError, match="overlap"):
+                archipelagos(g)
+            continue
+        got = archipelagos(g)
+        assert [(a.vertices, a.k4s, a.cyclic, a.neighborhood) for a in got] == want
+        for a in got:
+            assert a.mask == sum(1 << v for v in a.vertices)
+            seen["cyclic" if a.cyclic else "acyclic"] += 1
+            seen["neighbours" if a.neighborhood else "closed"] += 1
+    assert min(seen.values()) >= 1 and seen["cyclic"] >= 50 and seen["neighbours"] >= 50, seen
 
 
 def test_archipelagos_reject_overlapping_k4s():

@@ -19,7 +19,6 @@ CALLER_DIRS = (PACKAGE, PACKAGE.parent.parent / "benchmarks")
 
 ALLOWED = {
     ("cli", "main", "argv"): "the entry point: the console script calls main() with no argument",
-    ("constructions", "amplify", "max_attempts"): "tests reach the give-up path with a small value",
     ("bounds", "semirandom_rate", "eps"): "a term of the paper's rate formula",
 }
 

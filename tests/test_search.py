@@ -19,7 +19,6 @@ from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, window
 from twomilton.search import (
     _scan_task,
     compute_f,
-    dihedral_stabilizer,
     exact_range,
     find_exceptional,
     verify_nothree,
@@ -37,16 +36,6 @@ def test_closed_form_witnesses_are_all_cycles(n):
     assert res.value == factorial(n - 1) // 2
     assert [c.order for c in res.witnesses] == sorted(oracle_all_cycles(n))
     assert (res.mode, res.examined, res.survivors) == ("exhaustive", 0, 0)
-
-
-def test_stabilizer_maps_preserve_pinned_cycle():
-    std = standard_cycle(10)
-    edges = set(std.edges())
-    maps = dihedral_stabilizer(std)
-    assert len(set(maps)) == 20
-    for m in maps:
-        mapped = {tuple(sorted((m[a], m[b]))) for a, b in edges}
-        assert mapped == edges
 
 
 @pytest.mark.parametrize("n,k,want", [(4, 1, 3), (6, 1, 1), (7, 1, 1), (9, 2, 1)])
