@@ -43,6 +43,14 @@ def _graph_for(doc: FamilyDocument, pair):
     return doc.graph()
 
 
+def _fraction(text):
+    """An exact fraction option such as 1/4 or 0.25; anything else is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
 def _emit(args, payload) -> None:
     if not isinstance(payload, str):
         # a closed-form f(n, k) may exceed Python's int-to-str digit cap, which
@@ -55,9 +63,10 @@ def _emit(args, payload) -> None:
         finally:
             if cap:
                 sys.set_int_max_str_digits(cap)
-    sys.stdout.write(payload)
+    # the file first, so a failed write leaves stdout empty
     if args.out:
         Path(args.out).write_text(payload)
+    sys.stdout.write(payload)
 
 
 def _alpha(g, args):
@@ -162,13 +171,12 @@ def _counterexample(args):
 
 
 def _amplify(args):
-    eps = Fraction(args.eps)
-    res = amplify(circulant_family(args.n0), args.blocks, args.family_size, seed=args.seed, eps=eps)
+    res = amplify(circulant_family(args.n0), args.blocks, args.family_size, seed=args.seed, eps=args.eps)
     return FamilyDocument(
         res.n, res.cycles, {},
         {
             "construction": "amplify", "base": f"circulant-{args.n0}",
-            "blocks": args.blocks, "seed": args.seed, "eps": str(eps),
+            "blocks": args.blocks, "seed": args.seed, "eps": str(args.eps),
             "agreement_cap": res.agreement_cap, "pairwise_alpha_bound": str(res.bound),
             "chains": [list(c) for c in res.chains],
         },
@@ -200,7 +208,7 @@ _CONSTRUCTIONS = {
         "--n0": {"type": int, "default": 9, "help": "circulant base size (default 9)"},
         "--blocks": {"type": int, "default": 4, "help": "block count, even (default 4)"},
         "--family-size": {"type": int, "default": 6, "help": "output family size (default 6)"},
-        "--eps": {"default": "1/4", "help": "agreement slack (default 1/4)"},
+        "--eps": {"type": _fraction, "default": "1/4", "help": "agreement slack (default 1/4)"},
         "--seed": {"required": True, "help": "mandatory: the chain draws follow it"},
     }),
     "exceptional": ("a union with alpha = n/4 but only n/4 - 1 K4s", _exceptional, {
@@ -327,9 +335,9 @@ def _corpus_k4free(n, tag, args):
 
 
 def _corpus_johnson(n, tag, args):
-    sets = random_johnson_system(n, Fraction(args.x), Fraction(args.eps), tag)
+    sets = random_johnson_system(n, args.x, args.eps, tag)
     return json.dumps({
-        "kind": "johnson", "n": n, "x": args.x, "eps": args.eps,
+        "kind": "johnson", "n": n, "x": str(args.x), "eps": str(args.eps),
         "seed": tag, "sets": sorted(sorted(s) for s in sets),
     }, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -341,6 +349,8 @@ _CORPUS = {"pair": _corpus_pair, "k4free": _corpus_k4free, "johnson": _corpus_jo
 def cmd_corpus(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
+    if args.n_min > args.n_max:
+        raise ValueError(f"--n-min must be <= --n-max, got {args.n_min} > {args.n_max}")
     rng = Random(f"corpus:{args.kind}:{args.seed}")
     lines = []
     for i in range(args.count):
@@ -369,7 +379,9 @@ def cmd_bounds(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="twomilton", description=__doc__)
+    # no option is abbreviated: a prefix such as --lower would silently stand
+    # for another option (--lower-bound), and amplify would read --n as --n0
+    top = argparse.ArgumentParser(prog="twomilton", description=__doc__, allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
     # options shared by several commands, each declared once
     out = argparse.ArgumentParser(add_help=False)
@@ -381,30 +393,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="indices of the two cycles to union (default: whole document)")
 
     for name, (text, _) in _GRAPH_COMMANDS.items():
-        sub.add_parser(name, help=text, parents=[graph]).set_defaults(func=cmd_graph)
+        sub.add_parser(name, help=text, parents=[graph], allow_abbrev=False).set_defaults(func=cmd_graph)
     sub.choices["cover"].add_argument("--triangles", action="store_true")
 
-    p = sub.add_parser("reduce", help="K4 removal pipeline with trace and lift demo", parents=[doc, out])
+    p = sub.add_parser("reduce", help="K4 removal pipeline with trace and lift demo", parents=[doc, out],
+                       allow_abbrev=False)
     p.add_argument("--diagnose", action="store_true",
                    help="report the failing step instead of raising")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("construct",
+    p = sub.add_parser("construct", allow_abbrev=False,
                        help="emit a family document for a named construction (NAME -h lists its options)")
     names = p.add_subparsers(dest="name", required=True, metavar="NAME")
     for name, (text, _, options) in _CONSTRUCTIONS.items():
-        # no abbreviations: amplify would read a foreign --n as its --n0
         q = names.add_parser(name, help=text, parents=[out], allow_abbrev=False)
         for flag, keywords in options.items():
             q.add_argument(flag, **keywords)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="check claims against a document", parents=[doc, out])
+    p = sub.add_parser("verify", help="check claims against a document", parents=[doc, out], allow_abbrev=False)
     p.add_argument("--claim", action="append",
                    help="e.g. pairwise-alpha<=3, pairwise-k4-covered, zeta=4")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search-f", help="exact f(n, k) by exhaustive pinned search", parents=[out])
+    p = sub.add_parser("search-f", help="exact f(n, k) by exhaustive pinned search", parents=[out],
+                       allow_abbrev=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
@@ -413,21 +426,22 @@ def build_parser() -> argparse.ArgumentParser:
                         f"the enum limit (default {DEFAULTS['enum']}) and k < n/2")
     p.set_defaults(func=cmd_search_f)
 
-    p = sub.add_parser("nothree", help="search for pairwise K4-covered triples", parents=[out])
+    p = sub.add_parser("nothree", help="search for pairwise K4-covered triples", parents=[out], allow_abbrev=False)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_nothree)
 
-    p = sub.add_parser("corpus", help="emit seeded random documents, one per line", parents=[out])
+    p = sub.add_parser("corpus", help="emit seeded random documents, one per line", parents=[out],
+                       allow_abbrev=False)
     p.add_argument("--kind", choices=list(_CORPUS), required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--n-min", type=int, default=14)
     p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--x", default="1/4", help="johnson set density")
-    p.add_argument("--eps", default="1/2", help="johnson intersection slack")
+    p.add_argument("--x", type=_fraction, default="1/4", help="johnson set density")
+    p.add_argument("--eps", type=_fraction, default="1/2", help="johnson intersection slack")
     p.add_argument("--seed", required=True)
     p.set_defaults(func=cmd_corpus)
 
-    p = sub.add_parser("bounds", help="exact threshold constants with decimals", parents=[out])
+    p = sub.add_parser("bounds", help="exact threshold constants with decimals", parents=[out], allow_abbrev=False)
     p.set_defaults(func=cmd_bounds)
     return top
 

@@ -57,12 +57,12 @@ def _independent_subsets(n, r):
     return out
 
 
-def _pair_rows(n, subsets):
-    """rows[a][b] = bitmask of the subsets containing both a and b."""
+def _pair_rows(n, pair_lists):
+    """rows[a][b] = bitmask of the items i whose pairs pair_lists[i] hold {a, b}."""
     rows = [[0] * n for _ in range(n)]
-    for i, s in enumerate(subsets):
+    for i, pairs in enumerate(pair_lists):
         bit = 1 << i
-        for a, b in combinations(s, 2):
+        for a, b in pairs:
             rows[a][b] |= bit
             rows[b][a] |= bit
     return rows
@@ -79,7 +79,7 @@ def _scan_tables(n, k):
     members v < w, a pair inside o either misses v, misses w, or is {v, w}.
     """
     subsets = _independent_subsets(n, k + 1)
-    rows = tuple(map(tuple, _pair_rows(n, subsets)))
+    rows = tuple(map(tuple, _pair_rows(n, (combinations(s, 2) for s in subsets))))
     full = (1 << len(subsets)) - 1
     reach = [0] * (1 << n)
     for o in range(1 << n):
@@ -101,8 +101,7 @@ def _scan_task(args):
     placed so far, the closing edge (last, 0) included.  The edges still to
     place join two *open* vertices: the path end, the unvisited vertices and
     `last`.  So a subset not in acc | reach[open] (at most one open member)
-    can never be hit, and the whole subtree is cut.  The last two levels are
-    unrolled, which keeps the recursion cheap where nothing is cut.
+    can never be hit, and the whole subtree is cut.
     """
     n, k, p1, p2 = args
     rows, full, reach = _scan_tables(n, k)
@@ -117,23 +116,9 @@ def _scan_task(args):
 
     def extend(prev, free, acc, path):
         row = rows[prev]
-        rest = free & (free - 1)
-        if not rest & (rest - 1):
-            if not free:
-                if acc | row[last] == full:
-                    out.append(path + (last,))
-                return
-            a = (free & -free).bit_length() - 1
-            if not rest:
-                if acc | row[a] | last_row[a] == full:
-                    out.append(path + (a, last))
-                return
-            b = rest.bit_length() - 1
-            acc |= rows[a][b]
-            if acc | row[a] | last_row[b] == full:
-                out.append(path + (a, b, last))
-            if acc | row[b] | last_row[a] == full:
-                out.append(path + (b, a, last))
+        if not free:
+            if acc | row[last] == full:
+                out.append(path + (last,))
             return
         # each child's open set is free | last, so one lookup prunes them all
         need = full & ~(acc | reach[free | last_bit])
@@ -146,13 +131,10 @@ def _scan_task(args):
                 extend(v, free ^ bit, acc | row[v], path + (v,))
 
     pool_mask = sum(1 << v for v in pool)
-    need = full & ~(base | reach[pool_mask | 1 << p2])
     for last in pool:
-        last_row = rows[last]
-        if last < p1 or need & ~last_row[0]:
-            continue
-        last_bit = 1 << last
-        extend(p2, pool_mask ^ last_bit, base | last_row[0], head)
+        if last > p1:
+            last_bit = 1 << last
+            extend(p2, pool_mask ^ last_bit, base | rows[last][0], head)
     return out
 
 
@@ -241,7 +223,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     log.append(f"survivors with alpha(union with standard) <= {k}: {len(survivors)}")
 
     all_subsets = list(combinations(range(n), k + 1))
-    rows = _pair_rows(n, all_subsets)
+    rows = _pair_rows(n, (combinations(s, 2) for s in all_subsets))
     full = (1 << len(all_subsets)) - 1
     masks = []
     for order in survivors:
@@ -256,27 +238,18 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     clique = max_clique([everyone & ~(row | 1 << i) for i, row in enumerate(overlap_rows(masks))])
     value = 1 + len(clique)
     witnesses = (standard_cycle(n),) + tuple(make_cycle(survivors[i]) for i in clique)
-    bad = _pair_over(witnesses, k)
-    if bad is not None:
-        a, b, alpha_ab = bad
-        raise WitnessCheckError(
-            f"f({n},{k}) witnesses {a.order} and {b.order}: "
-            f"alpha of their union is {alpha_ab} > {k}"
-        )
+    for a, b in combinations(witnesses, 2):
+        alpha_ab = alpha_value(union([a, b]))
+        if alpha_ab > k:
+            raise WitnessCheckError(
+                f"f({n},{k}) witnesses {a.order} and {b.order}: "
+                f"alpha of their union is {alpha_ab} > {k}"
+            )
     log.append(f"maximum clique among survivors: {len(clique)}")
     log.append(f"f({n},{k}) = {value}; witness family re-verified pairwise")
     return FSearchResult(
         n, k, value, witnesses, "exhaustive", total, len(survivors), time.perf_counter() - t0, tuple(log)
     )
-
-
-def _pair_over(cycles, k):
-    """The first pair (a, b, alpha) whose union has alpha > k, or None."""
-    for a, b in combinations(cycles, 2):
-        alpha_ab = alpha_value(union([a, b]))
-        if alpha_ab > k:
-            return a, b, alpha_ab
-    return None
 
 
 def _certify_cover(cycles, find_cover, size, name):
@@ -413,12 +386,7 @@ def verify_nothree(n: int) -> NothreeReport:
         raise ValueError("triple verification covers n divisible by 4 with 8 <= n <= 24")
     std = standard_cycle(n)
     partners = window_partners(n)
-    holders = [[0] * n for _ in range(n)]
-    for i, c in enumerate(partners):
-        bit = 1 << i
-        for u, v in c.edges():
-            holders[u][v] |= bit
-            holders[v][u] |= bit
+    holders = _pair_rows(n, [c.edges() for c in partners])
     everyone = (1 << len(partners)) - 1
     found = 0
     witnesses = []

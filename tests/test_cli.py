@@ -106,7 +106,7 @@ def test_verify_falsified_claim(capsys, strip4_doc):
 
 
 def test_verify_tampered_certificate(capsys, strip4_doc, tmp_path):
-    doc = json.loads(open(strip4_doc).read())
+    doc = json.loads(Path(strip4_doc).read_text())
     doc["certificates"]["alpha"]["vertices"] = [0, 1, 4, 8]  # 0-1 is an edge
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -367,6 +367,37 @@ def test_construct_refuses_options_of_other_constructions(capsys, argv):
         main(argv.split())
     assert err.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "search-f --n 20 --k 5 --lower",
+    "search-f --n 8 --k 2 --wor 2",
+    "corpus --kind pair --cou 1 --n-mi 14 --n-ma 14 --seed x",
+    "construct amplify --seed x --eps 1/0",
+    "corpus --kind johnson --count 1 --x 1/0 --seed x",
+])
+def test_abbreviations_and_bad_fractions_are_usage_errors(capsys, argv):
+    # no option is abbreviated, and a fraction option that divides by zero is
+    # refused by the parser, not left to raise ZeroDivisionError (exit 1)
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_corpus_refuses_an_empty_size_range(capsys):
+    rc = main("corpus --kind pair --count 1 --n-min 10 --n-max 5 --seed x".split())
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert "--n-min" in err and "--n-max" in err
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["construct", "triple8"]])
+def test_failed_out_write_leaves_stdout_empty(capsys, tmp_path, argv):
+    rc = main(argv + ["--out", str(tmp_path / "missing" / "x")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [
