@@ -137,15 +137,16 @@ class ThresholdLowerReport:
     base: Fraction       # 7/26, the K4-free rate
     minimizer: Fraction  # z = 1/13 minimizes the penalty
     minimum: Fraction    # -1/338
-    step_gain: str
-    exists_size: str
 
 
 def threshold_lower() -> ThresholdLowerReport:
     """The lower threshold constant 45/169 = 7/26 + min_z(-z/13 + z^2/2).
 
-    The quadratic's vertex is z = 1/13 with value -1/338; the report also
-    records the iteration constants feeding the asymptotic argument.
+    The quadratic's vertex is z = 1/13 with value -1/338.  The asymptotic
+    argument iterates two steps: each densification round forces
+    m(Y)^2 > m(X)^2 + eps/(1-eps) (step_check), and a family larger than
+    |X|^(delta(4m, eps)^((1-eps)/eps)) beyond the Ramsey threshold holds a
+    dense pair (exists_check).
     """
     z0 = Fraction(1, 13)
     m = threshold_penalty(z0)
@@ -154,8 +155,6 @@ def threshold_lower() -> ThresholdLowerReport:
         base=Fraction(7, 26),
         minimizer=z0,
         minimum=m,
-        step_gain="each round forces m(Y)^2 > m(X)^2 + eps/(1-eps)",
-        exists_size="|X|^(delta(4m,eps)^((1-eps)/eps)) beyond the Ramsey threshold forces a dense pair",
     )
 
 
@@ -193,14 +192,11 @@ def family_stats(cycles) -> FamilyStats:
     cycles = list(cycles)
     if len(cycles) < 2:
         raise ValueError("need at least two cycles")
-    n = cycles[0].n
-    if any(c.n != n for c in cycles):
-        raise ValueError("cycles must share a vertex count")
     table = []
     for i, j in combinations(range(len(cycles)), 2):
         g = union([cycles[i], cycles[j]])
         table.append((i, j, zeta(g), psi_exact(g), alpha_value(g)))
-    return FamilyStats(n, len(cycles), tuple(table))
+    return FamilyStats(cycles[0].n, len(cycles), tuple(table))
 
 
 def psizeta_stats(c: HamCycle, d1: HamCycle, d2: HamCycle) -> tuple[int, int]:
@@ -210,8 +206,6 @@ def psizeta_stats(c: HamCycle, d1: HamCycle, d2: HamCycle) -> tuple[int, int]:
     d2, and that path is induced in d1 u d2; shared K4s are disjoint, so
     psi(d1 u d2) >= m must hold and is checked.
     """
-    if not c.n == d1.n == d2.n:
-        raise ValueError("cycles must share a vertex count")
     shared = set(find_k4s(union([c, d1]))) & set(find_k4s(union([c, d2])))
     m = len(shared)
     psi = psi_exact(union([d1, d2]))
@@ -266,17 +260,14 @@ class StepReport:
 def step_check(stats: FamilyStats, eps) -> StepReport:
     """One densification round on a concrete family.
 
-    Hypothesis: psi/n < (1-eps)(zeta/n)^2 - eps on every pair.  Conclusion
-    checked: any >= 2 clique Y of the auxiliary graph at x = 4*m(X) has
+    Hypothesis: exists_check finds no pair.  Conclusion checked: any >= 2
+    clique Y of the auxiliary graph at x = 4*m(X) has
     m(Y)^2 > m(X)^2 + eps/(1-eps).
     """
     eps = Fraction(eps)
     n = stats.n
     m = stats.m_of_x
-    hyp = all(
-        Fraction(p, n) < (1 - eps) * Fraction(z, n) ** 2 - eps
-        for _, _, z, p, _ in stats.table
-    )
+    hyp = exists_check(stats, eps).pair is None
     aux = _aux_graph(stats, (1 - eps) * m * m * n)
     clique = max_clique(aux.adj)
     m_y = None

@@ -110,7 +110,7 @@ def cmd_graph(args) -> int:
 def cmd_reduce(args) -> int:
     doc = _load_doc(args.input)
     if args.diagnose:
-        report = diagnose_reduction(doc.graph(), doc.cycles if len(doc.cycles) == 2 else None)
+        report = diagnose_reduction(_graph_for(doc, None), doc.cycles if len(doc.cycles) == 2 else None)
         payload = {
             "command": "reduce", "diagnose": True, "ok": report.ok,
             "failed_step": report.failed_step, "reason": report.reason,
@@ -260,7 +260,7 @@ def _check_claim(doc: FamilyDocument, parsed):
     targets = (
         [(f"pair ({i},{j})", union([a, b])) for (i, a), (j, b) in combinations(enumerate(doc.cycles), 2)]
         if pairwise
-        else [("graph", doc.graph())]
+        else [("graph", _graph_for(doc, None))]
     )
     if op is None:
         find_cover, label = _COVERS[key]
@@ -285,7 +285,7 @@ def cmd_verify(args) -> int:
     cert = doc.certificates.get("alpha")
     if cert is not None:
         vs = cert.get("vertices", [])
-        good = verify_certificate(doc.graph(), IndepCertificate(cert.get("value"), tuple(vs)))
+        good = verify_certificate(_graph_for(doc, None), IndepCertificate(cert.get("value"), tuple(vs)))
         results.append({"claim": "embedded-alpha-certificate", "ok": good,
                         "detail": f"value {cert.get('value')}, {len(vs)} vertices"})
     for claim, parsed in claims:

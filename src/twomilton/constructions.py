@@ -15,8 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import floor
 from random import Random
 
+from .bounds import semirandom_rate
 from .graphs import HamCycle, UGraph, VerificationError, make_cycle, standard_cycle, union
 from .independence import alpha_value
 
@@ -110,13 +113,11 @@ class AmplifyResult:
 
 
 def base_alpha_ratio(base: tuple[HamCycle, ...]) -> Fraction:
-    """max over base pairs of alpha(union)/n, exact."""
-    n0 = base[0].n
-    worst = Fraction(0)
-    for i in range(len(base)):
-        for j in range(i + 1, len(base)):
-            worst = max(worst, Fraction(alpha_value(union([base[i], base[j]])), n0))
-    return worst
+    """max over base pairs of alpha(union)/n, exact; 0 for a one-cycle base."""
+    return max(
+        (Fraction(alpha_value(union(pair)), base[0].n) for pair in combinations(base, 2)),
+        default=Fraction(0),
+    )
 
 
 def amplify(
@@ -130,58 +131,64 @@ def amplify(
 
     Cycle j picks one base cycle per block via a chain drawn from a seeded
     generator; chains are resampled until every earlier chain agrees with the
-    new one on at most blocks/k0 + eps*blocks positions.  Block a is the chosen
-    base cycle shifted onto [a*n0, (a+1)*n0) with the edge at its first vertex
-    (toward the larger cycle neighbour) deleted; first vertices of blocks
-    2i, 2i+1 are matched, and the resulting superpaths are closed in a ring.
+    new one on at most cap = blocks/k0 + eps*blocks positions.  Block a is the
+    chosen base cycle shifted onto [a*n0, (a+1)*n0) with the edge at its first
+    vertex (toward the larger cycle neighbour) deleted; first vertices of
+    blocks 2i, 2i+1 are matched, and the resulting superpaths are closed in a
+    ring.  eps must lie in [0, 1 - 1/k0): above that the cap reaches blocks
+    and a chain may repeat.
 
-    Any pair of results has alpha <= cap*n0/2 + (blocks - cap)*c0*n0 + blocks/2
-    where cap = blocks/k0 + eps*blocks and c0 = base_alpha_ratio(base): blocks
-    with equal chain entries contribute an intact base union (alpha <= c0*n0),
-    unequal blocks at most n0/2, and the matching limits first vertices.
+    Bound, for any base of k0 >= 2 cycles on n0 vertices with pairwise ratio
+    c0 = base_alpha_ratio(base); c0 <= 1/2, as one Hamiltonian cycle alone
+    has alpha <= n0/2.  Let I be independent in the union of two results.
+    Every edge the construction deletes touches a block's first vertex, so
+    apart from that vertex a block holds every edge of its two picked base
+    cycles.  Where the chains agree both cycles carry the same path there,
+    and I takes at most n0/2 of the block, plus 1 if it takes the first
+    vertex.  Where they disagree the block holds the union of two distinct
+    base cycles, and I takes at most c0*n0 of it, plus 1 if it takes the
+    first vertex.  The
+    first vertices of blocks 2i and 2i+1 are adjacent in both cycles, so the
+    "plus 1" terms total at most blocks/2.  Since c0 <= 1/2 the sum grows
+    with the agreement count, which is at most cap, so
+
+        alpha <= cap*n0/2 + (blocks - cap)*c0*n0 + blocks/2
+               = blocks * n0 * semirandom_rate(n0, c0, k0, eps*(1/2 - c0)).
+
     The construction is deterministic in (base, blocks, family_size, seed, eps).
     """
     k0 = len(base)
+    if k0 < 2:
+        raise ValueError("base must have at least two cycles")
     n0 = base[0].n
     if blocks < 2 or blocks % 2:
         raise ValueError("blocks must be even and >= 2")
     if family_size < 0:
         raise ValueError("family_size must be >= 0")
-    if any(c.n != n0 for c in base):
-        raise ValueError("base cycles must share a vertex count")
-    cap_exact = Fraction(blocks, k0) + eps * blocks
-    cap = int(cap_exact)
+    if not 0 <= eps < 1 - Fraction(1, k0):
+        raise ValueError(f"eps must lie in [0, 1 - 1/k0) = [0, {1 - Fraction(1, k0)}), got {eps}")
+    cap = Fraction(blocks, k0) + eps * blocks
+    # before any draw; its unions also refuse base cycles of different sizes
+    c0 = base_alpha_ratio(base)
     chains: list[tuple[int, ...]] = []
     for j in range(family_size):
-        attempt = 0
-        while True:
+        for attempt in range(MAX_ATTEMPTS):
             rng = Random(f"{seed}:chain:{j}:{attempt}")
             chain = tuple(rng.randrange(k0) for _ in range(blocks))
-            agree = [
-                sum(a == b for a, b in zip(chain, earlier)) for earlier in chains
-            ]
-            if all(x <= cap for x in agree):
+            if all(sum(a == b for a, b in zip(chain, earlier)) <= cap for earlier in chains):
                 break
-            attempt += 1
-            if attempt >= MAX_ATTEMPTS:
-                raise ValueError(
-                    f"chain {j}: no admissible chain within {MAX_ATTEMPTS} attempts; "
-                    f"raise eps or blocks"
-                )
+        else:
+            raise ValueError(
+                f"chain {j}: no admissible chain within {MAX_ATTEMPTS} attempts; "
+                f"raise eps or blocks"
+            )
         chains.append(chain)
-    cycles = tuple(_assemble(base, chain, n0) for chain in chains)
-    c0 = base_alpha_ratio(base)
-    bound = (
-        cap_exact * Fraction(n0, 2)
-        + (blocks - cap_exact) * c0 * n0
-        + Fraction(blocks, 2)
-    )
     return AmplifyResult(
         n=blocks * n0,
-        cycles=cycles,
+        cycles=tuple(_assemble(base, chain, n0) for chain in chains),
         chains=tuple(chains),
-        bound=bound,
-        agreement_cap=cap,
+        bound=blocks * n0 * semirandom_rate(n0, c0, k0, eps * (Fraction(1, 2) - c0)),
+        agreement_cap=floor(cap),
     )
 
 

@@ -4,8 +4,9 @@ Format: comma-separated key=value pairs, e.g. TWOMILTON_LIMITS="alpha=96,enum=13
 Keys: alpha (exact independence number, also of psi_exact's path-conflict
 graph; larger inputs raise) and enum (the largest n that compute_f scans
 exhaustively; beyond it compute_f reports a certified construction lower
-bound).  Values are vertex counts.  A key not listed here is refused, so a
-typo cannot leave a limit silently at its default.
+bound).  Values are vertex counts.  A key not listed here, or an entry
+without an integer value, is refused, so a typo cannot leave a limit silently
+at its default.
 """
 
 from __future__ import annotations
@@ -24,16 +25,18 @@ def limit(key: str) -> int:
         item = item.strip()
         if not item:
             continue
-        name, sep, num = item.partition("=")
+        name, _, num = item.partition("=")
         name = name.strip()
-        if not sep:
-            raise ValueError(f"bad TWOMILTON_LIMITS entry {item!r}")
+        try:
+            num = int(num)
+        except ValueError:
+            raise ValueError(f"bad TWOMILTON_LIMITS entry {item!r}") from None
         if name not in DEFAULTS:
             raise ValueError(
                 f"unknown TWOMILTON_LIMITS key {name!r}; known keys: {', '.join(sorted(DEFAULTS))}"
             )
         if name == key:
-            value = int(num)
+            value = num
     return value
 
 

@@ -154,6 +154,22 @@ def test_reduce_rejects_small_n(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cycles, argv, message", [
+    ([list(range(9))], ["reduce"], "reduce needs a document with two cycles"),
+    ([], ["alpha"], "document has neither cycles nor an edge payload"),
+    ([], ["verify", "--claim", "alpha<=1"], "document has neither cycles nor an edge payload"),
+    ([], ["reduce", "--diagnose"], "document has neither cycles nor an edge payload"),
+], ids=["reduce-one-cycle", "alpha-empty", "verify-empty", "diagnose-empty"])
+def test_document_input_errors(capsys, tmp_path, cycles, argv, message):
+    # every command takes the graph through one reader, which names the fault
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"format_version": 1, "n": 9, "cycles": cycles, "meta": {}}))
+    rc = main(argv + ["--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert message in err
+
+
 def test_reduce_diagnose_counterexample(capsys, tmp_path):
     path = tmp_path / "cx.json"
     assert run(capsys, "construct", "counterexample", "--units", "3", "--out", str(path))[0] == 0
@@ -409,6 +425,27 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "construct amplify --n0 9 --blocks 4 --family-size 3 --eps=-3/10 --seed x",
+    "construct amplify --n0 9 --blocks 2 --family-size 10 --eps 3 --seed x",
+    "construct amplify --eps 4/5 --seed x",
+])
+def test_amplify_eps_outside_its_range_is_refused(capsys, argv):
+    # below 0 the bound would be false; from 1 - 1/k0 = 4/5 a chain may repeat
+    rc = main(argv.split())
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert "eps must lie in [0, 1 - 1/k0)" in err
+
+
+@pytest.mark.parametrize("extra, size", [([], 6), (["--eps", "0", "--family-size", "3"], 3)])
+def test_amplify_eps_default_and_zero(capsys, extra, size):
+    # at eps = 0 the cap is 4/5, so chains may not agree anywhere: at most
+    # five of them fit on five base cycles
+    rc, out = run(capsys, "construct", "amplify", "--seed", "x", *extra)
+    assert rc == 0 and len(json.loads(out)["cycles"]) == size
 
 
 def test_corpus_count_zero_is_an_empty_corpus(capsys):

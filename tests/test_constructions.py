@@ -1,6 +1,7 @@
 """Explicit families: strips, the 8-vertex triple, circulants, amplification."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,7 @@ from twomilton.constructions import (
     k4_strip,
     triple_n8,
 )
-from twomilton.graphs import canonical_key, distinct_cycles, union
+from twomilton.graphs import canonical_key, distinct_cycles, standard_cycle, union
 from twomilton.independence import alpha_value, verify_independent
 from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, zeta
 
@@ -75,6 +76,7 @@ def test_circulant_family_covers(n):
 
 def test_circulant_family_ratio():
     assert base_alpha_ratio(circulant_family(9)) == Fraction(1, 3)
+    assert base_alpha_ratio(circulant_family(9)[:1]) == 0
 
 
 def test_circulant_rejects_bad_n():
@@ -166,3 +168,46 @@ def test_amplify_refuses_negative_family_size():
     with pytest.raises(ValueError, match="family_size"):
         amplify(circulant_family(9), blocks=4, family_size=-3)
     assert amplify(circulant_family(9), blocks=4, family_size=0).cycles == ()
+
+
+@pytest.mark.parametrize("base", [circulant_family(9), circulant_family(15), triple_n8()],
+                         ids=["circulant-9", "circulant-15", "triple-8"])
+def test_amplify_bound_on_several_bases(base):
+    # the bound is the closed formula of the amplification argument, and
+    # every pair of the family meets it
+    k0, n0, c0 = len(base), base[0].n, base_alpha_ratio(base)
+    for blocks in (2, 4):
+        for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
+            cap = Fraction(blocks, k0) + eps * blocks
+            closed = cap * Fraction(n0, 2) + (blocks - cap) * c0 * n0 + Fraction(blocks, 2)
+            for seed in ("s0", "s1", "s2"):
+                res = amplify(base, blocks, 3, seed=seed, eps=eps)
+                assert res.bound == closed
+                for a, b in combinations(res.cycles, 2):
+                    assert alpha_value(union([a, b])) <= res.bound
+
+
+@pytest.mark.parametrize("base, blocks, size, eps, message", [
+    (circulant_family(9)[:1], 4, 3, Fraction(1, 4), "two cycles"),
+    (circulant_family(9), 4, 3, Fraction(-3, 10), "eps"),
+    (circulant_family(9), 2, 10, Fraction(3), "eps"),
+    (circulant_family(9), 4, 3, Fraction(4, 5), "eps"),
+    (triple_n8(), 4, 3, Fraction(2, 3), "eps"),
+    ((standard_cycle(9), standard_cycle(10)), 4, 3, Fraction(1, 4), "vertex set"),
+], ids=["one-cycle", "negative", "three", "four-fifths", "two-thirds-k0-3", "mixed-sizes"])
+def test_amplify_refuses_before_any_draw(monkeypatch, base, blocks, size, eps, message):
+    # a negative eps gives a cap no second chain meets, and eps >= 1 - 1/k0 a
+    # cap of blocks, under which a chain may repeat; both are refused up front
+    def no_draw(*args):
+        raise AssertionError("amplify drew a chain")
+
+    monkeypatch.setattr(constructions, "Random", no_draw)
+    with pytest.raises(ValueError, match=message):
+        amplify(base, blocks, size, seed="x", eps=eps)
+
+
+def test_amplify_eps_range_edges():
+    base = circulant_family(9)
+    assert amplify(base, 4, 3, seed="x", eps=Fraction(0)).agreement_cap == 0
+    res = amplify(base, 2, 10, seed="x", eps=Fraction(79, 100))
+    assert res.agreement_cap == 1 and distinct_cycles(res.cycles)

@@ -317,8 +317,15 @@ def test_limits_env_override(monkeypatch):
     assert alpha_value(g) == 5
 
 
-def test_limits_refuse_unknown_key(monkeypatch):
-    # a misspelt key would otherwise leave the limit at its default unnoticed
-    monkeypatch.setenv("TWOMILTON_LIMITS", "alpah=1")
-    with pytest.raises(ValueError, match="'alpah'; known keys: alpha, enum"):
+@pytest.mark.parametrize("entry, message", [
+    ("alpah=1", "unknown TWOMILTON_LIMITS key 'alpah'; known keys: alpha, enum"),
+    ("alpha", "bad TWOMILTON_LIMITS entry 'alpha'"),
+    ("alpha=x", "bad TWOMILTON_LIMITS entry 'alpha=x'"),
+], ids=["unknown-key", "no-value", "bad-value"])
+def test_limits_refuse_unknown_key(monkeypatch, entry, message):
+    # a misspelt key or value would otherwise leave the limit at its default
+    # unnoticed, or fail with a message that does not name the entry
+    monkeypatch.setenv("TWOMILTON_LIMITS", entry)
+    with pytest.raises(ValueError) as err:
         alpha_value(cycle_graph(standard_cycle(10)))
+    assert str(err.value) == message
