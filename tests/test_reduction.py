@@ -397,3 +397,29 @@ def test_counterexample_diagnosis_pinned():
     assert report.artifact.meta == {"detail": {
         "reason": report.reason, "edge": [4, 5], "k4": [4, 5, 6, 7],
     }}
+
+
+def _lift_pin_inputs(res):
+    """(label, remainder set) pairs: the lex-min maximum set of h, and for
+    each guarded entry the one-vertex set of its least neighbour, which
+    makes the lift pass to that entry's next option."""
+    yield "max", alpha_exact(res.h).vertices if res.h.n else ()
+    for e in res.lift_plan:
+        if e.kind == "guarded":
+            u = e.neighborhood[0]
+            yield f"least-neighbour {u}", (res.h_vertex_map.index(u),)
+
+
+def test_lift_choice_pinned():
+    # sha256 of every lift above on every pinned input, taken before the
+    # cyclic and guarded lift entries became one rule
+    rows = [
+        [name, label, lift_independent(res, iset)]
+        for name, build in PINNED_INPUTS.items()
+        for res in [build()]
+        for label, iset in _lift_pin_inputs(res)
+    ]
+    text = json.dumps(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f33a02d0498ac310fcc44851a678b68b1933bcabeba6f55571d8e3ee0dfecf91"
+    )
