@@ -119,7 +119,7 @@ def cmd_reduce(args) -> int:
             payload["artifact"] = family_payload(report.artifact)
         _emit(args, payload)
         return 0
-    if len(doc.cycles) < 2:
+    if len(doc.cycles) != 2:
         raise ValueError("reduce needs a document with two cycles")
     result = technical_reduce(doc.cycles[0], doc.cycles[1])
     cert = alpha_exact(result.h)
@@ -255,8 +255,6 @@ def _parse_claim(claim: str):
 def _check_claim(doc: FamilyDocument, parsed):
     """Returns (ok, detail) for one claim parsed by _parse_claim."""
     pairwise, key, op, want = parsed
-    if pairwise and len(doc.cycles) < 2:
-        return False, "pairwise claim on a document with fewer than two cycles"
     targets = (
         [(f"pair ({i},{j})", union([a, b])) for (i, a), (j, b) in combinations(enumerate(doc.cycles), 2)]
         if pairwise
@@ -281,6 +279,8 @@ def cmd_verify(args) -> int:
     # every claim is parsed before any work: a malformed one is a usage error
     claims = [(claim, _parse_claim(claim)) for claim in args.claim or []]
     doc = _load_doc(args.input)
+    if len(doc.cycles) < 2 and any(pairwise for _, (pairwise, *_) in claims):
+        raise ValueError("pairwise claim on a document with fewer than two cycles")
     results = []
     cert = doc.certificates.get("alpha")
     if cert is not None:

@@ -17,11 +17,13 @@ non-K4 vertices:
    >= 4) get one safe neighbourhood edge; all other archipelagos are deleted
    with no edge.
 
-Every deleted archipelago leaves a lift entry: a clean independent transversal
-(one vertex per K4, no edges leaving the archipelago) for cyclic archipelagos,
-otherwise one transversal per neighbourhood vertex u whose outside edges all
-point at u.  lift_independent turns an independent set of the remainder into
-one of the input union, gaining exactly one vertex per K4.
+Every deleted archipelago leaves a lift entry: a list of options (u, t), each
+a transversal t (one vertex per K4) whose outside edges all point at u.  A
+cyclic archipelago has the one option (None, t), t clean (no edge leaves the
+archipelago); any other has one option per neighbourhood vertex, ascending.
+lift_independent turns an independent set of the remainder into one of the
+input union by one rule: each entry adds the transversal of its first option
+whose u is not in the set, gaining exactly one vertex per K4.
 
 The working graph and the maintained cycles are bitset rows (cycle_graph's
 adj): splicing a cycle through a new edge a-b is two XORs, and step 2 walks
@@ -53,6 +55,7 @@ from .graphs import (
     cycle_graph,
     depth_first,
     distinct_cycles,
+    is_connected,
     mask_of,
     union,
 )
@@ -79,19 +82,20 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class LiftEntry:
-    """How to re-insert one deleted archipelago into an independent set."""
+    """How to re-insert one deleted archipelago into an independent set.
+
+    The lift adds the transversal of the first option (u, transversal) whose
+    u is not in the set: (None, clean) alone for a cyclic archipelago, else
+    one option per neighbour u in ascending order.
+    """
 
     vertices: tuple[int, ...]
-    kind: str  # "cyclic" (clean transversal) or "guarded" (per-neighbour)
-    neighborhood: tuple[int, ...]
-    clean: tuple[int, ...] | None
-    by_neighbor: dict[int, tuple[int, ...]] | None
+    options: tuple[tuple[int | None, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
 class ReductionResult:
     g: UGraph
-    cycles: tuple[HamCycle, HamCycle] | None
     h: UGraph  # compacted remainder on the non-K4 vertices
     h_vertex_map: tuple[int, ...]  # h vertex i <-> original id h_vertex_map[i]
     zeta: int
@@ -113,7 +117,6 @@ class _Pipeline:
     def __init__(self, g: UGraph, cycles):
         self.g = g
         self.n = g.n
-        self.cycles = cycles
         self.adj = list(g.adj)  # mutable working adjacency
         self.alive = (1 << g.n) - 1  # an archipelago is live while its vertices are
         try:
@@ -151,14 +154,15 @@ class _Pipeline:
             if all(self.adj[v] & nbhd == 0 for v in arch.neighborhood):
                 yield arch
 
-    def _safe_pair(self, arch: Archipelago) -> tuple[int, int] | None:
+    def _safe_pair(self, step: str, arch: Archipelago, reason: str) -> tuple[int, int]:
         """The least neighbourhood pair whose edge completes no K4 once the
-        archipelago is gone.  For an archipelago from _open_archs the edge is
-        also new, so it passes every check of _add_edge."""
+        archipelago is gone; fails with the reason when there is none.  For
+        an archipelago from _open_archs the edge is also new, so it passes
+        every check of _add_edge."""
         for a, b in combinations(arch.neighborhood, 2):
             if creates_k4(self.adj, a, b) is None:
                 return a, b
-        return None
+        self._fail(step, f"archipelago {arch.vertices}: {reason}", archipelago=list(arch.vertices))
 
     def _join(self, step: str, arch: Archipelago, u: int, v: int):
         self.adj[u] |= 1 << v
@@ -201,26 +205,23 @@ class _Pipeline:
         return depth_first((0, 0), expand)
 
     def _lift_entry(self, arch: Archipelago) -> LiftEntry:
-        if arch.cyclic:
-            clean = self._transversal(arch, 0)
-            if clean is None:
+        options = []
+        for u in (None,) if arch.cyclic else arch.neighborhood:
+            t = self._transversal(arch, 0 if u is None else 1 << u)
+            if t is None and u is None:
                 self._fail(
                     "lift-plan",
                     f"cyclic archipelago {arch.vertices} has no clean transversal",
                     archipelago=list(arch.vertices),
                 )
-            return LiftEntry(arch.vertices, "cyclic", arch.neighborhood, clean, None)
-        table = {}
-        for u in arch.neighborhood:
-            t = self._transversal(arch, 1 << u)
             if t is None:
                 self._fail(
                     "lift-plan",
                     f"archipelago {arch.vertices} has no transversal toward {u}",
                     archipelago=list(arch.vertices), neighbor=u,
                 )
-            table[u] = t
-        return LiftEntry(arch.vertices, "guarded", arch.neighborhood, None, table)
+            options.append((u, t))
+        return LiftEntry(arch.vertices, tuple(options))
 
     # -- step 1: small archipelagos ---------------------------------------
 
@@ -384,14 +385,10 @@ class _Pipeline:
                 self._delete_arch(arch)
                 continue
             arch = live[0]
-            pair = self._safe_pair(arch)
-            if pair is None:
-                self._fail(
-                    "three",
-                    f"archipelago {arch.vertices}: every neighbourhood pair "
-                    "completes a K4 (undetected forbidden pattern)",
-                    archipelago=list(arch.vertices),
-                )
+            pair = self._safe_pair(
+                "three", arch,
+                "every neighbourhood pair completes a K4 (undetected forbidden pattern)",
+            )
             self._join("three", arch, *pair)
             self._delete_arch(arch)
 
@@ -417,14 +414,7 @@ class _Pipeline:
                     f"of size {size} survived its dedicated step",
                     archipelago=list(arch.vertices),
                 )
-            pair = self._safe_pair(arch)
-            if pair is None:
-                self._fail(
-                    "final",
-                    f"archipelago {arch.vertices}: no safe neighbourhood pair",
-                    archipelago=list(arch.vertices),
-                )
-            self._join("final", arch, *pair)
+            self._join("final", arch, *self._safe_pair("final", arch, "no safe neighbourhood pair"))
             self._delete_arch(arch)
         for arch in self.archs:
             if arch.mask & self.alive:
@@ -447,7 +437,6 @@ class _Pipeline:
         post = self._postconditions(h, h_vertices, zeta_total)
         return ReductionResult(
             g=self.g,
-            cycles=self.cycles,
             h=h,
             h_vertex_map=h_vertices,
             zeta=zeta_total,
@@ -457,7 +446,7 @@ class _Pipeline:
         )
 
     def _postconditions(self, h: UGraph, h_vertices, zeta_total: int) -> dict:
-        connected = len(connected_components(h)) <= 1 if h.n else True
+        connected = is_connected(h)
         k4_free = not find_k4s(h)
         monotone = all(
             h.degree(i) <= self.g.degree(old) for i, old in enumerate(h_vertices)
@@ -528,16 +517,13 @@ def lift_independent(result: ReductionResult, iset) -> tuple[int, ...]:
     out = {result.h_vertex_map[v] for v in iset}
     base = frozenset(out)
     for entry in result.lift_plan:
-        if entry.kind == "cyclic":
-            out.update(entry.clean)
-            continue
-        free = [u for u in entry.neighborhood if u not in base]
-        if not free:
+        t = next((t for u, t in entry.options if u not in base), None)
+        if t is None:
             raise VerificationError(
-                f"lift: neighbourhood {entry.neighborhood} fully inside the set; "
-                "the guaranteed internal edge is missing"
+                f"lift: neighbourhood {tuple(u for u, _ in entry.options)} fully inside "
+                "the set; the guaranteed internal edge is missing"
             )
-        out.update(entry.by_neighbor[min(free)])
+        out.update(t)
     lifted = tuple(sorted(out))
     if len(lifted) != len(iset) + result.zeta:
         raise VerificationError(

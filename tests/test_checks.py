@@ -69,6 +69,14 @@ CASES = {
         m.verify_independent = lambda g, vs: next(answers)
         m.lift_independent(res, ())
     """,
+    "reduction.lift_independent.options": """
+        import twomilton.reduction as m
+        from twomilton.corpus import planted_pair
+        res = m.technical_reduce(*planted_pair(24, 2, "pin:0"))
+        entry = next(e for e in res.lift_plan if e.options[0][0] is not None)
+        m.verify_independent = lambda g, vs: True  # the whole neighbourhood passes as input
+        m.lift_independent(res, [res.h_vertex_map.index(u) for u, _ in entry.options])
+    """,
     "bounds.psizeta_stats": """
         import twomilton.bounds as m
         from twomilton.constructions import triple_n8

@@ -156,10 +156,15 @@ def test_reduce_rejects_small_n(capsys, tmp_path):
 
 @pytest.mark.parametrize("cycles, argv, message", [
     ([list(range(9))], ["reduce"], "reduce needs a document with two cycles"),
+    ([list(range(9)), [0, 2, 4, 6, 8, 1, 3, 5, 7], [0, 3, 6, 1, 4, 7, 2, 5, 8]], ["reduce"],
+     "reduce needs a document with two cycles"),
     ([], ["alpha"], "document has neither cycles nor an edge payload"),
     ([], ["verify", "--claim", "alpha<=1"], "document has neither cycles nor an edge payload"),
+    ([], ["verify", "--claim", "pairwise-alpha<=1"],
+     "pairwise claim on a document with fewer than two cycles"),
     ([], ["reduce", "--diagnose"], "document has neither cycles nor an edge payload"),
-], ids=["reduce-one-cycle", "alpha-empty", "verify-empty", "diagnose-empty"])
+], ids=["reduce-one-cycle", "reduce-three-cycles", "alpha-empty", "verify-empty",
+        "verify-pairwise-empty", "diagnose-empty"])
 def test_document_input_errors(capsys, tmp_path, cycles, argv, message):
     # every command takes the graph through one reader, which names the fault
     path = tmp_path / "doc.json"

@@ -9,7 +9,7 @@ from twomilton.constructions import counterexample_strip, k4_strip
 from twomilton.corpus import planted_pair, random_pair
 from twomilton.graphs import UGraph, make_cycle, standard_cycle, union
 from twomilton.independence import alpha_exact, alpha_value, verify_independent
-from twomilton.k4 import find_k4s, zeta
+from twomilton.k4 import archipelagos, find_k4s, zeta
 from twomilton.reduction import (
     StructureViolation,
     diagnose_reduction,
@@ -55,7 +55,7 @@ def test_fully_covered_strip_reduces_to_empty():
     lifted = lift_independent(res, ())
     assert len(lifted) == 4
     assert verify_independent(res.g, lifted)
-    assert all(e.kind == "cyclic" for e in res.lift_plan)
+    assert all([u for u, _ in e.options] == [None] for e in res.lift_plan)
 
 
 def test_zeta_zero_is_identity():
@@ -317,12 +317,19 @@ PINNED_INPUTS = {
 
 
 def _plan_digest(res):
-    """sha256 of the lift plan, the remainder rows and its vertex map."""
-    plan = [
-        [e.vertices, e.kind, e.neighborhood, e.clean,
-         None if e.by_neighbor is None else sorted(e.by_neighbor.items())]
-        for e in res.lift_plan
-    ]
+    """sha256 of the lift plan, the remainder rows and its vertex map.
+
+    Each entry is hashed in the JSON of the plan before its options were one
+    list, [vertices, kind, neighborhood, clean, by_neighbor], so that the
+    pinned digests still apply."""
+    nbhd = {a.vertices: a.neighborhood for a in archipelagos(res.g)}
+    plan = []
+    for e in res.lift_plan:
+        options = dict(e.options)
+        if None in options:
+            plan.append([e.vertices, "cyclic", nbhd[e.vertices], options[None], None])
+        else:
+            plan.append([e.vertices, "guarded", nbhd[e.vertices], None, sorted(options.items())])
     text = json.dumps([plan, res.h.adj, res.h_vertex_map])
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -405,8 +412,8 @@ def _lift_pin_inputs(res):
     makes the lift pass to that entry's next option."""
     yield "max", alpha_exact(res.h).vertices if res.h.n else ()
     for e in res.lift_plan:
-        if e.kind == "guarded":
-            u = e.neighborhood[0]
+        u = e.options[0][0]
+        if u is not None:
             yield f"least-neighbour {u}", (res.h_vertex_map.index(u),)
 
 
