@@ -12,19 +12,15 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
-from random import Random
 
-from .bounds import delta_fn, johnson_q, semirandom_rate, threshold_lower
-from .constructions import amplify, circulant_family, counterexample_strip, k4_strip, triple_n8
-from .corpus import random_johnson_system, random_k4free, random_pair
+import twomilton
+
+# every command parses documents and build_parser reads DEFAULTS, so only these
+# load with this module; each command imports the solvers it runs where it
+# runs them, so a process loads no module that its command does not use
 from .graphs import FamilyDocument, VerificationError, family_payload, parse_family, serialize_family, union
-from .independence import IndepCertificate, alpha_exact, alpha_value, verify_certificate, verify_independent
-from .k4 import find_k4_cover, find_triangle_cover, find_k4s, psi_exact, zeta
 from .limits import DEFAULTS, limit
-from .reduction import diagnose_reduction, lift_independent, technical_reduce
-from .search import compute_f, exact_range, find_exceptional, verify_nothree
 
 
 def _load_doc(path: str) -> FamilyDocument:
@@ -70,20 +66,28 @@ def _emit(args, payload) -> None:
 
 
 def _alpha(g, args):
+    from .independence import alpha_exact
+
     cert = alpha_exact(g)
     return {"value": cert.value, "certificate": list(cert.vertices)}, 0
 
 
 def _zeta(g, args):
+    from .k4 import find_k4s
+
     k4s = find_k4s(g)
     return {"value": len(k4s), "k4s": [list(q) for q in k4s]}, 0
 
 
 def _psi(g, args):
+    from .k4 import psi_exact
+
     return {"value": psi_exact(g)}, 0
 
 
 def _cover(g, args):
+    from .k4 import find_k4_cover, find_triangle_cover
+
     blocks = find_triangle_cover(g) if args.triangles else find_k4_cover(g)
     kind = "triangle" if args.triangles else "k4"
     if blocks is None:
@@ -108,6 +112,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .independence import alpha_exact
+    from .reduction import diagnose_reduction, lift_independent, technical_reduce
+
     doc = _load_doc(args.input)
     if args.diagnose:
         report = diagnose_reduction(_graph_for(doc, None), doc.cycles if len(doc.cycles) == 2 else None)
@@ -139,6 +146,8 @@ def cmd_reduce(args) -> int:
 
 
 def _doc_with_alpha(n, cycles, vertices, meta, edges=None):
+    from .independence import verify_independent
+
     vertices = sorted(vertices)
     certificates = {"alpha": {"value": len(vertices), "vertices": vertices}}
     doc = FamilyDocument(n, tuple(cycles), certificates, meta, edges)
@@ -148,20 +157,28 @@ def _doc_with_alpha(n, cycles, vertices, meta, edges=None):
 
 
 def _strip(args):
+    from .constructions import k4_strip
+
     meta = {"construction": "strip", "k": args.k}
     return _doc_with_alpha(4 * args.k, k4_strip(args.k), range(0, 4 * args.k, 4), meta)
 
 
 def _triple8(args):
+    from .constructions import triple_n8
+
     return FamilyDocument(8, triple_n8(), {}, {"construction": "triple8"})
 
 
 def _circulant(args):
+    from .constructions import circulant_family
+
     meta = {"construction": "circulant", "pairwise_alpha_at_most": args.n // 3}
     return FamilyDocument(args.n, circulant_family(args.n), {}, meta)
 
 
 def _counterexample(args):
+    from .constructions import counterexample_strip
+
     g = counterexample_strip(args.units)
     return _doc_with_alpha(
         g.n, (), [b for i in range(args.units) for b in (8 * i, 8 * i + 6)],
@@ -171,6 +188,8 @@ def _counterexample(args):
 
 
 def _amplify(args):
+    from .constructions import amplify, circulant_family
+
     res = amplify(circulant_family(args.n0), args.blocks, args.family_size, seed=args.seed, eps=args.eps)
     return FamilyDocument(
         res.n, res.cycles, {},
@@ -184,6 +203,9 @@ def _amplify(args):
 
 
 def _exceptional(args):
+    from .independence import alpha_exact
+    from .search import find_exceptional
+
     found = find_exceptional(args.n)
     meta = {"construction": "exceptional", "zeta": found.zeta}
     return _doc_with_alpha(found.graph.n, found.cycles, alpha_exact(found.graph).vertices, meta)
@@ -222,10 +244,15 @@ def cmd_construct(args) -> int:
     return 0
 
 
-_QUANTITIES = {"alpha": alpha_value, "zeta": zeta, "psi": psi_exact}
+def _export(name):
+    """The package export `name` as a function of a graph; its module loads at the first call."""
+    return lambda g: getattr(twomilton, name)(g)
+
+
+_QUANTITIES = {"alpha": _export("alpha_value"), "zeta": _export("zeta"), "psi": _export("psi_exact")}
 _COVERS = {
-    "k4-covered": (find_k4_cover, "K4"),
-    "triangle-covered": (find_triangle_cover, "triangle"),
+    "k4-covered": (_export("find_k4_cover"), "K4"),
+    "triangle-covered": (_export("find_triangle_cover"), "triangle"),
 }
 
 
@@ -254,6 +281,8 @@ def _parse_claim(claim: str):
 
 def _check_claim(doc: FamilyDocument, parsed):
     """Returns (ok, detail) for one claim parsed by _parse_claim."""
+    from itertools import combinations
+
     pairwise, key, op, want = parsed
     targets = (
         [(f"pair ({i},{j})", union([a, b])) for (i, a), (j, b) in combinations(enumerate(doc.cycles), 2)]
@@ -276,13 +305,17 @@ def _check_claim(doc: FamilyDocument, parsed):
 
 
 def cmd_verify(args) -> int:
+    from .independence import IndepCertificate, verify_certificate
+
     # every claim is parsed before any work: a malformed one is a usage error
     claims = [(claim, _parse_claim(claim)) for claim in args.claim or []]
     doc = _load_doc(args.input)
     if len(doc.cycles) < 2 and any(pairwise for _, (pairwise, *_) in claims):
         raise ValueError("pairwise claim on a document with fewer than two cycles")
-    results = []
     cert = doc.certificates.get("alpha")
+    if cert is None and not claims:
+        raise ValueError("nothing to verify: pass --claim or a document with an alpha certificate")
+    results = []
     if cert is not None:
         vs = cert.get("vertices", [])
         good = verify_certificate(_graph_for(doc, None), IndepCertificate(cert.get("value"), tuple(vs)))
@@ -300,6 +333,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search_f(args) -> int:
+    from .search import compute_f, exact_range
+
     if not (args.lower_bound or exact_range(args.n, args.k)):
         raise ValueError(
             f"n > {limit('enum')} is out of exhaustive range; pass --lower-bound for a labeled bound"
@@ -316,6 +351,8 @@ def cmd_search_f(args) -> int:
 
 
 def cmd_nothree(args) -> int:
+    from .search import verify_nothree
+
     rep = verify_nothree(args.n)
     _emit(args, {
         "command": "nothree", "n": args.n, "partners": rep.partners,
@@ -326,15 +363,21 @@ def cmd_nothree(args) -> int:
 
 
 def _corpus_pair(n, tag, args):
+    from .corpus import random_pair
+
     return serialize_family(FamilyDocument(n, random_pair(n, tag), {}, {"kind": "pair", "seed": tag}))
 
 
 def _corpus_k4free(n, tag, args):
+    from .corpus import random_k4free
+
     edges = tuple(random_k4free(n, tag).edges())
     return serialize_family(FamilyDocument(n, (), {}, {"kind": "k4free", "seed": tag}, edges=edges))
 
 
 def _corpus_johnson(n, tag, args):
+    from .corpus import random_johnson_system
+
     sets = random_johnson_system(n, args.x, args.eps, tag)
     return json.dumps({
         "kind": "johnson", "n": n, "x": str(args.x), "eps": str(args.eps),
@@ -347,6 +390,8 @@ _CORPUS = {"pair": _corpus_pair, "k4free": _corpus_k4free, "johnson": _corpus_jo
 
 
 def cmd_corpus(args) -> int:
+    from random import Random
+
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     if args.n_min > args.n_max:
@@ -361,6 +406,8 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import delta_fn, johnson_q, semirandom_rate, threshold_lower
+
     rows = [
         ("threshold lower bound", threshold_lower().value),
         ("threshold upper bound (limit)", semirandom_rate(None, Fraction(1, 3), 5)),

@@ -163,8 +163,8 @@ def _survivors(n, k, workers):
     if workers == 1:
         chunks = [_scan_task(t) for t in tasks]
     else:
-        # imported here, so that importing this module (every CLI start) loads
-        # neither concurrent.futures nor multiprocessing
+        # imported here, where workers > 1 needs it, so that importing this
+        # module loads neither concurrent.futures nor multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         procs = min(workers, len(tasks), os.cpu_count() or 1)

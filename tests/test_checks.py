@@ -85,7 +85,8 @@ CASES = {
     """,
     "cli.construct": """
         import twomilton.cli as m
-        m.verify_independent = lambda g, vs: False
+        import twomilton.independence
+        twomilton.independence.verify_independent = lambda g, vs: False
         m.main(["construct", "strip"])
     """,
     "cli.cover": """

@@ -125,6 +125,14 @@ def test_verify_unparseable_claim(capsys, strip4_doc):
     assert err.startswith("error: ") and "unknown quantity" in err
 
 
+def test_verify_with_nothing_to_check(capsys, triple8_doc):
+    # no --claim and no embedded certificate: a usage error, not a vacuous pass
+    rc = main(["verify", "--input", triple8_doc])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: nothing to verify")
+
+
 @pytest.mark.parametrize("claim", ["zeta=>3", "alpha<=x", "k4-covered", "pairwise-cover", "psi"])
 def test_verify_rejects_malformed_claims_before_work(capsys, monkeypatch, strip4_doc, claim):
     # the good claim comes first, but nothing is evaluated or printed
