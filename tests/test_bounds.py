@@ -179,6 +179,25 @@ def test_smooth_bound_values():
     assert smooth_bound(20, 4) == 4 + Fraction(24, 26)
 
 
+def test_lower_bound_chain_matches_its_formulas():
+    # each floor of the lower-bound chain, written out: a rewrite of how they
+    # are derived from one another must leave every value where it is
+    for n in range(200):
+        assert smooth_bound(n, 0) == Fraction(7 * n - 4, 26)
+        for z in range(n // 4 + 1):
+            assert smooth_bound(n, z) == z + Fraction(7 * (n - 4 * z) - 4, 26)
+            base = Fraction(7 * n, 26) - Fraction(z, 13) - Fraction(4, 26) - 1
+            for p in range(n // 4 + 2):
+                assert quality_bound(n, z, p) == base + Fraction(p, 2)
+    for z in (0, Fraction(1, 26), Fraction(1, 13), Fraction(1, 10), Fraction(1, 2), 1):
+        assert threshold_penalty(z) == -Fraction(z) / 13 + Fraction(z) ** 2 / 2
+    z0 = Fraction(1, 13)
+    rep = threshold_lower()
+    assert (rep.base, rep.minimizer) == (Fraction(7, 26), z0)
+    assert rep.minimum == -z0 / 13 + z0 * z0 / 2
+    assert rep.value == Fraction(7, 26) - z0 / 13 + z0 * z0 / 2
+
+
 def test_smooth_check_on_corpus():
     g = union(list(k4_strip(5)))
     assert smooth_check(g)
