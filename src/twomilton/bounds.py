@@ -16,13 +16,23 @@ from .graphs import HamCycle, UGraph, VerificationError, is_connected, max_cliqu
 from .independence import alpha_value
 from .k4 import find_k4s, psi_exact, zeta
 
-# the -O(1) of the quality inequality made concrete: the -4/26 tail of the
-# Locke-Lou bound applied to the reduced graph, plus one unit of rounding
-DEFAULT_SLACK = Fraction(4, 26) + 1
+def smooth_bound(n: int, zeta_count: int) -> Fraction:
+    """zeta + (7(n - 4*zeta) - 4)/26: the K4-aware two-miltonian floor.
+
+    This is the technical lemma's floor, the Locke-Lou bound (7m - 4)/26 on
+    the K4-free remainder of m = n - 4*zeta vertices plus one vertex per K4.
+    Every other floor in this module is read off it.
+    """
+    return zeta_count + Fraction(7 * (n - 4 * zeta_count) - 4, 26)
+
+
+def smooth_check(g: UGraph) -> bool:
+    """alpha(g) >= smooth_bound(n, zeta) on a two-miltonian graph."""
+    return alpha_value(g) >= smooth_bound(g.n, zeta(g))
 
 
 def locke_lou_check(g: UGraph) -> bool:
-    """alpha >= (7n-4)/26 and e - 9n + 26*alpha >= -4 for one graph.
+    """alpha >= smooth_bound(n, 0) = (7n-4)/26 and e - 9n + 26*alpha >= -4 for one graph.
 
     Both inequalities require a connected K4-free graph with max degree 4.
     """
@@ -30,7 +40,7 @@ def locke_lou_check(g: UGraph) -> bool:
         raise ValueError("locke_lou_check needs a connected K4-free graph with max degree <= 4")
     a = alpha_value(g)
     e = g.edge_count()
-    return a >= Fraction(7 * g.n - 4, 26) and e - 9 * g.n + 26 * a >= -4
+    return a >= smooth_bound(g.n, 0) and e - 9 * g.n + 26 * a >= -4
 
 
 def stoneage_check(g: UGraph) -> bool:
@@ -44,25 +54,19 @@ def stoneage_check(g: UGraph) -> bool:
 
 
 def quality_bound(n: int, zeta_count: int, psi_count: int) -> Fraction:
-    """7n/26 - zeta/13 + psi/2 - DEFAULT_SLACK."""
+    """smooth_bound(n, zeta) + psi/2 - 1 = 7n/26 - zeta/13 + psi/2 - 4/26 - 1.
+
+    The -O(1) of the quality inequality made concrete: the floor's -4/26
+    tail plus one unit of rounding.
+    """
     if n < 0 or zeta_count < 0 or psi_count < 0:
         raise ValueError("counts must be nonnegative")
-    return Fraction(7 * n, 26) - Fraction(zeta_count, 13) + Fraction(psi_count, 2) - DEFAULT_SLACK
+    return smooth_bound(n, zeta_count) + Fraction(psi_count, 2) - 1
 
 
 def quality_check(g: UGraph) -> bool:
     """alpha(g) >= quality_bound for a graph built from two Hamiltonian cycles."""
     return alpha_value(g) >= quality_bound(g.n, zeta(g), psi_exact(g))
-
-
-def smooth_bound(n: int, zeta_count: int) -> Fraction:
-    """zeta + (7(n - 4*zeta) - 4)/26: the K4-aware two-miltonian floor."""
-    return zeta_count + Fraction(7 * (n - 4 * zeta_count) - 4, 26)
-
-
-def smooth_check(g: UGraph) -> bool:
-    """alpha(g) >= zeta + (7(n-4*zeta)-4)/26 on a two-miltonian graph."""
-    return alpha_value(g) >= smooth_bound(g.n, zeta(g))
 
 
 def johnson_q(x, eps) -> Fraction:
@@ -125,10 +129,14 @@ def semirandom_rate(n0, c0, k0: int, eps=0) -> Fraction:
     return rate
 
 
+# smooth_bound is affine in (n, zeta); what one K4 costs its floor, 1/13
+_K4_COST = smooth_bound(0, 0) - smooth_bound(0, 1)
+
+
 def threshold_penalty(z) -> Fraction:
     """-z/13 + z^2/2: the quality trade-off at K4 density zeta/n = z."""
     z = Fraction(z)
-    return -z / 13 + z * z / 2
+    return -_K4_COST * z + z * z / 2
 
 
 @dataclass(frozen=True)
@@ -142,20 +150,16 @@ class ThresholdLowerReport:
 def threshold_lower() -> ThresholdLowerReport:
     """The lower threshold constant 45/169 = 7/26 + min_z(-z/13 + z^2/2).
 
-    The quadratic's vertex is z = 1/13 with value -1/338.  The asymptotic
-    argument iterates two steps: each densification round forces
+    The base is smooth_bound's rate per vertex.  The quadratic -c*z + z^2/2
+    has its vertex at z = c, the per-K4 cost 1/13, with value -1/338.  The
+    asymptotic argument iterates two steps: each densification round forces
     m(Y)^2 > m(X)^2 + eps/(1-eps) (step_check), and a family larger than
     |X|^(delta(4m, eps)^((1-eps)/eps)) beyond the Ramsey threshold holds a
     dense pair (exists_check).
     """
-    z0 = Fraction(1, 13)
-    m = threshold_penalty(z0)
-    return ThresholdLowerReport(
-        value=Fraction(7, 26) + m,
-        base=Fraction(7, 26),
-        minimizer=z0,
-        minimum=m,
-    )
+    base = smooth_bound(1, 0) - smooth_bound(0, 0)
+    m = threshold_penalty(_K4_COST)
+    return ThresholdLowerReport(value=base + m, base=base, minimizer=_K4_COST, minimum=m)
 
 
 def step_gain(eps) -> Fraction:
@@ -267,7 +271,7 @@ def step_check(stats: FamilyStats, eps) -> StepReport:
     eps = Fraction(eps)
     n = stats.n
     m = stats.m_of_x
-    hyp = exists_check(stats, eps).pair is None
+    hyp = exists_check(stats, eps) is None
     aux = _aux_graph(stats, (1 - eps) * m * m * n)
     clique = max_clique(aux.adj)
     m_y = None
@@ -280,17 +284,11 @@ def step_check(stats: FamilyStats, eps) -> StepReport:
     return StepReport(hyp, m, clique, m_y, step_gain(eps), ok)
 
 
-@dataclass(frozen=True)
-class ExistsReport:
-    found: bool
-    pair: tuple[int, int] | None
-
-
-def exists_check(stats: FamilyStats, eps) -> ExistsReport:
-    """Scan for a pair with psi/n >= (1-eps)(zeta/n)^2 - eps."""
+def exists_check(stats: FamilyStats, eps) -> tuple[int, int] | None:
+    """The first pair with psi/n >= (1-eps)(zeta/n)^2 - eps, or None."""
     eps = Fraction(eps)
     n = stats.n
     for i, j, z, p, _ in stats.table:
         if Fraction(p, n) >= (1 - eps) * Fraction(z, n) ** 2 - eps:
-            return ExistsReport(True, (i, j))
-    return ExistsReport(False, None)
+            return i, j
+    return None

@@ -378,9 +378,11 @@ def _corpus_k4free(n, tag, args):
 def _corpus_johnson(n, tag, args):
     from .corpus import random_johnson_system
 
-    sets = random_johnson_system(n, args.x, args.eps, tag)
+    x = Fraction(1, 4) if args.x is None else args.x
+    eps = Fraction(1, 2) if args.eps is None else args.eps
+    sets = random_johnson_system(n, x, eps, tag)
     return json.dumps({
-        "kind": "johnson", "n": n, "x": str(args.x), "eps": str(args.eps),
+        "kind": "johnson", "n": n, "x": str(x), "eps": str(eps),
         "seed": tag, "sets": sorted(sorted(s) for s in sets),
     }, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -396,6 +398,8 @@ def cmd_corpus(args) -> int:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     if args.n_min > args.n_max:
         raise ValueError(f"--n-min must be <= --n-max, got {args.n_min} > {args.n_max}")
+    if args.kind != "johnson" and (args.x is not None or args.eps is not None):
+        raise ValueError(f"--x and --eps apply only to --kind johnson, not {args.kind}")
     rng = Random(f"corpus:{args.kind}:{args.seed}")
     lines = []
     for i in range(args.count):
@@ -408,11 +412,12 @@ def cmd_corpus(args) -> int:
 def cmd_bounds(args) -> int:
     from .bounds import delta_fn, johnson_q, semirandom_rate, threshold_lower
 
+    lower = threshold_lower()
     rows = [
-        ("threshold lower bound", threshold_lower().value),
+        ("threshold lower bound", lower.value),
         ("threshold upper bound (limit)", semirandom_rate(None, Fraction(1, 3), 5)),
-        ("quality base rate", Fraction(7, 26)),
-        ("penalty minimum at z = 1/13", threshold_lower().minimum),
+        ("quality base rate", lower.base),
+        (f"penalty minimum at z = {lower.minimizer}", lower.minimum),
         ("johnson q(1/4, 1/2)", johnson_q(Fraction(1, 4), Fraction(1, 2))),
         ("delta(1, 1)", delta_fn(1, 1)),
         ("semirandom rate (n0=9, c0=1/3, k0=5)", semirandom_rate(9, Fraction(1, 3), 5)),
@@ -483,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--n-min", type=int, default=14)
     p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--x", type=_fraction, default="1/4", help="johnson set density")
-    p.add_argument("--eps", type=_fraction, default="1/2", help="johnson intersection slack")
+    p.add_argument("--x", type=_fraction, default=None, help="johnson only: set density (default 1/4)")
+    p.add_argument("--eps", type=_fraction, default=None,
+                   help="johnson only: intersection slack (default 1/2)")
     p.add_argument("--seed", required=True)
     p.set_defaults(func=cmd_corpus)
 

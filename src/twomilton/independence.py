@@ -14,12 +14,13 @@ subproblem P without changing its independence number:
 The rules run off a worklist: a rule's outcome at v depends only on which of
 v's neighbours are still in P, so when vertices leave P only their neighbours
 are examined again.  A branch child hands on the neighbours of the vertices
-it removed, and the components of a reduced subproblem start clean.  A
-connected subproblem of maximum degree <= 2 is a path or a cycle and has a
-closed form; otherwise the solver branches on the lowest vertex of maximum
-degree.  One memoised search with a target k answers every query: it returns
-alpha exactly when that is below k and otherwise stops at the first value >= k
-it finds.  Only the exact values, those below the target, are memoised.
+it removed, and the components of a reduced subproblem start clean.  The
+degree rule applies whenever it can, so a reduced subproblem has no vertex of
+degree below 2, and a connected one of maximum degree <= 2 is a cycle, whose
+alpha is half its length rounded down; otherwise the solver branches on the
+lowest vertex of maximum degree.  One memoised search with a target k answers
+every query: it returns alpha exactly when that is below k and otherwise
+stops at the first value >= k it finds.  Only the exact values, those below the target, are memoised.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ class AlphaSolver:
                     break
         return best, best_degree
 
-    def _path_or_cycle(self, Q: int) -> int:
-        """alpha of a connected Q of maximum degree <= 2: a path or a cycle."""
-        m = Q.bit_count()
-        edges = sum((self.adj[v] & Q).bit_count() for v in bits(Q)) // 2
-        return (m + 1) // 2 if edges < m else m // 2
-
     def _take(self, Q: int, v: int) -> tuple[int, int]:
         """The child of Q that takes v, and the neighbours of the vertices it removed."""
         gone = self.closed[v] & Q
@@ -136,7 +131,8 @@ class AlphaSolver:
             else:
                 v, degree = self._branch_vertex(Q)
                 if degree <= 2:
-                    size += self._path_or_cycle(Q)
+                    # _reduce leaves no vertex of degree < 2, so connected Q is a cycle
+                    size += Q.bit_count() // 2
                 else:
                     best = 1 + self._alpha(*self._take(Q, v), k - size - 1)
                     if best < k - size:

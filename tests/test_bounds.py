@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from twomilton.bounds import (
-    DEFAULT_SLACK,
     FamilyStats,
     delta_fn,
     exists_check,
@@ -157,9 +156,9 @@ def test_stoneage_on_small_graphs():
 
 
 def test_quality_bound_values():
-    assert quality_bound(26, 0, 0) == 7 - DEFAULT_SLACK
-    assert quality_bound(26, 13, 0) == 6 - DEFAULT_SLACK
-    assert quality_bound(26, 0, 2) == 8 - DEFAULT_SLACK
+    assert quality_bound(26, 0, 0) == 7 - Fraction(4, 26) - 1
+    assert quality_bound(26, 13, 0) == 6 - Fraction(4, 26) - 1
+    assert quality_bound(26, 0, 2) == 8 - Fraction(4, 26) - 1
     with pytest.raises(ValueError):
         quality_bound(-1, 0, 0)
 
@@ -296,15 +295,15 @@ def test_step_check_conclusion_on_hand_built_stats():
 
 def test_exists_check_finds_dense_pair():
     stats = family_stats(triple_n8())
-    rep = exists_check(stats, Fraction(1, 2))
+    pair = exists_check(stats, Fraction(1, 2))
     # (1-eps)(zeta/n)^2 - eps = (1/2)(1/16) - 1/2 < 0 <= psi/n: trivially found
-    assert rep.found and rep.pair in {(0, 1), (0, 2), (1, 2)}
+    assert pair in {(0, 1), (0, 2), (1, 2)}
 
 
 def test_exists_check_can_fail_to_find():
     c1, c2 = k4_strip(4)
     stats = family_stats([c1, c2])
-    rep = exists_check(stats, Fraction(0))
+    pair = exists_check(stats, Fraction(0))
     z, p, _ = stats.stat(0, 1)
     expected = Fraction(p, 16) >= Fraction(z, 16) ** 2
-    assert rep.found == expected
+    assert pair == ((0, 1) if expected else None)

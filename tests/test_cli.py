@@ -340,6 +340,22 @@ def test_corpus_johnson_refuses_empty_ground_set_and_eps_over_1(capsys, n, eps):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind", ["pair", "k4free"])
+@pytest.mark.parametrize("options", [["--x", "1/3"], ["--eps", "7"], ["--x", "1/4", "--eps", "1/2"]])
+def test_corpus_johnson_options_are_johnson_only(capsys, kind, options):
+    rc = main(["corpus", "--kind", kind, "--count", "1", "--seed", "g", *options])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "--kind johnson" in err
+
+
+def test_corpus_johnson_defaults_are_x_1_4_and_eps_1_2(capsys):
+    argv = ("corpus", "--kind", "johnson", "--count", "1", "--n-min", "40", "--n-max", "40", "--seed", "d")
+    rc, out = run(capsys, *argv)
+    assert rc == 0 and out
+    assert run(capsys, *argv, "--x", "1/4", "--eps", "1/2") == (rc, out)
+
+
 def test_corpus_johnson_eps_1_gives_disjoint_sets(capsys):
     rc, out = run(capsys, "corpus", "--kind", "johnson", "--count", "1",
                   "--n-min", "40", "--n-max", "40", "--eps", "1", "--seed", "x")
@@ -481,6 +497,15 @@ def test_bad_input_file(capsys, tmp_path):
     assert rc == 2
 
 
+def assert_alpha_and_verify_refuse(capsys, path):
+    # verify gets a claim, so that only a refused document can make it exit 2
+    for argv in (["alpha"], ["verify", "--claim", "alpha>=0"]):
+        rc = main([*argv, "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, ""), argv[0]
+        assert err.startswith("error: ") and "nothing to verify" not in err, argv[0]
+
+
 # one malformed field each, put into an otherwise valid document
 MALFORMED = {
     "cycles-number": {"cycles": 5},
@@ -503,22 +528,14 @@ def test_malformed_document_is_an_input_error(capsys, tmp_path, name):
     doc = {"format_version": 1, "n": 4, "cycles": [[0, 1, 2, 3]], "meta": {}, **MALFORMED[name]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    for command in ("alpha", "verify"):
-        rc = main([command, "--input", str(path)])
-        out, err = capsys.readouterr()
-        assert (rc, out) == (2, ""), command
-        assert err.startswith("error: "), command
+    assert_alpha_and_verify_refuse(capsys, path)
 
 
 def test_huge_number_in_a_document_is_an_input_error(capsys, tmp_path):
     # the int-to-str digit cap stays on while a document is parsed
     path = tmp_path / "huge.json"
     path.write_text('{"format_version": 1, "n": ' + "9" * 5000 + ', "cycles": []}')
-    for command in ("alpha", "verify"):
-        rc = main([command, "--input", str(path)])
-        out, err = capsys.readouterr()
-        assert (rc, out) == (2, ""), command
-        assert err.startswith("error: "), command
+    assert_alpha_and_verify_refuse(capsys, path)
 
 
 def test_deeply_nested_document_is_an_input_error(capsys, tmp_path):
@@ -526,11 +543,7 @@ def test_deeply_nested_document_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"format_version": 1, "n": 4, "cycles": [[0, 1, 2, 3]], "meta": '
                     + "[" * 100_000 + "]" * 100_000 + "}")
-    for command in ("alpha", "verify"):
-        rc = main([command, "--input", str(path)])
-        out, err = capsys.readouterr()
-        assert (rc, out) == (2, ""), command
-        assert err.startswith("error: "), command
+    assert_alpha_and_verify_refuse(capsys, path)
 
 
 def test_corpus_pair_needs_four_vertices():

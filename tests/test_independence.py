@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from twomilton.constructions import circulant_family
 from twomilton.corpus import random_pair
-from twomilton.graphs import UGraph, cycle_graph, make_cycle, mask_of, standard_cycle, union
+from twomilton.graphs import UGraph, cycle_graph, make_cycle, standard_cycle, union
 from twomilton.independence import (
     AlphaSolver,
     alpha_exact,
@@ -87,17 +87,15 @@ def test_solver_matches_oracle_general_graphs():
 
 
 def path_and_cycle_union(parts):
-    """Disjoint union of ("path", m) and ("cycle", m) components, with the
-    vertex mask of each component."""
-    edges, masks, base = [], [], 0
+    """Disjoint union of ("path", m) and ("cycle", m) components."""
+    edges, base = [], 0
     for kind, m in parts:
         vs = list(range(base, base + m))
         edges += list(zip(vs, vs[1:]))
         if kind == "cycle":
             edges.append((vs[0], vs[-1]))
-        masks.append(mask_of(vs))
         base += m
-    return UGraph.from_edges(base, edges), masks
+    return UGraph.from_edges(base, edges)
 
 
 @pytest.mark.parametrize("parts", [
@@ -106,10 +104,8 @@ def path_and_cycle_union(parts):
     [("path", 7), ("cycle", 7), ("path", 4), ("cycle", 6), ("cycle", 9), ("path", 3)],
 ])
 def test_closed_form_on_paths_and_cycles(parts):
-    g, masks = path_and_cycle_union(parts)
+    g = path_and_cycle_union(parts)
     expected = [(m + 1) // 2 if kind == "path" else m // 2 for kind, m in parts]
-    solver = AlphaSolver(g)
-    assert [solver._path_or_cycle(mask) for mask in masks] == expected
     assert alpha_value(g) == sum(expected) == oracle_alpha(g)
     assert has_independent_set(g, sum(expected))
     assert not has_independent_set(g, sum(expected) + 1)
