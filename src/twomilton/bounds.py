@@ -8,9 +8,9 @@ finitely checkable content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import HamCycle, UGraph, VerificationError, is_connected, max_clique, union
 from .independence import alpha_value
@@ -139,8 +139,7 @@ def threshold_penalty(z) -> Fraction:
     return -_K4_COST * z + z * z / 2
 
 
-@dataclass(frozen=True)
-class ThresholdLowerReport:
+class ThresholdLowerReport(NamedTuple):
     value: Fraction      # 45/169
     base: Fraction       # 7/26, the K4-free rate
     minimizer: Fraction  # z = 1/13 minimizes the penalty
@@ -170,8 +169,7 @@ def step_gain(eps) -> Fraction:
     return eps / (1 - eps)
 
 
-@dataclass(frozen=True)
-class FamilyStats:
+class FamilyStats(NamedTuple):
     """Pairwise (zeta, psi, alpha) table over a family of Hamiltonian cycles."""
 
     n: int
@@ -224,8 +222,7 @@ def _aux_graph(stats: FamilyStats, psi_floor: Fraction) -> UGraph:
     return UGraph.from_edges(stats.size, edges)
 
 
-@dataclass(frozen=True)
-class IteratingReport:
+class IteratingReport(NamedTuple):
     hypothesis_holds: bool
     alpha_aux: int
     alpha_cap: Fraction
@@ -251,8 +248,7 @@ def iterating_check(stats: FamilyStats, x, eps) -> IteratingReport:
     return IteratingReport(hyp, a, cap, clique, not hyp or a <= cap)
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     hypothesis_holds: bool
     m_x: Fraction
     subfamily: tuple[int, ...]

@@ -18,7 +18,9 @@ import twomilton
 
 # every command parses documents and build_parser reads DEFAULTS, so only these
 # load with this module; each command imports the solvers it runs where it
-# runs them, so a process loads no module that its command does not use
+# runs them, so a process loads no module that its command does not use.  The
+# package's records are NamedTuples, so no process loads the standard library's
+# data-class machinery (and the inspect, ast, dis and tokenize it imports)
 from .graphs import FamilyDocument, VerificationError, family_payload, parse_family, serialize_family, union
 from .limits import DEFAULTS, limit
 

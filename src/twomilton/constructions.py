@@ -13,11 +13,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import floor
 from random import Random
+from typing import NamedTuple
 
 from .bounds import semirandom_rate
 from .graphs import HamCycle, UGraph, VerificationError, make_cycle, standard_cycle, union
@@ -101,8 +101,7 @@ def counterexample_strip(units: int) -> UGraph:
     return UGraph.from_edges(n, edges)
 
 
-@dataclass(frozen=True)
-class AmplifyResult:
+class AmplifyResult(NamedTuple):
     """Output of amplify: the family, its chains, and the pairwise alpha bound."""
 
     n: int

@@ -8,8 +8,8 @@ the package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 FORMAT_VERSION = 1
 MAX_VERTICES = 1 << 16  # the largest n a document may declare; bounds the rows it costs
@@ -38,8 +38,7 @@ def mask_of(vertices: Iterable[int]) -> int:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class HamCycle:
+class HamCycle(NamedTuple):
     """A Hamiltonian cycle given by its visiting order (a permutation of 0..n-1)."""
 
     order: tuple[int, ...]
@@ -97,8 +96,7 @@ def relabel_cycle(cycle: HamCycle, perm: Sequence[int]) -> HamCycle:
     return HamCycle(canonical_key(HamCycle(tuple(perm[v] for v in cycle.order))))
 
 
-@dataclass(frozen=True, slots=True)
-class UGraph:
+class UGraph(NamedTuple):
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency."""
 
     n: int
@@ -163,8 +161,8 @@ def union(parts: Iterable[HamCycle | UGraph]) -> UGraph:
         if p.n != n:
             raise ValueError("all members must share the vertex set")
         g = cycle_graph(p) if isinstance(p, HamCycle) else p
-        for v in range(n):
-            adj[v] |= g.adj[v]
+        for v, row in enumerate(g.adj):
+            adj[v] |= row
     return UGraph(n, tuple(adj))
 
 
@@ -297,14 +295,19 @@ def distinct_cycles(cycles: Sequence[HamCycle]) -> bool:
     return len(keys) == len(cycles)
 
 
-@dataclass(frozen=True)
-class FamilyDocument:
+# the default certificates and meta: a NamedTuple default is built once, so
+# every document that omits them shares it, and read-only it lets no document
+# change another's
+_EMPTY: Mapping = MappingProxyType({})
+
+
+class FamilyDocument(NamedTuple):
     """A family of Hamiltonian cycles plus optional certificates and metadata."""
 
     n: int
     cycles: tuple[HamCycle, ...]
-    certificates: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    certificates: Mapping = _EMPTY
+    meta: Mapping = _EMPTY
     edges: tuple[tuple[int, int], ...] | None = None
 
     def graph(self) -> UGraph:

@@ -25,7 +25,7 @@ stops at the first value >= k it finds.  Only the exact values, those below the 
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import UGraph, VerificationError, bits, connected_components, mask_of
 from .limits import check_limit
@@ -37,12 +37,12 @@ class AlphaSolver:
     def __init__(self, g: UGraph):
         self.g = g
         self.n = g.n
-        self.adj = g.adj
-        self.closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
+        self.adj = adj = g.adj
+        self.closed = tuple(a | (1 << v) for v, a in enumerate(adj))
         self.full = (1 << g.n) - 1
-        self.max_degree = max((a.bit_count() for a in g.adj), default=0)
+        self.max_degree = max((a.bit_count() for a in adj), default=0)
         self.on_triangle = mask_of(
-            v for v in range(g.n) if any(g.adj[u] & g.adj[v] for u in bits(g.adj[v]))
+            v for v, a in enumerate(adj) if any(adj[u] & a for u in bits(a))
         )
         self.memo: dict[int, int] = {}
 
@@ -162,8 +162,7 @@ class AlphaSolver:
         return tuple(chosen)
 
 
-@dataclass(frozen=True)
-class IndepCertificate:
+class IndepCertificate(NamedTuple):
     """A claimed maximum independent set; verify with verify_certificate."""
 
     value: int
@@ -178,7 +177,8 @@ def verify_independent(g: UGraph, vertices) -> bool:
     if any(not 0 <= v < g.n for v in vs):
         return False
     m = mask_of(vs)
-    return all(g.adj[v] & m == 0 for v in vs)
+    adj = g.adj
+    return all(adj[v] & m == 0 for v in vs)
 
 
 def verify_certificate(g: UGraph, cert: IndepCertificate) -> bool:
@@ -241,8 +241,7 @@ def greedy_extend(g: UGraph, seed) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class CsokaReduction:
+class CsokaReduction(NamedTuple):
     """Record of one degree-2 contraction: y removed, x and z merged into one."""
 
     g_old: UGraph

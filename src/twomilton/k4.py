@@ -4,8 +4,8 @@ packings, and archipelagos (components of the subgraph induced on K4 vertices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import UGraph, VerificationError, bits, connected_components, depth_first, mask_of, overlap_rows
 from .independence import AlphaSolver
@@ -15,12 +15,13 @@ from .limits import check_limit
 def find_k4s(g: UGraph) -> tuple[tuple[int, int, int, int], ...]:
     """All K4 vertex sets, ascending, each reported once (least vertex first)."""
     out = []
-    for a in range(g.n):
-        higher = g.adj[a] >> (a + 1) << (a + 1)
+    adj = g.adj
+    for a, row in enumerate(adj):
+        higher = row >> (a + 1) << (a + 1)
         for b in bits(higher):
-            common_ab = g.adj[a] & g.adj[b] & higher & ~((1 << (b + 1)) - 1)
+            common_ab = row & adj[b] & higher & ~((1 << (b + 1)) - 1)
             for c in bits(common_ab):
-                for d in bits(g.adj[c] & common_ab):
+                for d in bits(adj[c] & common_ab):
                     if d > c:
                         out.append((a, b, c, d))
     return tuple(out)
@@ -163,8 +164,7 @@ def psi_exact(g: UGraph) -> int:
     return AlphaSolver(UGraph(len(paths), rows)).alpha()
 
 
-@dataclass(frozen=True)
-class Archipelago:
+class Archipelago(NamedTuple):
     """One connected component of the subgraph induced on K4 vertices.
 
     cyclic tells whether its K4-adjacency multigraph (one node per K4, one

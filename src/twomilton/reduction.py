@@ -42,8 +42,8 @@ artifact instead of silently continuing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import (
     FamilyDocument,
@@ -73,15 +73,13 @@ class StructureViolation(Exception):
         self.artifact = artifact
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     step: str
     archipelago: tuple[int, ...]
     added_edge: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class LiftEntry:
+class LiftEntry(NamedTuple):
     """How to re-insert one deleted archipelago into an independent set.
 
     The lift adds the transversal of the first option (u, transversal) whose
@@ -93,19 +91,17 @@ class LiftEntry:
     options: tuple[tuple[int | None, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     g: UGraph
     h: UGraph  # compacted remainder on the non-K4 vertices
     h_vertex_map: tuple[int, ...]  # h vertex i <-> original id h_vertex_map[i]
     zeta: int
     lift_plan: tuple[LiftEntry, ...]
     trace: tuple[TraceStep, ...]
-    postconditions: dict = field(default_factory=dict)
+    postconditions: dict
 
 
-@dataclass(frozen=True)
-class DiagnosticReport:
+class DiagnosticReport(NamedTuple):
     ok: bool
     failed_step: str | None
     reason: str | None

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import factorial
+from typing import NamedTuple
 
 from .constructions import circulant_family, k4_strip
 from .graphs import (
@@ -138,8 +138,7 @@ def _scan_task(args):
     return out
 
 
-@dataclass(frozen=True)
-class FSearchResult:
+class FSearchResult(NamedTuple):
     n: int
     k: int
     value: int
@@ -300,8 +299,7 @@ def _closings(pieces, singles):
             yield head + tuple(v for p in choice for v in p)
 
 
-@dataclass(frozen=True)
-class ExceptionalPair:
+class ExceptionalPair(NamedTuple):
     """Two cycles whose union reaches alpha = n/4 without a K4 cover."""
 
     graph: object
@@ -359,8 +357,7 @@ def window_partners(n: int) -> list[HamCycle]:
     return out
 
 
-@dataclass(frozen=True)
-class NothreeReport:
+class NothreeReport(NamedTuple):
     n: int
     partners: int
     pairs_checked: int

@@ -55,11 +55,10 @@ CASES = {
         m.compute_f(16, 4)
     """,
     "reduction.lift_independent.size": """
-        import dataclasses
         import twomilton.reduction as m
         from twomilton.constructions import k4_strip
         res = m.technical_reduce(*k4_strip(4))
-        m.lift_independent(dataclasses.replace(res, zeta=res.zeta + 1), ())
+        m.lift_independent(res._replace(zeta=res.zeta + 1), ())
     """,
     "reduction.lift_independent.independent": """
         import twomilton.reduction as m

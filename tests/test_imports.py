@@ -6,33 +6,38 @@ compile only what its command runs.  The load checks run in a fresh
 interpreter, since this one has imported every module already.
 """
 
+import ast
 import importlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import twomilton
+from twomilton.constructions import k4_strip
 from twomilton.graphs import FamilyDocument, serialize_family, standard_cycle
 
 SOLVER_MODULES = ("search", "reduction", "bounds", "constructions", "corpus")
 
 
-def loaded_after(script, *argv):
-    """The twomilton modules loaded once `script` has run in a fresh interpreter."""
+def modules_after(script, *argv):
+    """Every module loaded once `script` has run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(twomilton.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = script + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'twomilton')))"
-    )
+    probe = script + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe, *argv], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(script, *argv):
+    """The twomilton modules loaded once `script` has run in a fresh interpreter."""
+    return [m for m in modules_after(script, *argv) if m.split(".")[0] == "twomilton"]
 
 
 def test_package_import_loads_no_submodule():
@@ -52,6 +57,36 @@ def test_alpha_command_loads_no_other_layer(tmp_path):
     loaded = loaded_after(script, str(path))
     assert "twomilton.independence" in loaded
     assert not [m for m in loaded if m.rpartition(".")[2] in SOLVER_MODULES]
+
+
+# the records are NamedTuples: dataclasses would load inspect, ast, dis and
+# tokenize, and compile each record's methods, in every CLI process
+@pytest.mark.parametrize("argv", [
+    None, ["alpha", "--input", "{doc}"], ["reduce", "--input", "{doc}"], ["bounds"],
+    ["search-f", "--n", "8", "--k", "2"],
+], ids=["import", "alpha", "reduce", "bounds", "search-f"])
+def test_cli_loads_no_dataclasses(argv, tmp_path):
+    doc = tmp_path / "s4.json"
+    doc.write_text(serialize_family(FamilyDocument(16, k4_strip(4))))
+    script = "import twomilton.cli"
+    if argv is not None:
+        script += f"\nassert twomilton.cli.main({[a.format(doc=doc) for a in argv]!r}) == 0"
+    loaded = modules_after(script)
+    assert [m for m in ("dataclasses", "inspect") if m in loaded] == []
+
+
+def test_no_module_imports_dataclasses():
+    offenders = []
+    for path in sorted(Path(twomilton.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]  # None for `from . import x`
+            else:
+                continue
+            offenders += [path.name for name in names if name.split(".")[0] == "dataclasses"]
+    assert offenders == []
 
 
 def test_every_export_is_its_submodules_object():
