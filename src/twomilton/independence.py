@@ -17,10 +17,22 @@ are examined again.  A branch child hands on the neighbours of the vertices
 it removed, and the components of a reduced subproblem start clean.  The
 degree rule applies whenever it can, so a reduced subproblem has no vertex of
 degree below 2, and a connected one of maximum degree <= 2 is a cycle, whose
-alpha is half its length rounded down; otherwise the solver branches on the
-lowest vertex of maximum degree.  One memoised search with a target k answers
-every query: it returns alpha exactly when that is below k and otherwise
-stops at the first value >= k it finds.  Only the exact values, those below the target, are memoised.
+alpha is half its length rounded down.  Otherwise the solver branches, and the
+branch that takes the vertex runs first:
+
+- on the lowest vertex w of degree 2, with neighbours x and z: take w, or
+  take both x and z.  A maximum set without w holds x or z, and one holding
+  only one of them swaps it for w.  x and z are not adjacent, since w would
+  then dominate both and the reduction would have dropped them.  This is the
+  branching form of the contraction in csoka_reduce, which merges x, w, z
+  into one vertex standing for "w, or both x and z".
+- with no vertex of degree 2, on the lowest vertex of maximum degree: take
+  it, or drop it.
+
+One memoised search with a target k answers every query: it returns alpha
+exactly when that is below k and otherwise stops at the first value >= k it
+finds; the second branch runs only when the first falls short.  Only the
+exact values, those below the target, are memoised.
 """
 
 from __future__ import annotations
@@ -40,7 +52,6 @@ class AlphaSolver:
         self.adj = adj = g.adj
         self.closed = tuple(a | (1 << v) for v, a in enumerate(adj))
         self.full = (1 << g.n) - 1
-        self.max_degree = max((a.bit_count() for a in adj), default=0)
         self.on_triangle = mask_of(
             v for v, a in enumerate(adj) if any(adj[u] & a for u in bits(a))
         )
@@ -80,29 +91,40 @@ class AlphaSolver:
                 dirty &= P
         return size, P
 
-    def _branch_vertex(self, Q: int) -> tuple[int, int]:
-        """The lowest vertex of maximum degree in Q, and that degree."""
+    def _branch_vertex(self, Q: int) -> int:
+        """The vertex to branch on in a connected reduced Q, or -1 when Q is a cycle.
+
+        That is the lowest vertex of degree 2 when Q also has a vertex of larger
+        degree, else the lowest vertex of maximum degree.  With no vertex of
+        degree below 2 in Q, maximum degree 2 makes Q a cycle.
+        """
         adj = self.adj
-        top = self.max_degree
-        best = best_degree = -1
+        two = best = -1
+        best_degree = 2
         m = Q
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
             d = (adj[v] & Q).bit_count()
-            if d > best_degree:
+            if d == 2:
+                if best >= 0:
+                    return v
+                if two < 0:
+                    two = v
+            elif d > best_degree:
+                if two >= 0:
+                    return two
                 best, best_degree = v, d
-                if d == top:
-                    break
-        return best, best_degree
+        return best
 
-    def _take(self, Q: int, v: int) -> tuple[int, int]:
-        """The child of Q that takes v, and the neighbours of the vertices it removed."""
-        gone = self.closed[v] & Q
+    def _remove(self, Q: int, gone: int) -> tuple[int, int]:
+        """The child of Q without the vertices of gone, and their neighbours
+        (the only vertices of the child where a rule can newly apply)."""
+        adj = self.adj
         touched = 0
         for u in bits(gone):
-            touched |= self.adj[u]
+            touched |= adj[u]
         return Q & ~gone, touched
 
     def alpha(self) -> int:
@@ -129,14 +151,26 @@ class AlphaSolver:
                     if size >= k:
                         break
             else:
-                v, degree = self._branch_vertex(Q)
-                if degree <= 2:
-                    # _reduce leaves no vertex of degree < 2, so connected Q is a cycle
+                v = self._branch_vertex(Q)
+                if v < 0:
                     size += Q.bit_count() // 2
                 else:
-                    best = 1 + self._alpha(*self._take(Q, v), k - size - 1)
+                    adj, closed = self.adj, self.closed
+                    near = adj[v] & Q
+                    if near.bit_count() == 2:
+                        # a maximum set without v holds both neighbours: one
+                        # alone could be swapped for v
+                        x, z = (near & -near).bit_length() - 1, near.bit_length() - 1
+                        if adj[x] >> z & 1:
+                            raise VerificationError(
+                                f"degree-2 vertex {v} has adjacent neighbours {x} and {z}; "
+                                "the reduction should have dropped them")
+                        gain, other = 2, (closed[x] | closed[z]) & Q
+                    else:
+                        gain, other = 0, 1 << v
+                    best = 1 + self._alpha(*self._remove(Q, closed[v] & Q), k - size - 1)
                     if best < k - size:
-                        best = max(best, self._alpha(Q & ~(1 << v), self.adj[v], k - size))
+                        best = max(best, gain + self._alpha(*self._remove(Q, other), k - size - gain))
                     size += best
         if size < k:
             self.memo[P] = size

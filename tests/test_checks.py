@@ -43,6 +43,13 @@ CASES = {
         m.AlphaSolver._alpha = lambda self, P, dirty, k: 0
         m.alpha_exact(union([standard_cycle(5)]))
     """,
+    "independence.AlphaSolver._alpha": """
+        import twomilton.independence as m
+        from twomilton.graphs import UGraph
+        # with the rules off, the diamond's degree-2 vertex 0 has adjacent neighbours 1 and 2
+        m.AlphaSolver._reduce = lambda self, P, dirty: (0, P)
+        m.alpha_value(UGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))
+    """,
     "search.find_exceptional": """
         import twomilton.search as m
         m.zeta = lambda g: -1

@@ -73,17 +73,97 @@ def oracle_cases():
     return cases
 
 
+def check_against_oracle(g, label):
+    a = oracle_alpha(g)
+    cert = alpha_exact(g)
+    assert cert.value == a, label
+    # combinations() lists sets in lexicographic order
+    assert cert.vertices == oracle_independent_sets(g, a)[0], label
+    assert [has_independent_set(g, k) for k in (a - 1, a, a + 1)] == [True, True, False], label
+    assert not oracle_independent_sets(g, a + 1), label
+
+
 def test_solver_matches_oracle_general_graphs():
     cases = oracle_cases()
     assert max(max((a.bit_count() for a in g.adj), default=0) for g in cases) > 4
     for i, g in enumerate(cases):
-        a = oracle_alpha(g)
-        cert = alpha_exact(g)
-        assert cert.value == a, f"case {i}"
-        # combinations() lists sets in lexicographic order
-        assert cert.vertices == oracle_independent_sets(g, a)[0], f"case {i}"
-        assert [has_independent_set(g, k) for k in (a - 1, a, a + 1)] == [True, True, False], f"case {i}"
-        assert not oracle_independent_sets(g, a + 1), f"case {i}"
+        check_against_oracle(g, f"case {i}")
+
+
+def subdivided(n, edges):
+    """Put one new vertex (numbered from n up) in the middle of every edge."""
+    out = []
+    for i, (u, v) in enumerate(edges):
+        out += [(u, n + i), (v, n + i)]
+    return UGraph.from_edges(n + len(edges), out)
+
+
+def theta(lengths):
+    """Vertices 0 and 1 joined by internally disjoint paths with these edge counts."""
+    edges, nxt = [], 2
+    for length in lengths:
+        path = [0, *range(nxt, nxt + length - 1), 1]
+        nxt += length - 1
+        edges += list(zip(path, path[1:]))
+    return UGraph.from_edges(nxt, edges)
+
+
+def induced(g, keep):
+    """The subgraph induced by keep, relabelled 0..len(keep)-1 in order."""
+    index = {v: i for i, v in enumerate(sorted(keep))}
+    return UGraph.from_edges(
+        len(index), [(index[u], index[v]) for u, v in g.edges() if u in index and v in index])
+
+
+def degree_two_cases():
+    """Graphs with many vertices of degree 2, where the solver branches on a
+    degree-2 vertex; in the last group some degree-2 vertices have adjacent
+    neighbours, which the reduction must remove before any branch."""
+    k4 = list(combinations(range(4), 2))
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+    k5 = list(combinations(range(5), 2))
+    octahedron = [(u, v) for u, v in combinations(range(6), 2) if v != u + 3]
+    cases = {
+        "subdivided-k4": subdivided(4, k4),
+        "subdivided-prism": subdivided(6, prism),
+        "subdivided-k33": subdivided(6, k33),
+        "subdivided-k5": subdivided(5, k5),
+        "subdivided-octahedron": subdivided(6, octahedron),
+    }
+    for lengths in ((2, 3, 4), (3, 3, 3), (2, 2, 5), (4, 5, 6), (2, 3, 3, 4), (1, 3, 5), (1, 2, 6)):
+        cases["theta-" + "-".join(map(str, lengths))] = theta(lengths)
+    for n, kept in ((16, 13), (20, 15), (20, 16), (24, 16)):
+        for seed in range(3):
+            rng = random.Random(f"deleted:{n}:{kept}:{seed}")
+            g = union(random_pair(n, f"deleted:{seed}"))
+            cases[f"union-{n}-minus-{n - kept}-s{seed}"] = induced(g, rng.sample(range(n), kept))
+    cases["diamond"] = UGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    # triangle 0 1 2; tails 1-3-4-5 and 2-6-7 leave 0 of degree 2 with adjacent neighbours
+    cases["triangle-with-tails"] = UGraph.from_edges(
+        8, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4), (4, 5), (2, 6), (6, 7)])
+    # two triangles joined at a vertex, with a tail on each
+    cases["bowtie-with-tails"] = UGraph.from_edges(
+        9, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (1, 5), (5, 6), (4, 7), (7, 8)])
+    return cases
+
+
+DEGREE_TWO_CASES = degree_two_cases()
+
+
+@pytest.mark.parametrize("name", list(DEGREE_TWO_CASES))
+def test_solver_matches_oracle_degree_two_graphs(name):
+    check_against_oracle(DEGREE_TWO_CASES[name], name)
+
+
+def test_degree_two_branch_stays_live():
+    # memo entries after alpha() on the pinned pairs: 378 and 2,509 when every
+    # branch was on a vertex of maximum degree, 311 and 1,204 with the
+    # degree-2 branch
+    for n, before in ((48, 378), (64, 2509)):
+        solver = AlphaSolver(union(random_pair(n, f"pin:{n}")))
+        solver.alpha()
+        assert len(solver.memo) < before, n
 
 
 def path_and_cycle_union(parts):
@@ -221,7 +301,7 @@ def test_solver_memo_reuse():
 def test_shared_solver_stays_exact():
     # at_least memoises only values below its target; a solver that answered
     # any k afterwards answers alpha() and every other k exactly
-    for i, g in enumerate(oracle_cases()):
+    for i, g in enumerate(oracle_cases() + list(DEGREE_TWO_CASES.values())):
         a = oracle_alpha(g)
         for ks in (range(a + 2), range(a + 1, -1, -1)):
             s = AlphaSolver(g)
