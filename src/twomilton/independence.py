@@ -158,8 +158,8 @@ class AlphaSolver:
                     adj, closed = self.adj, self.closed
                     near = adj[v] & Q
                     if near.bit_count() == 2:
-                        # a maximum set without v holds both neighbours: one
-                        # alone could be swapped for v
+                        # some maximum set holds v or both neighbours: a set
+                        # holding one alone can swap it for v
                         x, z = (near & -near).bit_length() - 1, near.bit_length() - 1
                         if adj[x] >> z & 1:
                             raise VerificationError(
