@@ -16,18 +16,28 @@ v's neighbours are still in P, so when vertices leave P only their neighbours
 are examined again.  A branch child hands on the neighbours of the vertices
 it removed, and the components of a reduced subproblem start clean.  The
 degree rule applies whenever it can, so a reduced subproblem has no vertex of
-degree below 2, and a connected one of maximum degree <= 2 is a cycle, whose
-alpha is half its length rounded down.  Otherwise the solver branches, and the
-branch that takes the vertex runs first:
+degree below 2.
 
-- on the lowest vertex w of degree 2, with neighbours x and z: take w, or
-  take both x and z.  A maximum set without w holds x or z, and one holding
-  only one of them swaps it for w.  x and z are not adjacent, since w would
-  then dominate both and the reduction would have dropped them.  This is the
-  branching form of the contraction in csoka_reduce, which merges x, w, z
-  into one vertex standing for "w, or both x and z".
-- with no vertex of degree 2, on the lowest vertex of maximum degree: take
-  it, or drop it.
+One pass over a reduced subproblem Q walks the component of its lowest
+vertex and sorts the vertices it visits by degree in Q: 2, at least 3, at
+least 4.  When the component is not all of Q, alpha(Q) is its alpha plus
+that of the rest, which splits again on its own.  A connected Q of maximum
+degree 2 is a cycle, whose alpha is half its length rounded down.  Otherwise
+the solver branches, and the branch that takes the vertex runs first.  A
+neighbour scores 1 for degree at least 3 and 1 more for degree at least 4:
+
+- on the vertex w of degree 2 whose neighbours x and z score highest, the
+  lowest on a tie: take w, or take both x and z.  A maximum set without w
+  holds x or z, and one holding only one of them swaps it for w.  x and z
+  are not adjacent, since w would then dominate both and the reduction would
+  have dropped them.  This is the branching form of the contraction in
+  csoka_reduce, which merges x, w, z into one vertex standing for "w, or
+  both x and z".  High-degree x and z make the second branch remove more.
+- with no vertex of degree 2, on the vertex of maximum degree whose
+  neighbours score lowest, the lowest on a tie: take it, or drop it.
+
+Every branch is exact, so the choice of vertex changes the work but no value
+and no certificate.
 
 One memoised search with a target k answers every query: it returns alpha
 exactly when that is below k and otherwise stops at the first value >= k it
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import UGraph, VerificationError, bits, connected_components, mask_of
+from .graphs import UGraph, VerificationError, bits, mask_of
 from .limits import check_limit
 
 
@@ -47,7 +57,6 @@ class AlphaSolver:
     """Reusable exact solver for one graph; all queries share a memo table."""
 
     def __init__(self, g: UGraph):
-        self.g = g
         self.n = g.n
         self.adj = adj = g.adj
         self.closed = tuple(a | (1 << v) for v, a in enumerate(adj))
@@ -91,42 +100,6 @@ class AlphaSolver:
                 dirty &= P
         return size, P
 
-    def _branch_vertex(self, Q: int) -> int:
-        """The vertex to branch on in a connected reduced Q, or -1 when Q is a cycle.
-
-        That is the lowest vertex of degree 2 when Q also has a vertex of larger
-        degree, else the lowest vertex of maximum degree.  With no vertex of
-        degree below 2 in Q, maximum degree 2 makes Q a cycle.
-        """
-        adj = self.adj
-        two = best = -1
-        best_degree = 2
-        m = Q
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            d = (adj[v] & Q).bit_count()
-            if d == 2:
-                if best >= 0:
-                    return v
-                if two < 0:
-                    two = v
-            elif d > best_degree:
-                if two >= 0:
-                    return two
-                best, best_degree = v, d
-        return best
-
-    def _remove(self, Q: int, gone: int) -> tuple[int, int]:
-        """The child of Q without the vertices of gone, and their neighbours
-        (the only vertices of the child where a rule can newly apply)."""
-        adj = self.adj
-        touched = 0
-        for u in bits(gone):
-            touched |= adj[u]
-        return Q & ~gone, touched
-
     def alpha(self) -> int:
         return self._alpha(self.full, self.full, self.n + 1)
 
@@ -144,34 +117,67 @@ class AlphaSolver:
             return hit
         size, Q = self._reduce(P, dirty)
         if Q and size < k:
-            comps = connected_components(self.g, within=Q)
-            if len(comps) > 1:
-                for c in comps:
-                    size += self._alpha(c, 0, k - size)
-                    if size >= k:
-                        break
+            adj, closed = self.adj, self.closed
+            # one pass: the component of Q's lowest vertex, noting which of the
+            # vertices it visits have degree 2 in Q and which degree 4 or more
+            comp = frontier = Q & -Q
+            two = four = 0
+            while frontier:
+                low = frontier & -frontier
+                near = adj[low.bit_length() - 1] & Q
+                frontier = (frontier ^ low) | (near & ~comp)
+                comp |= near
+                d = near.bit_count()
+                if d == 2:
+                    two |= low
+                elif d > 3:
+                    four |= low
+            if comp != Q:
+                size += self._alpha(comp, 0, k - size)
+                if size < k:
+                    size += self._alpha(Q ^ comp, 0, k - size)
+            elif two == Q:
+                size += Q.bit_count() // 2
             else:
-                v = self._branch_vertex(Q)
-                if v < 0:
-                    size += Q.bit_count() // 2
+                three = Q ^ two  # no vertex of a reduced Q has degree below 2
+                # a neighbour scores 1 for degree >= 3 and 2 for degree >= 4
+                if two:
+                    v, score, m = -1, -1, two
+                    while m and score < 4:
+                        low = m & -m
+                        m ^= low
+                        near = adj[low.bit_length() - 1] & Q
+                        s = (near & three).bit_count() + (near & four).bit_count()
+                        if s > score:
+                            v, score = low.bit_length() - 1, s
                 else:
-                    adj, closed = self.adj, self.closed
-                    near = adj[v] & Q
-                    if near.bit_count() == 2:
-                        # some maximum set holds v or both neighbours: a set
-                        # holding one alone can swap it for v
-                        x, z = (near & -near).bit_length() - 1, near.bit_length() - 1
-                        if adj[x] >> z & 1:
-                            raise VerificationError(
-                                f"degree-2 vertex {v} has adjacent neighbours {x} and {z}; "
-                                "the reduction should have dropped them")
-                        gain, other = 2, (closed[x] | closed[z]) & Q
-                    else:
-                        gain, other = 0, 1 << v
-                    best = 1 + self._alpha(*self._remove(Q, closed[v] & Q), k - size - 1)
-                    if best < k - size:
-                        best = max(best, gain + self._alpha(*self._remove(Q, other), k - size - gain))
-                    size += best
+                    v = min(bits(four or three), key=lambda u: (
+                        -(adj[u] & Q).bit_count(),
+                        (adj[u] & three).bit_count() + (adj[u] & four).bit_count(), u))
+                near = adj[v] & Q
+                if near.bit_count() == 2:
+                    # some maximum set holds v or both neighbours: a set
+                    # holding one alone can swap it for v
+                    x, z = (near & -near).bit_length() - 1, near.bit_length() - 1
+                    if adj[x] >> z & 1:
+                        raise VerificationError(
+                            f"degree-2 vertex {v} has adjacent neighbours {x} and {z}; "
+                            "the reduction should have dropped them")
+                    children = ((1, closed[v] & Q), (2, (closed[x] | closed[z]) & Q))
+                else:
+                    children = ((1, closed[v] & Q), (0, 1 << v))
+                best = 0
+                for gain, gone in children:
+                    if best >= k - size:
+                        break
+                    # a rule can newly apply only next to a removed vertex
+                    touched, m = 0, gone
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        touched |= adj[low.bit_length() - 1]
+                    best = max(best, gain + self._alpha(Q & ~gone, touched, k - size - gain))
+                size += best
         if size < k:
             self.memo[P] = size
         return size

@@ -158,12 +158,57 @@ def test_solver_matches_oracle_degree_two_graphs(name):
 
 def test_degree_two_branch_stays_live():
     # memo entries after alpha() on the pinned pairs: 378 and 2,509 when every
-    # branch was on a vertex of maximum degree, 311 and 1,204 with the
-    # degree-2 branch
-    for n, before in ((48, 378), (64, 2509)):
+    # branch was on a vertex of maximum degree, 311 and 1,204 when the
+    # degree-2 branch took the lowest degree-2 vertex, 141 and 603 when it
+    # takes the one whose neighbours have the highest degrees
+    for n, limit in ((48, 141), (64, 603)):
         solver = AlphaSolver(union(random_pair(n, f"pin:{n}")))
         solver.alpha()
-        assert len(solver.memo) < before, n
+        assert len(solver.memo) <= limit, n
+
+
+def step_circulant(n, steps):
+    """The circulant graph on n vertices joining v to v + s for each s in steps."""
+    return UGraph.from_edges(n, [(v, (v + s) % n) for v in range(n) for s in steps])
+
+
+def disjoint_union(graphs, seed):
+    """Disjoint union of graphs with shuffled labels, so no piece is contiguous."""
+    n = sum(g.n for g in graphs)
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    edges, base = [], 0
+    for g in graphs:
+        edges += [(label[base + u], label[base + v]) for u, v in g.edges()]
+        base += g.n
+    return UGraph.from_edges(n, edges)
+
+
+def branch_pick_cases():
+    """Graphs without a degree-2 vertex, where the solver branches on a vertex
+    of maximum degree, and reduced graphs of three or more components."""
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    cases = {"petersen": UGraph.from_edges(10, petersen)}
+    # one edge fewer leaves two vertices of degree 3, so the vertices of
+    # degree 4 next to them score lower than the rest
+    for n, steps in ((11, (1, 2)), (10, (1, 3))):
+        g = step_circulant(n, steps)
+        cases[f"c{n}-{steps[0]}-{steps[1]}-minus-0-1"] = UGraph.from_edges(
+            n, [e for e in g.edges() if e != (0, 1)])
+    octahedron = step_circulant(6, (1, 2))
+    for name, pieces in (("three-octahedra", [octahedron] * 3),
+                         ("octahedra-and-c7", [octahedron, step_circulant(7, (1, 2)), octahedron])):
+        cases[name] = disjoint_union(pieces, name)
+    return cases
+
+
+BRANCH_PICK_CASES = branch_pick_cases()
+
+
+@pytest.mark.parametrize("name", list(BRANCH_PICK_CASES))
+def test_solver_matches_oracle_branch_pick_graphs(name):
+    check_against_oracle(BRANCH_PICK_CASES[name], name)
 
 
 def path_and_cycle_union(parts):
