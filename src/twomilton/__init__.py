@@ -19,10 +19,7 @@ _EXPORTS = {
         "FamilyDocument", "HamCycle", "UGraph", "canonical_key", "cycle_graph", "make_cycle",
         "parse_family", "serialize_family", "standard_cycle", "union",
     ), "graphs"),
-    **dict.fromkeys((
-        "alpha_exact", "alpha_value", "csoka_lift", "csoka_reduce", "greedy_extend",
-        "verify_independent",
-    ), "independence"),
+    **dict.fromkeys(("alpha_exact", "alpha_value", "verify_independent"), "independence"),
     **dict.fromkeys(("find_k4_cover", "find_k4s", "find_triangle_cover", "psi_exact", "zeta"), "k4"),
     **dict.fromkeys(("diagnose_reduction", "lift_independent", "technical_reduce"), "reduction"),
     **dict.fromkeys(("compute_f", "find_exceptional", "verify_nothree", "window_partners"), "search"),

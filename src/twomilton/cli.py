@@ -319,10 +319,10 @@ def cmd_verify(args) -> int:
         raise ValueError("nothing to verify: pass --claim or a document with an alpha certificate")
     results = []
     if cert is not None:
-        vs = cert.get("vertices", [])
-        good = verify_certificate(_graph_for(doc, None), IndepCertificate(cert.get("value"), tuple(vs)))
+        value, vs = cert["value"], cert["vertices"]
+        good = verify_certificate(_graph_for(doc, None), IndepCertificate(value, tuple(vs)))
         results.append({"claim": "embedded-alpha-certificate", "ok": good,
-                        "detail": f"value {cert.get('value')}, {len(vs)} vertices"})
+                        "detail": f"value {value}, {len(vs)} vertices"})
     for claim, parsed in claims:
         ok, detail = _check_claim(doc, parsed)
         results.append({"claim": claim, "ok": ok, "detail": detail})

@@ -118,9 +118,6 @@ class UGraph(NamedTuple):
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.adj[v]))
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):
@@ -361,8 +358,8 @@ def parse_family(text: str) -> FamilyDocument:
     n is an integer in [3, MAX_VERTICES]; cycles is a list of integer lists,
     each a permutation of 0..n-1; edges is a list of integer pairs with
     distinct endpoints in [0, n); certificates, meta and certificates.alpha
-    are objects, certificates.alpha.vertices a list of integers and
-    certificates.alpha.value, when present, an integer.  Anything else raises
+    are objects, and certificates.alpha, when present, holds an integer value
+    and a list of integer vertices in [0, n).  Anything else raises
     ValueError, and so does nesting too deep for the JSON parser.
     """
     try:
@@ -392,9 +389,10 @@ def parse_family(text: str) -> FamilyDocument:
     certificates = _typed(payload, "certificates", dict, {})
     if "alpha" in certificates:
         alpha = _typed(certificates, "alpha", dict, None)
-        _ints(alpha.get("vertices", []), "certificates.alpha.vertices")
-        if type(alpha.get("value", 0)) is not int:
+        if type(alpha.get("value")) is not int:
             raise ValueError("certificates.alpha.value must be an integer")
+        if any(not 0 <= v < n for v in _ints(alpha.get("vertices"), "certificates.alpha.vertices")):
+            raise ValueError(f"certificates.alpha.vertices must lie in 0..{n - 1}")
     return FamilyDocument(
         n=n,
         cycles=tuple(cycles),

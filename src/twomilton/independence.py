@@ -1,6 +1,4 @@
-"""Exact independence-number machinery: solver, certificates, greedy extension,
-and the degree-2 contraction that trades one vertex of independence for three
-vertices of graph.
+"""Exact independence-number machinery: the solver and its certificates.
 
 The solver is branch and reduce over bitmask subproblems.  Two rules shrink a
 subproblem P without changing its independence number:
@@ -30,9 +28,10 @@ neighbour scores 1 for degree at least 3 and 1 more for degree at least 4:
   lowest on a tie: take w, or take both x and z.  A maximum set without w
   holds x or z, and one holding only one of them swaps it for w.  x and z
   are not adjacent, since w would then dominate both and the reduction would
-  have dropped them.  This is the branching form of the contraction in
-  csoka_reduce, which merges x, w, z into one vertex standing for "w, or
-  both x and z".  High-degree x and z make the second branch remove more.
+  have dropped them.  So alpha is the larger of 1 + alpha(Q - N[w]) and
+  2 + alpha(Q - N[x] - N[z]): the degree-2 fold, which merges x, w, z into
+  one vertex standing for "w, or both x and z" and costs exactly one unit
+  of alpha.  High-degree x and z make the second branch remove more.
 - with no vertex of degree 2, on the vertex of maximum degree whose
   neighbours score lowest, the lowest on a tie: take it, or drop it.
 
@@ -109,7 +108,11 @@ class AlphaSolver:
 
     def _alpha(self, P: int, dirty: int, k: int) -> int:
         """alpha(P) when that is below k; otherwise some value >= k, returned
-        as soon as one is found.  Only the exact values (below k) are memoised."""
+        as soon as one is found.  Only the exact values (below k) are memoised.
+
+        In the reduced subproblem Q, a degree-2 vertex w with nonadjacent
+        neighbours x, z is folded:
+        alpha(Q) = max(1 + alpha(Q - N[w]), 2 + alpha(Q - N[x] - N[z]))."""
         if P == 0:
             return 0
         hit = self.memo.get(P)
@@ -246,100 +249,3 @@ def has_independent_set(g: UGraph, k: int) -> bool:
     """True iff alpha(g) >= k, with early exit (no full solve on success)."""
     check_limit("alpha", g.n, "has_independent_set")
     return AlphaSolver(g).at_least(k)
-
-
-def greedy_extend(g: UGraph, seed) -> tuple[int, ...]:
-    """Extend an independent set until it dominates (N[I] covers everything).
-
-    Each round adds the least vertex outside N[I] having a neighbour in N[I]
-    (falling back to the least uncovered vertex if the remainder is detached).
-    In a connected graph of max degree <= 4 every round consumes at most 4
-    uncovered vertices, so the result gains at least |V - N[I]| / 4 vertices.
-    """
-    I = sorted(set(seed))
-    if not verify_independent(g, I):
-        raise ValueError("seed set is not independent")
-    closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
-    covered = 0
-    for v in I:
-        covered |= closed[v]
-    full = (1 << g.n) - 1
-    while covered != full:
-        uncovered = full & ~covered
-        pick = None
-        for v in bits(uncovered):
-            if g.adj[v] & covered:
-                pick = v
-                break
-        if pick is None:
-            pick = (uncovered & -uncovered).bit_length() - 1
-        I.append(pick)
-        covered |= closed[pick]
-    out = tuple(sorted(I))
-    if not verify_independent(g, out):
-        raise VerificationError(f"greedy extension {out} is not independent")
-    return out
-
-
-class CsokaReduction(NamedTuple):
-    """Record of one degree-2 contraction: y removed, x and z merged into one."""
-
-    g_old: UGraph
-    y: int
-    x: int
-    z: int
-    merged: int
-    old_of_new: tuple[int, ...]
-
-
-def csoka_reduce(g: UGraph, y: int) -> tuple[UGraph, CsokaReduction]:
-    """Contract the path x-y-z (y of degree exactly 2, x,z nonadjacent).
-
-    x, y, z are removed and a fresh vertex (the largest new id) connects to the
-    remaining neighbours of x and z.  alpha drops by exactly 1 and any maximum
-    independent set of the contraction lifts back (csoka_lift).  Raises
-    ValueError when y is not reduction-eligible.
-    """
-    if not 0 <= y < g.n:
-        raise ValueError(f"vertex {y} out of range")
-    if g.degree(y) != 2:
-        raise ValueError(f"not reduction-eligible: degree of {y} is {g.degree(y)}, need 2")
-    x, z = g.neighbors(y)
-    if g.has_edge(x, z):
-        raise ValueError("not reduction-eligible: the two neighbours are adjacent")
-    keep = [v for v in range(g.n) if v not in (x, y, z)]
-    new_id = {old: i for i, old in enumerate(keep)}
-    merged = len(keep)
-    edges = [
-        (new_id[u], new_id[v])
-        for u, v in g.edges()
-        if u in new_id and v in new_id
-    ]
-    outside = (g.adj[x] | g.adj[z]) & ~mask_of((x, y, z))
-    edges.extend((new_id[w], merged) for w in bits(outside))
-    reduced = UGraph.from_edges(merged + 1, edges)
-    return reduced, CsokaReduction(
-        g_old=g, y=y, x=x, z=z, merged=merged, old_of_new=tuple(keep)
-    )
-
-
-def csoka_lift(red: CsokaReduction, new_set) -> frozenset[int]:
-    """Lift an independent set of the contraction; gains exactly one vertex."""
-    g = red.g_old
-    mapped = set()
-    has_merged = False
-    for p in new_set:
-        if p == red.merged:
-            has_merged = True
-        else:
-            mapped.add(red.old_of_new[p])
-    if has_merged:
-        # the merged vertex stands for x and z together: no remaining neighbour
-        # of either is in the set, and x, z are nonadjacent
-        lifted = mapped | {red.x, red.z}
-    else:
-        lifted = mapped | {red.y}
-    out = frozenset(lifted)
-    if not verify_independent(g, out):
-        raise VerificationError(f"lift produced a dependent set {sorted(out)}")
-    return out

@@ -21,20 +21,6 @@ CASES = {
         m.verify_certificate = lambda g, cert: False
         m.alpha_exact(union([standard_cycle(5)]))
     """,
-    "independence.greedy_extend": """
-        import twomilton.independence as m
-        from twomilton.graphs import standard_cycle, union
-        answers = iter([True, False])  # the seed passes, the result fails
-        m.verify_independent = lambda g, vs: next(answers)
-        m.greedy_extend(union([standard_cycle(6)]), [0])
-    """,
-    "independence.csoka_lift": """
-        import twomilton.independence as m
-        from twomilton.graphs import standard_cycle, union
-        _, red = m.csoka_reduce(union([standard_cycle(6)]), 1)
-        m.verify_independent = lambda g, vs: False
-        m.csoka_lift(red, [])
-    """,
     "independence.lex_min_maximum_set": """
         import twomilton.independence as m
         from twomilton.graphs import standard_cycle, union

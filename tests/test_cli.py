@@ -520,6 +520,9 @@ MALFORMED = {
     "certificate-value-bool": {"certificates": {"alpha": {"value": True, "vertices": [0]}}},
     "certificate-value-float": {"certificates": {"alpha": {"value": 1.0, "vertices": [0]}}},
     "certificate-value-string": {"certificates": {"alpha": {"value": "1", "vertices": [0]}}},
+    "certificate-no-value": {"certificates": {"alpha": {"vertices": [0, 2]}}},
+    "certificate-no-vertices": {"certificates": {"alpha": {"value": 2}}},
+    "certificate-vertex-out-of-range": {"certificates": {"alpha": {"value": 2, "vertices": [0, 4]}}},
 }
 
 

@@ -104,7 +104,7 @@ def test_star_import_binds_every_export():
     exec("from twomilton import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == twomilton.__all__
-    assert len(namespace) == 42
+    assert len(namespace) == 39
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -1,5 +1,5 @@
-"""Independence solver vs the subset-recursion oracle, greedy extension,
-certificates, and the degree-2 contraction."""
+"""Independence solver vs the subset-recursion oracle, certificates, and the
+degree-2 fold behind the solver's branch."""
 
 import random
 from itertools import combinations
@@ -9,14 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from twomilton.constructions import circulant_family
 from twomilton.corpus import random_pair
-from twomilton.graphs import UGraph, cycle_graph, make_cycle, standard_cycle, union
+from twomilton.graphs import UGraph, bits, cycle_graph, make_cycle, standard_cycle, union
 from twomilton.independence import (
     AlphaSolver,
     alpha_exact,
     alpha_value,
-    csoka_lift,
-    csoka_reduce,
-    greedy_extend,
     has_independent_set,
     verify_certificate,
     verify_independent,
@@ -362,71 +359,33 @@ def test_verify_independent():
     assert not verify_independent(g, [0, 9])
 
 
-def test_greedy_extend_cycle_example():
-    g = cycle_graph(standard_cycle(8))
-    assert greedy_extend(g, [0]) == (0, 2, 4, 6)
-    assert greedy_extend(g, []) == (0, 2, 4, 6)
+def without(g, gone):
+    """The subgraph of g induced on the vertices outside the mask gone, relabelled 0.."""
+    index = {v: i for i, v in enumerate(v for v in range(g.n) if not gone >> v & 1)}
+    return UGraph.from_edges(len(index), [
+        (index[u], index[v]) for u, v in g.edges() if u in index and v in index])
 
 
-def test_greedy_extend_quarter_bound():
-    for seed in range(20):
-        n = 10 + seed
-        order = list(range(1, n))
-        random.Random(f"greedy:{seed}").shuffle(order)
-        g = union([standard_cycle(n), make_cycle([0] + order)])
-        base = greedy_extend(g, [])
-        # closed neighbourhood of the empty set is empty: gain >= n/4
-        assert len(base) * 4 >= n
-        seeded = greedy_extend(g, [base[0]])
-        uncovered = n - 1 - g.degree(base[0])
-        assert (len(seeded) - 1) * 4 >= uncovered
-
-
-def test_greedy_rejects_dependent_seed():
-    g = cycle_graph(standard_cycle(6))
-    with pytest.raises(ValueError):
-        greedy_extend(g, [0, 1])
-
-
-def test_csoka_path_example():
-    # P5 0-1-2-3-4, contract at y=2: P3 remains, alpha 3 -> 2, lift restores 3
-    p5 = UGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    reduced, red = csoka_reduce(p5, 2)
-    assert reduced.n == 2 + 1
-    assert alpha_value(reduced) == alpha_value(p5) - 1
-    new_cert = alpha_exact(reduced)
-    lifted = csoka_lift(red, new_cert.vertices)
-    assert len(lifted) == 3
-    assert verify_independent(p5, lifted)
-
-
-def test_csoka_alpha_drop_random():
-    # every eligible contraction drops alpha by exactly 1 and lifts back
-    checked = 0
-    for seed in range(30):
-        g = random_graph(9, 0.25, 2000 + seed)
-        for y in range(g.n):
-            if g.degree(y) != 2:
+def test_degree_two_fold_identity():
+    # for w of degree 2 with nonadjacent neighbours x, z: some maximum set holds
+    # w or both x and z, so alpha is the better of the solver's two branches
+    folds = both_only = 0
+    for seed in range(60):
+        g = random_graph(10, 0.25, seed)
+        a = oracle_alpha(g)
+        closed = [g.adj[v] | 1 << v for v in range(g.n)]
+        for w in range(g.n):
+            if g.degree(w) != 2:
                 continue
-            x, z = g.neighbors(y)
+            x, z = bits(g.adj[w])
             if g.has_edge(x, z):
                 continue
-            reduced, red = csoka_reduce(g, y)
-            assert alpha_value(reduced) == alpha_value(g) - 1
-            lifted = csoka_lift(red, alpha_exact(reduced).vertices)
-            assert len(lifted) == alpha_value(g)
-            assert verify_independent(g, lifted)
-            checked += 1
-    assert checked > 10
-
-
-def test_csoka_rejects_ineligible():
-    g = cycle_graph(standard_cycle(3))
-    with pytest.raises(ValueError, match="adjacent"):
-        csoka_reduce(g, 0)
-    p5 = UGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    with pytest.raises(ValueError, match="degree"):
-        csoka_reduce(p5, 0)
+            take_w = 1 + oracle_alpha(without(g, closed[w]))
+            take_both = 2 + oracle_alpha(without(g, closed[x] | closed[z]))
+            assert max(take_w, take_both) == a, (seed, w)
+            folds += 1
+            both_only += take_w < a
+    assert folds >= 100 and both_only >= 15, (folds, both_only)
 
 
 def test_limits_env_override(monkeypatch):

@@ -9,7 +9,7 @@ from twomilton.graphs import FamilyDocument, HamCycle, UGraph, serialize_family,
 
 RECORDS = {
     "graphs": ("HamCycle", "UGraph", "FamilyDocument"),
-    "independence": ("IndepCertificate", "CsokaReduction"),
+    "independence": ("IndepCertificate",),
     "k4": ("Archipelago",),
     "bounds": ("ThresholdLowerReport", "FamilyStats", "IteratingReport", "StepReport"),
     "constructions": ("AmplifyResult",),
