@@ -11,10 +11,15 @@ subproblem P without changing its independence number:
 
 The rules run off a worklist: a rule's outcome at v depends only on which of
 v's neighbours are still in P, so when vertices leave P only their neighbours
-are examined again.  A branch child hands on the neighbours of the vertices
-it removed, and the components of a reduced subproblem start clean.  The
-degree rule applies whenever it can, so a reduced subproblem has no vertex of
-degree below 2.
+are examined again.  A branch child removes the branch vertex v alone and
+hands on adj[v], or removes what is left of N[v] and hands on ball[v], or
+(in the degree-2 branch below) what is left of N[x] | N[z] and hands on
+ball[x] | ball[z].  ball[v] is precomputed and holds every neighbour of a
+vertex of N[v], so each mask covers every neighbour of a removed vertex; the
+other vertices in it kept all their neighbours, so they still admit no rule
+and examining them changes nothing.  The components of a reduced subproblem
+start clean.  The degree rule applies whenever it can, so a reduced
+subproblem has no vertex of degree below 2.
 
 One pass over a reduced subproblem Q walks the component of its lowest
 vertex and sorts the vertices it visits by degree in Q: 2, at least 3, at
@@ -60,9 +65,21 @@ class AlphaSolver:
         self.adj = adj = g.adj
         self.closed = tuple(a | (1 << v) for v, a in enumerate(adj))
         self.full = (1 << g.n) - 1
-        self.on_triangle = mask_of(
-            v for v, a in enumerate(adj) if any(adj[u] & a for u in bits(a))
-        )
+        # ball[v]: every neighbour of a vertex of N[v], the dirty mask of a
+        # child that removes part of N[v]; v is on a triangle when two of its
+        # neighbours are adjacent
+        ball = []
+        on_triangle = 0
+        for v, a in enumerate(adj):
+            reach = tri = 0
+            for u in bits(a):
+                reach |= adj[u]
+                tri |= adj[u] & a
+            ball.append(reach | a)
+            if tri:
+                on_triangle |= 1 << v
+        self.ball = tuple(ball)
+        self.on_triangle = on_triangle
         self.memo: dict[int, int] = {}
 
     def _reduce(self, P: int, dirty: int) -> tuple[int, int]:
@@ -120,7 +137,7 @@ class AlphaSolver:
             return hit
         size, Q = self._reduce(P, dirty)
         if Q and size < k:
-            adj, closed = self.adj, self.closed
+            adj, closed, ball = self.adj, self.closed, self.ball
             # one pass: the component of Q's lowest vertex, noting which of the
             # vertices it visits have degree 2 in Q and which degree 4 or more
             comp = frontier = Q & -Q
@@ -166,19 +183,16 @@ class AlphaSolver:
                         raise VerificationError(
                             f"degree-2 vertex {v} has adjacent neighbours {x} and {z}; "
                             "the reduction should have dropped them")
-                    children = ((1, closed[v] & Q), (2, (closed[x] | closed[z]) & Q))
+                    children = ((1, closed[v], ball[v]),
+                                (2, closed[x] | closed[z], ball[x] | ball[z]))
                 else:
-                    children = ((1, closed[v] & Q), (0, 1 << v))
+                    children = ((1, closed[v], ball[v]), (0, 1 << v, adj[v]))
                 best = 0
-                for gain, gone in children:
+                # a rule can newly apply only next to a removed vertex, and
+                # touched holds every neighbour of the removed vertices
+                for gain, gone, touched in children:
                     if best >= k - size:
                         break
-                    # a rule can newly apply only next to a removed vertex
-                    touched, m = 0, gone
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        touched |= adj[low.bit_length() - 1]
                     best = max(best, gain + self._alpha(Q & ~gone, touched, k - size - gain))
                 size += best
         if size < k:
@@ -186,22 +200,34 @@ class AlphaSolver:
         return size
 
     def lex_min_maximum_set(self) -> tuple[int, ...]:
-        """Lexicographically least maximum independent set (as a sorted tuple)."""
-        value = self.alpha()
+        """Lexicographically least maximum independent set (as a sorted tuple).
+
+        One pass in increasing order probes each vertex of P once: v is taken
+        when alpha(P - N[v]) = alpha(P) - 1, and otherwise dropped from P for
+        good.  A dropped u lies in no maximum set of the P it was probed in,
+        so dropping it keeps alpha(P).  Nor does u lie in a maximum set of
+        any later P: with the vertices taken since, that set would be a
+        maximum set of the earlier P through u.  So the pass takes the same
+        vertices as restarting from the lowest vertex after every take.
+        """
         chosen: list[int] = []
         P = self.full
-        remaining = value
-        while remaining:
-            for v in bits(P):
-                # alpha(P minus N[v]) <= remaining - 1 always, so this tests equality
-                rest = P & ~self.closed[v]
-                if self._alpha(rest, rest, remaining - 1) >= remaining - 1:
-                    chosen.append(v)
-                    P = rest
-                    remaining -= 1
-                    break
+        remaining = self.alpha()
+        for v in range(self.n):
+            if not remaining:
+                break
+            if not P >> v & 1:
+                continue
+            # alpha(P minus N[v]) <= remaining - 1 always, so this tests equality
+            rest = P & ~self.closed[v]
+            if self._alpha(rest, rest, remaining - 1) >= remaining - 1:
+                chosen.append(v)
+                P = rest
+                remaining -= 1
             else:
-                raise VerificationError("no completable vertex; solver inconsistent")
+                P ^= 1 << v
+        if remaining:
+            raise VerificationError("no completable vertex; solver inconsistent")
         return tuple(chosen)
 
 

@@ -311,18 +311,51 @@ def test_certificate_is_lex_min_maximum():
     assert alpha_exact(p5).vertices == (0, 2, 4)
 
 
-def test_certificate_lex_min_against_enumeration():
-    from itertools import combinations
+def lex_min_by_enumeration(g):
+    """The least maximum independent set in lexicographic order, by scanning
+    the subsets of each size from the top in combinations() order."""
+    for size in range(g.n, -1, -1):
+        for c in combinations(range(g.n), size):
+            if verify_independent(g, c):
+                return c
 
-    for seed in range(10):
-        g = random_graph(9, 0.3, 1000 + seed)
-        cert = alpha_exact(g)
-        best = min(
-            c
-            for c in combinations(range(9), cert.value)
-            if verify_independent(g, c)
-        )
-        assert cert.vertices == best
+
+def test_certificate_lex_min_against_enumeration():
+    cases = oracle_cases() + list(DEGREE_TWO_CASES.values())
+    cases += [random_graph(9, 0.3, 1000 + seed) for seed in range(10)]
+    for i, g in enumerate(cases):
+        assert alpha_exact(g).vertices == lex_min_by_enumeration(g), f"case {i}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 13), st.sampled_from((0.15, 0.3, 0.5)), st.integers(0, 10**6))
+def test_certificate_lex_min_property(n, p, seed):
+    g = random_graph(n, p, seed)
+    assert alpha_exact(g).vertices == lex_min_by_enumeration(g)
+
+
+def test_certificate_probes_each_vertex_once():
+    # after alpha(), the certificate makes at most one top-level search per
+    # vertex (106 on this graph when every take restarted from vertex 0)
+    g = union(random_pair(48, "pin:48"))
+    solver = AlphaSolver(g)
+    solver.alpha()
+    inner = solver._alpha
+    depth = top = 0
+
+    def counted(P, dirty, k):
+        nonlocal depth, top
+        top += depth == 0
+        depth += 1
+        try:
+            return inner(P, dirty, k)
+        finally:
+            depth -= 1
+
+    solver._alpha = counted
+    assert solver.lex_min_maximum_set() == alpha_exact(g).vertices
+    # one of the top-level calls is the certificate's own alpha(), a memo hit
+    assert top - 1 <= g.n, top
 
 
 def test_threshold_queries():
