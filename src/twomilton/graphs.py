@@ -81,14 +81,14 @@ def canonical_key(cycle: HamCycle) -> tuple[int, ...]:
 
     Two HamCycle values describe the same cycle iff their keys are equal.  The
     least representative always starts at vertex 0, so only the two traversal
-    directions from 0 need comparing.
+    directions from 0 need comparing, and they first differ at the neighbour
+    of 0 they visit next.
     """
     o = cycle.order
-    n = len(o)
     i = o.index(0)
-    fwd = tuple(o[(i + j) % n] for j in range(n))
-    rev = tuple(o[(i - j) % n] for j in range(n))
-    return min(fwd, rev)
+    if o[i - 1] < o[(i + 1) % len(o)]:
+        return o[i::-1] + o[:i:-1]
+    return o[i:] + o[:i]
 
 
 def relabel_cycle(cycle: HamCycle, perm: Sequence[int]) -> HamCycle:

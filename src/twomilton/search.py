@@ -16,6 +16,14 @@ and has at most one *open* vertex (the path end, the closing vertex or an
 unvisited one): every edge still to be placed joins two open vertices, so
 such a subset stays unhit in every completion.  A table over all vertex sets
 gives the subsets with two or more open members in one lookup.
+
+The dihedral group of the standard cycle (order 2n) maps survivors to
+survivors, so the scan lists one representative per orbit with its orbit
+size: vertex 0 must have the least signature (the sorted pair of distances
+to its partner neighbours), and a leaf must be the least of the images that
+keep it so.  compute_f refuses on the summed orbit sizes before it expands
+anything, then expands each orbit by canonical_key and puts the orders back
+into the order of the flat scan, which the witness tie-break depends on.
 """
 
 from __future__ import annotations
@@ -26,11 +34,13 @@ from decimal import Decimal
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import factorial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .constructions import circulant_family, k4_strip
 from .graphs import (
-    HamCycle, VerificationError, bits, make_cycle, max_clique, overlap_rows, standard_cycle, union,
+    HamCycle, VerificationError, bits, canonical_key, make_cycle, max_clique, overlap_rows, standard_cycle,
+    union,
 )
 from .independence import alpha_value
 from .k4 import find_k4_cover, find_triangle_cover, window_path, zeta
@@ -70,13 +80,20 @@ def _pair_rows(n, pair_lists):
 
 @lru_cache(maxsize=16)
 def _scan_tables(n, k):
-    """(rows, full, reach) for the pinned scan at (n, k), built once per process.
+    """(rows, full, reach, dist, far, steps) for the pinned scan at (n, k),
+    built once per process.
 
     rows[a][b] holds the independent (k+1)-subsets of the standard cycle that
     contain both a and b, and full all of them.  reach[o] is the OR of
     rows[a][b] over the pairs {a, b} inside the vertex set o, that is, the
     subsets with at least two members in o.  Splitting o at its two lowest
     members v < w, a pair inside o either misses v, misses w, or is {v, w}.
+    dist[a][b] is the distance of a and b on the standard cycle, and
+    far[a][t] the set of vertices at distance at least t from a.  For a
+    least signature (s1, s2) (see _scan_task), steps[s1][s2] = (thr, tie):
+    a vertex whose first placed edge has length d keeps a signature
+    >= (s1, s2) iff its second edge has length >= thr[d], and equal iff
+    that length is tie[d] (-1: never).
     """
     subsets = _independent_subsets(n, k + 1)
     rows = tuple(map(tuple, _pair_rows(n, (combinations(s, 2) for s in subsets))))
@@ -88,53 +105,129 @@ def _scan_tables(n, k):
             v = (o & -o).bit_length() - 1
             w = (rest & -rest).bit_length() - 1
             reach[o] = reach[rest] | reach[o ^ (1 << w)] | rows[v][w]
-    return rows, full, tuple(reach)
+    half = n // 2
+    dist = tuple(tuple(min((a - b) % n, (b - a) % n) for b in range(n)) for a in range(n))
+    far = tuple(tuple(sum(1 << b for b in range(n) if dist[a][b] >= t) for t in range(half + 2)) for a in range(n))
+    steps = tuple(
+        tuple(
+            (
+                [half + 1 if d < s1 else s2 if d == s1 else s1 if d >= s2 else s1 + 1 for d in range(half + 1)],
+                [s2 if d == s1 else s1 if d == s2 else -1 for d in range(half + 1)],
+            )
+            for s2 in range(half + 1)
+        )
+        for s1 in range(half + 1)
+    )
+    return rows, full, tuple(reach), dist, far, steps
+
+
+@lru_cache(maxsize=16)
+def _dihedral_maps(n):
+    """maps[u] = (v -> v - u, v -> u - v) mod n as lookup tuples: the two
+    maps of the standard cycle's dihedral group that send u to 0."""
+    return tuple(
+        (tuple((v - u) % n for v in range(n)), tuple((u - v) % n for v in range(n))) for u in range(n)
+    )
+
+
+def _orbit_size(order, ties):
+    """2n / |stabilizer| of the cycle `order` if it is the least of its images
+    under the dihedral maps that send a vertex of `ties` to 0, else 0.
+
+    The images are normalised by canonical_key.  The maps that fix the cycle
+    all send a vertex of ties to 0 when ties holds every vertex of the least
+    signature.
+    """
+    maps = _dihedral_maps(len(order))
+    relabel = itemgetter(*order)
+    fixed = 0
+    for u in ties:
+        for g in maps[u]:
+            image = canonical_key(HamCycle(relabel(g)))
+            if image < order:
+                return 0
+            fixed += image == order
+    return 2 * len(order) // fixed
 
 
 def _scan_task(args):
-    """Survivor orders among cycles (0, p1, p2, *mid, last) with last > p1.
+    """One representative per dihedral orbit of the survivor orders among
+    cycles (0, p1, p2, *mid, last) with last > p1, as (order, orbit size).
 
-    A depth-first extension of the path from p2, with `last` fixed first and
-    the next vertex taken in ascending order, yields the orders in the
-    lexicographic order of a flat loop over `last` and then over
-    permutations of the middle.  acc holds the subsets hit by the edges
-    placed so far, the closing edge (last, 0) included.  The edges still to
+    A depth-first extension of the path from p2, with `last` fixed first,
+    builds the orders.  acc holds the subsets hit by the edges placed so
+    far, the closing edge (last, 0) included.  The edges still to
     place join two *open* vertices: the path end, the unvisited vertices and
     `last`.  So a subset not in acc | reach[open] (at most one open member)
     can never be hit, and the whole subtree is cut.
+
+    The dihedral group of the standard cycle (v -> +-v + a mod n) maps
+    survivors to survivors, and the task keeps one member of each orbit.  A
+    vertex's signature is the sorted pair of the standard-cycle distances to
+    its two partner neighbours.  The maps keep it, so every orbit has
+    members in which vertex 0 has the least signature, and only those are
+    listed: the test runs on p1 once `last` is chosen, and on every other
+    vertex as soon as both its neighbours are placed, through the far mask
+    of the edge ahead (steps in _scan_tables).  The vertices whose signature
+    ties with 0's ride down the path, and a leaf is kept only if it is the
+    least of its images under the maps that send 0 or one of them to 0
+    (_orbit_size).  Those images are the members of the orbit that the
+    signature test lets through, so exactly one of them is kept; the
+    reflection that fixes 0 already rules out p1 > n - last for a whole
+    `last`.
     """
     n, k, p1, p2 = args
-    rows, full, reach = _scan_tables(n, k)
+    rows, full, reach, dist, far, steps = _scan_tables(n, k)
     head = (0, p1, p2)
     base = rows[0][p1] | rows[p1][p2]
     pool = [v for v in range(1, n) if v != p1 and v != p2]
     out = []
     if not pool:
         if p1 < p2 and base | rows[p2][0] == full:
-            out.append(head)
+            out.append((head, 1))  # the one cycle on 3 vertices, which every map fixes
         return out
 
-    def extend(prev, free, acc, path):
+    def extend(prev, dp, free, acc, path, tied):
         row = rows[prev]
         if not free:
-            if acc | row[last] == full:
-                out.append(path + (last,))
+            dv = dist[prev][last]
+            if dv >= thr[dp] and dv >= thr[d0] and acc | row[last] == full:
+                if dv == tie[dp]:
+                    tied += (prev,)
+                if dv == tie[d0]:
+                    tied += (last,)
+                order = path + (last,)
+                size = _orbit_size(order, tied)
+                if size:
+                    out.append((order, size))
             return
         # each child's open set is free | last, so one lookup prunes them all
         need = full & ~(acc | reach[free | last_bit])
-        rest = free
+        rest = free & far[prev][thr[dp]]
+        lengths = dist[prev]
+        even = tie[dp]
         while rest:
             bit = rest & -rest
             rest ^= bit
             v = bit.bit_length() - 1
             if not need & ~row[v]:
-                extend(v, free ^ bit, acc | row[v], path + (v,))
+                dv = lengths[v]
+                extend(v, dv, free ^ bit, acc | row[v], path + (v,), tied + (prev,) if dv == even else tied)
 
     pool_mask = sum(1 << v for v in pool)
+    d01, d12 = dist[0][p1], dist[p1][p2]
     for last in pool:
-        if last > p1:
-            last_bit = 1 << last
-            extend(p2, pool_mask ^ last_bit, base | rows[last][0], head)
+        # last > p1 orients the cycle; p1 > n - last would make the
+        # reflection v -> -v, which keeps 0, give a smaller order
+        if last <= p1 or p1 + last > n:
+            continue
+        d0 = dist[0][last]
+        thr, tie = steps[min(d01, d0)][max(d01, d0)]
+        if d12 < thr[d01]:
+            continue
+        last_bit = 1 << last
+        tied = (0, p1) if d12 == tie[d01] else (0,)
+        extend(p2, d12, pool_mask ^ last_bit, base | rows[last][0], head, tied)
     return out
 
 
@@ -151,7 +244,9 @@ class FSearchResult(NamedTuple):
 
 
 def _survivors(n, k, workers):
-    """The pinned scan's survivor orders over all prefix tasks, in task order.
+    """(representatives, count): the orbit representatives of the pinned
+    scan over all prefix tasks, as (order, orbit size) in task order, and
+    the number of survivors, the sum of the orbit sizes.
 
     The tasks run in a fixed order and their outputs are joined in that
     order, so the list is the same for every worker count.  The pool starts
@@ -169,7 +264,33 @@ def _survivors(n, k, workers):
         procs = min(workers, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(_scan_task, tasks, chunksize=max(1, len(tasks) // (4 * procs))))
-    return [order for chunk in chunks for order in chunk]
+    reps = [rep for chunk in chunks for rep in chunk]
+    return reps, sum(size for _, size in reps)
+
+
+def _expand_orbits(n, reps):
+    """Every survivor order, in the order of the flat scan, from the orbit
+    representatives.
+
+    Each orbit is the set of the 2n dihedral images of its representative,
+    normalised by canonical_key, which gives the orientation last > p1 that
+    the scan lists.  The flat scan runs over p1, p2 and last and then over
+    the middle in lexicographic order, so the orders are bucketed by
+    (p1, p2, last) and each bucket is sorted as plain tuples.
+    """
+    maps = [g for pair in _dihedral_maps(n) for g in pair]
+    buckets = {}
+    for order, size in reps:
+        relabel = itemgetter(*order)
+        orbit = {canonical_key(HamCycle(relabel(g))) for g in maps}
+        if len(orbit) != size:
+            raise VerificationError(f"the orbit of {order} has {len(orbit)} cycles, the scan counted {size}")
+        for o in orbit:
+            buckets.setdefault((o[1] * n + o[2]) * n + o[-1], []).append(o)
+    out = []
+    for key in sorted(buckets):
+        out += sorted(buckets[key])
+    return out
 
 
 def exact_range(n: int, k: int) -> bool:
@@ -186,7 +307,9 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
       are at most 1000 of them.
     - n <= limit("enum") ("exhaustive"): the pinned scan over all cycle
       orders, then a maximum clique of compatible survivors, whose witness
-      family is re-checked pairwise by alpha.  Orders stream in a fixed
+      family is re-checked pairwise by alpha.  The scan counts the survivors
+      from its orbit sizes, and the MAX_ROW_BITS refusal comes before any
+      orbit is expanded.  The expanded orders follow the flat scan's fixed
       prefix-task order, so the result does not depend on `workers`.
     - otherwise, outside exact_range ("lower-bound"): the best construction
       that applies, each of its pairwise unions certified by a clique cover
@@ -204,7 +327,9 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     if k >= n // 2:
         # no (k+1)-set is independent in the standard cycle, so the scan keeps
         # every cycle, and the family of all cycles is maximum
-        witnesses = tuple(make_cycle(o) for o in sorted(_survivors(n, k, 1))) if total <= 1000 else ()
+        witnesses = ()
+        if total <= 1000:
+            witnesses = tuple(make_cycle(o) for o in sorted(_expand_orbits(n, _survivors(n, k, 1)[0])))
         log.append(f"alpha of any union <= floor(n/2) = {n // 2} <= k = {k}")
         # Decimal prints any number of digits; str(int) stops at Python's cap
         log.append(f"f({n},{k}) = {Decimal(total)}: the family of all distinct cycles")
@@ -212,12 +337,13 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     if not exact_range(n, k):
         return _construction_lower_bound(n, k, t0, log)
 
-    survivors = _survivors(n, k, workers)
-    if len(survivors) ** 2 > MAX_ROW_BITS:
+    reps, count = _survivors(n, k, workers)
+    if count ** 2 > MAX_ROW_BITS:
         raise ValueError(
-            f"f({n},{k}): {len(survivors)} survivors need {len(survivors) ** 2} bits "
+            f"f({n},{k}): {count} survivors need {count ** 2} bits "
             f"of compatibility rows, more than the {MAX_ROW_BITS} allowed"
         )
+    survivors = _expand_orbits(n, reps)
     log.append(f"examined {total} distinct cycles across {(n - 1) * (n - 2)} prefix tasks (workers={workers})")
     log.append(f"survivors with alpha(union with standard) <= {k}: {len(survivors)}")
 

@@ -41,6 +41,12 @@ CASES = {
         m.zeta = lambda g: -1
         m.find_exceptional(8)
     """,
+    "search.expand_orbits": """
+        import twomilton.search as m
+        # every orbit representative claims a single-cycle orbit
+        m._orbit_size = lambda order, ties: 1
+        m.compute_f(8, 2)
+    """,
     "search.construction_lower_bound": """
         import twomilton.k4
         import twomilton.search as m

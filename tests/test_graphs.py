@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +64,19 @@ def test_canonical_key_invariant_under_rotation_reflection(perm, shift, flip):
     if flip:
         rotated = rotated[::-1]
     assert canonical_key(c) == canonical_key(make_cycle(rotated))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_canonical_key_is_least_rotation_or_reflection(n):
+    # against the least of all 2n rotations and reflections of the order,
+    # every cycle for n <= 6 and 300 random ones beyond
+    rng = random.Random(f"canonical-key:{n}")
+    orders = list(permutations(range(n))) if n <= 6 else [tuple(rng.sample(range(n), n)) for _ in range(300)]
+    for order in orders:
+        turns = [order[i:] + order[:i] for i in range(n)]
+        least = min(turns + [t[::-1] for t in turns])
+        key = canonical_key(HamCycle(order))
+        assert type(key) is tuple and key == least, order
 
 
 def test_union_shared_edge_counts_once():

@@ -13,11 +13,10 @@ import pytest
 import twomilton
 from twomilton import search
 from twomilton.constructions import circulant_family, k4_strip
-from twomilton.graphs import canonical_key, make_cycle, standard_cycle, union
+from twomilton.graphs import HamCycle, canonical_key, make_cycle, standard_cycle, union
 from twomilton.independence import alpha_value
 from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, window_path, zeta
 from twomilton.search import (
-    _scan_task,
     compute_f,
     exact_range,
     find_exceptional,
@@ -168,9 +167,8 @@ def test_pool_size_capped_by_tasks_and_processors(monkeypatch):
 
 
 def scan_survivors(n, k):
-    """The pinned scan's survivors over all prefix tasks, in compute_f's task order."""
-    tasks = [(n, k, p1, p2) for p1 in range(1, n) for p2 in range(1, n) if p2 != p1]
-    return [order for task in tasks for order in _scan_task(task)]
+    """The pinned scan's survivors, its orbits expanded as compute_f expands them."""
+    return search._expand_orbits(n, search._survivors(n, k, 1)[0])
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -199,6 +197,53 @@ def test_scan_survivors_pinned(n, k):
     assert (len(survivors), hashlib.sha256(repr(survivors).encode()).hexdigest()) == SCAN_DIGESTS[n, k]
 
 
+def signatures(order):
+    """sig[v]: the sorted standard-cycle distances from v to its two neighbours in order."""
+    n = len(order)
+    sig = [None] * n
+    for i, v in enumerate(order):
+        sig[v] = tuple(sorted(min((u - v) % n, (v - u) % n) for u in (order[i - 1], order[(i + 1) % n])))
+    return sig
+
+
+def dihedral_images(order):
+    """The canonical keys of the cycle's images under all 2n maps v -> +-v + a mod n."""
+    n = len(order)
+    return [canonical_key(HamCycle(tuple((s * v + a) % n for v in order))) for a in range(n) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("n,k", [(7, 2), (8, 2), (8, 3), (9, 3), (10, 3), (11, 3)])
+def test_scan_keeps_one_representative_per_orbit(n, k):
+    # each representative has vertex 0 at the least signature and is the
+    # least of its images that keep it there (the least of all 2n images may
+    # put a vertex of larger signature at 0, as in 106 of the 191 orbits at
+    # (8,3)); the orbits are disjoint, and together they are the survivors
+    reps, count = search._survivors(n, k, 1)
+    seen = set()
+    for order, size in reps:
+        images = dihedral_images(order)
+        least = signatures(order)[0]
+        assert least == min(signatures(order)), order
+        assert order == min(im for im in images if signatures(im)[0] == least), order
+        orbit = set(images)
+        assert size == len(orbit) and not orbit & seen, order
+        seen |= orbit
+    if n <= 9:
+        assert seen == set(oracle_scan_survivors(n, k))
+    else:
+        assert len(seen) == SCAN_DIGESTS[n, k][0]
+    assert count == len(seen)
+
+
+# orbits of the survivors under the 2n maps, one representative each
+ORBIT_COUNTS = {(8, 3): 191, (9, 3): 777, (10, 3): 1187, (11, 3): 230, (12, 3): 7}
+
+
+@pytest.mark.parametrize("n,k", sorted(ORBIT_COUNTS))
+def test_orbit_counts_pinned(n, k):
+    assert len(search._survivors(n, k, 1)[0]) == ORBIT_COUNTS[n, k]
+
+
 @pytest.mark.parametrize("n,k,want", [(8, 2, 40), (10, 2, 0), (11, 3, 4402), (12, 3, 56)])
 def test_compute_f_survivor_count(n, k, want):
     res = compute_f(n, k)
@@ -214,6 +259,16 @@ def test_compute_f_survivors_zero_without_scan():
 def test_compute_f_refuses_dense_rows():
     # (10, 4) keeps 180,000 survivors, whose compatibility rows would take
     # about 4 GB; compute_f stops right after the scan instead
+    with pytest.raises(ValueError, match="180000 survivors"):
+        compute_f(10, 4)
+
+
+def test_compute_f_refuses_before_expanding(monkeypatch):
+    # the count comes from the orbit sizes, so no orbit is expanded
+    def expand(n, reps):
+        raise RuntimeError("expanded an orbit")
+
+    monkeypatch.setattr(search, "_expand_orbits", expand)
     with pytest.raises(ValueError, match="180000 survivors"):
         compute_f(10, 4)
 
