@@ -335,8 +335,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search_f(args) -> int:
-    from .search import compute_f, exact_range
+    from .search import check_f_args, compute_f, exact_range
 
+    check_f_args(args.n, args.k, args.workers)
     if not (args.lower_bound or exact_range(args.n, args.k)):
         raise ValueError(
             f"n > {limit('enum')} is out of exhaustive range; pass --lower-bound for a labeled bound"

@@ -2,7 +2,7 @@
 
 Vertices are 0..n-1.  Graphs are simple and undirected; adjacency is a tuple of
 integer bitmasks, so vertex-set operations are plain mask arithmetic throughout
-the package.
+the package.  Every fixed-size clique list in the package comes from cliques().
 """
 
 from __future__ import annotations
@@ -235,6 +235,28 @@ def max_clique(adj: Sequence[int]) -> tuple[int, ...]:
 
     expand((1 << len(adj)) - 1)
     return tuple(best)
+
+
+def cliques(adj: Sequence[int], cands: int, size: int) -> Iterator[tuple[int, ...]]:
+    """Yield the size-vertex cliques inside the vertex mask cands, as
+    ascending tuples in lexicographic order.
+
+    adj[v] is the bitmask of v's neighbours, as in UGraph.adj.  Each vertex
+    is extended only by its later neighbours among the candidates, so each
+    clique is met once, from its least member; a vertex with too few of
+    them to finish a clique is not extended.
+    """
+    if not size:
+        yield ()
+        return
+    while cands.bit_count() >= size:
+        low = cands & -cands
+        cands ^= low
+        v = low.bit_length() - 1
+        later = cands & adj[v]
+        if later.bit_count() >= size - 1:
+            for rest in cliques(adj, later, size - 1):
+                yield (v,) + rest
 
 
 def overlap_rows(masks: Sequence[int]) -> Iterator[int]:

@@ -1,5 +1,6 @@
 """K4 structure of cycle unions: detection, clique covers, induced-path
 packings, and archipelagos (components of the subgraph induced on K4 vertices).
+Every K4 and triangle list, the covers' included, comes from graphs.cliques.
 """
 
 from __future__ import annotations
@@ -7,24 +8,16 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .graphs import UGraph, VerificationError, bits, connected_components, depth_first, mask_of, overlap_rows
+from .graphs import (
+    UGraph, VerificationError, bits, cliques, connected_components, depth_first, mask_of, overlap_rows,
+)
 from .independence import AlphaSolver
 from .limits import check_limit
 
 
 def find_k4s(g: UGraph) -> tuple[tuple[int, int, int, int], ...]:
     """All K4 vertex sets, ascending, each reported once (least vertex first)."""
-    out = []
-    adj = g.adj
-    for a, row in enumerate(adj):
-        higher = row >> (a + 1) << (a + 1)
-        for b in bits(higher):
-            common_ab = row & adj[b] & higher & ~((1 << (b + 1)) - 1)
-            for c in bits(common_ab):
-                for d in bits(adj[c] & common_ab):
-                    if d > c:
-                        out.append((a, b, c, d))
-    return tuple(out)
+    return tuple(cliques(g.adj, (1 << g.n) - 1, 4))
 
 
 def zeta(g: UGraph) -> int:
@@ -42,12 +35,8 @@ def creates_k4(adj, u: int, v: int):
     archipelago can be one of the pair, since a K4 vertex has at most one
     neighbour outside its K4 when the maximum degree is 4.
     """
-    common = adj[u] & adj[v]
-    for a in bits(common):
-        inner = adj[a] & common
-        for b in bits(inner):
-            if b > a:
-                return tuple(sorted((u, v, a, b)))
+    for pair in cliques(adj, adj[u] & adj[v], 2):
+        return tuple(sorted((u, v) + pair))
     return None
 
 
@@ -73,22 +62,24 @@ def check_cover(g: UGraph, blocks, size: int) -> bool:
     return seen == (1 << g.n) - 1
 
 
-def _cover_search(g: UGraph, cliques, size: int) -> tuple | None:
-    """Exact partition-into-cliques search, branching on the least uncovered vertex.
+def _cover_search(g: UGraph, size: int) -> tuple | None:
+    """A partition of the vertices into size-cliques, or None if there is none.
 
-    A partition it returns has passed check_cover; one that fails raises
-    VerificationError, so a found cover is a checked verdict.
+    Exact search: the least uncovered vertex v is tried with each clique it
+    completes among its uncovered neighbours, all later than v, so in
+    lexicographic order.  A partition it returns has passed check_cover; one
+    that fails raises VerificationError, so a found cover is a checked verdict.
     """
-    by_vertex: dict[int, list] = {v: [] for v in range(g.n)}
-    for q in cliques:
-        for v in q:
-            by_vertex[v].append((mask_of(q), q))
+    if g.n % size:
+        return None
+    adj = g.adj
 
     def expand(uncovered: int):
         if not uncovered:
             return None
-        v = (uncovered & -uncovered).bit_length() - 1
-        return ((q, uncovered & ~m) for m, q in by_vertex[v] if not m & ~uncovered)
+        low = uncovered & -uncovered
+        v = low.bit_length() - 1
+        return (((v,) + q, uncovered ^ low ^ mask_of(q)) for q in cliques(adj, adj[v] & uncovered, size - 1))
 
     blocks = depth_first((1 << g.n) - 1, expand)
     if blocks is not None and not check_cover(g, blocks, size):
@@ -98,27 +89,12 @@ def _cover_search(g: UGraph, cliques, size: int) -> tuple | None:
 
 def find_k4_cover(g: UGraph) -> tuple | None:
     """A partition of the vertices into K4s, or None if there is none."""
-    if g.n % 4:
-        return None
-    return _cover_search(g, find_k4s(g), 4)
-
-
-def find_triangles(g: UGraph) -> tuple[tuple[int, int, int], ...]:
-    out = []
-    for a in range(g.n):
-        higher = g.adj[a] >> (a + 1) << (a + 1)
-        for b in bits(higher):
-            for c in bits(g.adj[b] & higher):
-                if c > b:
-                    out.append((a, b, c))
-    return tuple(out)
+    return _cover_search(g, 4)
 
 
 def find_triangle_cover(g: UGraph) -> tuple | None:
     """A partition of the vertices into triangles, or None if there is none."""
-    if g.n % 3:
-        return None
-    return _cover_search(g, find_triangles(g), 3)
+    return _cover_search(g, 3)
 
 
 def good_paths4(g: UGraph) -> tuple[tuple[int, int, int, int], ...]:

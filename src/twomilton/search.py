@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 from .constructions import circulant_family, k4_strip
 from .graphs import (
-    HamCycle, VerificationError, bits, canonical_key, make_cycle, max_clique, overlap_rows, standard_cycle,
-    union,
+    HamCycle, VerificationError, bits, canonical_key, cliques, cycle_graph, make_cycle, max_clique, overlap_rows,
+    standard_cycle, union,
 )
 from .independence import alpha_value
 from .k4 import find_k4_cover, find_triangle_cover, window_path, zeta
@@ -54,17 +54,6 @@ MAX_ROW_BITS = 1 << 30
 
 class WitnessCheckError(VerificationError):
     """A pair of cycles in a computed witness family has a union with alpha > k."""
-
-
-def _independent_subsets(n, r):
-    """r-subsets of range(n) with no two members adjacent on the standard cycle."""
-    out = []
-    for s in combinations(range(n), r):
-        if all(s[i + 1] - s[i] >= 2 for i in range(r - 1)) and not (
-            r >= 2 and s[0] == 0 and s[-1] == n - 1
-        ):
-            out.append(s)
-    return out
 
 
 def _pair_rows(n, pair_lists):
@@ -84,9 +73,10 @@ def _scan_tables(n, k):
     built once per process.
 
     rows[a][b] holds the independent (k+1)-subsets of the standard cycle that
-    contain both a and b, and full all of them.  reach[o] is the OR of
-    rows[a][b] over the pairs {a, b} inside the vertex set o, that is, the
-    subsets with at least two members in o.  Splitting o at its two lowest
+    contain both a and b, and full all of them; the subsets are the
+    (k+1)-cliques of the cycle's complement, in lexicographic order.
+    reach[o] is the OR of rows[a][b] over the pairs {a, b} inside the vertex
+    set o, that is, the subsets with at least two members in o.  Splitting o at its two lowest
     members v < w, a pair inside o either misses v, misses w, or is {v, w}.
     dist[a][b] is the distance of a and b on the standard cycle, and
     far[a][t] the set of vertices at distance at least t from a.  For a
@@ -95,7 +85,9 @@ def _scan_tables(n, k):
     >= (s1, s2) iff its second edge has length >= thr[d], and equal iff
     that length is tie[d] (-1: never).
     """
-    subsets = _independent_subsets(n, k + 1)
+    every = (1 << n) - 1
+    apart = [every & ~(row | 1 << v) for v, row in enumerate(cycle_graph(standard_cycle(n)).adj)]
+    subsets = list(cliques(apart, every, k + 1))
     rows = tuple(map(tuple, _pair_rows(n, (combinations(s, 2) for s in subsets))))
     full = (1 << len(subsets)) - 1
     reach = [0] * (1 << n)
@@ -298,6 +290,16 @@ def exact_range(n: int, k: int) -> bool:
     return k >= n // 2 or n <= limit("enum")
 
 
+def check_f_args(n: int, k: int, workers: int) -> None:
+    """Raise ValueError unless compute_f(n, k, workers) has valid input."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if k < 0:
+        raise ValueError("need k >= 0")
+    if workers < 1:
+        raise ValueError("need workers >= 1")
+
+
 def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     """f(n, k) in one of three modes, chosen here and nowhere else.
 
@@ -315,12 +317,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
       that applies, each of its pairwise unions certified by a clique cover
       (_construction_lower_bound).
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if k < 0:
-        raise ValueError("need k >= 0")
-    if workers < 1:
-        raise ValueError("need workers >= 1")
+    check_f_args(n, k, workers)
     t0 = time.perf_counter()
     total = factorial(n - 1) // 2
     log = ["pinned first cycle to the standard order; families are closed under relabeling"]

@@ -49,20 +49,12 @@ def oracle_max_clique(g: UGraph) -> tuple[int, ...]:
     return ()
 
 
-def oracle_k4s(g: UGraph) -> list[tuple[int, int, int, int]]:
-    out = []
-    for combo in combinations(range(g.n), 4):
-        if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
-            out.append(combo)
-    return out
-
-
-def oracle_triangles(g: UGraph) -> list[tuple[int, int, int]]:
-    out = []
-    for combo in combinations(range(g.n), 3):
-        if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
-            out.append(combo)
-    return out
+def oracle_cliques(g: UGraph, vertices, size: int) -> list[tuple[int, ...]]:
+    """The size-subsets of vertices that are cliques, in combinations order."""
+    return [
+        combo for combo in combinations(sorted(vertices), size)
+        if all(g.has_edge(u, v) for u, v in combinations(combo, 2))
+    ]
 
 
 def oracle_clique_cover(g: UGraph, blocks: list, size: int) -> bool:
@@ -79,24 +71,21 @@ def oracle_clique_cover(g: UGraph, blocks: list, size: int) -> bool:
     return len(seen) == g.n
 
 
-def oracle_has_k4_cover(g: UGraph) -> bool:
-    k4s = oracle_k4s(g)
-    by_vertex: dict[int, list] = {}
-    for q in k4s:
-        for v in q:
-            by_vertex.setdefault(v, []).append(q)
+def oracle_has_clique_cover(g: UGraph, size: int) -> bool:
+    """True iff the vertices split into cliques of the given size.
+
+    Set recursion: the least uncovered vertex v goes into a block with each
+    (size - 1)-subset of its uncovered neighbours that is a clique in turn.
+    """
 
     def rec(uncovered: frozenset) -> bool:
         if not uncovered:
             return True
         v = min(uncovered)
-        for q in by_vertex.get(v, []):
-            if all(u in uncovered for u in q):
-                if rec(uncovered - set(q)):
-                    return True
-        return False
+        near = [u for u in uncovered if g.has_edge(u, v)]
+        return any(rec(uncovered - {v, *rest}) for rest in oracle_cliques(g, near, size - 1))
 
-    return g.n % 4 == 0 and rec(frozenset(range(g.n)))
+    return g.n % size == 0 and rec(frozenset(range(g.n)))
 
 
 def oracle_archipelagos(g: UGraph):
@@ -107,7 +96,7 @@ def oracle_archipelagos(g: UGraph):
     (the non-K4 edges between K4 vertices): its classes are the archipelagos,
     and a class is cyclic when one of those edges joins two K4s already in it.
     """
-    k4s = oracle_k4s(g)
+    k4s = oracle_cliques(g, range(g.n), 4)
     owner: dict[int, int] = {}
     for i, q in enumerate(k4s):
         for v in q:

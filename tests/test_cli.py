@@ -236,6 +236,18 @@ def test_search_f_out_of_range(capsys):
     assert err == "error: n > 12 is out of exhaustive range; pass --lower-bound for a labeled bound\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("--n 2 --k -1", "need n >= 3"),
+    ("--n 20 --k -1", "need k >= 0"),
+    ("--n 20 --k 3 --workers 0", "need workers >= 1"),
+])
+def test_search_f_checks_its_input_before_the_range(capsys, argv, message):
+    # a bad input is named as such, not refused as out of exhaustive range
+    rc = main(["search-f", *argv.split()])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_search_f_refuses_before_it_builds(capsys, monkeypatch):
     def built(*args):
         raise AssertionError("a lower bound was built for a refused search")

@@ -13,6 +13,7 @@ from twomilton.graphs import (
     HamCycle,
     UGraph,
     canonical_key,
+    cliques,
     connected_components,
     cycle_graph,
     distinct_cycles,
@@ -26,7 +27,7 @@ from twomilton.graphs import (
     union,
 )
 
-from oracles import oracle_connected, oracle_max_clique
+from oracles import oracle_cliques, oracle_connected, oracle_max_clique
 
 
 def test_make_cycle_validates():
@@ -150,6 +151,24 @@ def test_max_clique_breaks_ties_lexicographically():
     perm = [6, 2, 1, 4, 3, 5, 0]
     h = UGraph.from_edges(7, [(perm[u], perm[v]) for u, v in g.edges()])
     assert max_clique(h.adj) == (0, 1, 4)
+
+
+def test_cliques_match_brute_force():
+    # every size from 0 (the empty clique) to 5, inside a random candidate
+    # mask, in the order of combinations; the full mask is among the masks
+    rng = random.Random("cliques")
+    listed = 0
+    for trial in range(300):
+        n = rng.randint(0, 12)
+        p = rng.uniform(0.2, 0.8)
+        g = UGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        cands = rng.getrandbits(n) if trial % 3 else (1 << n) - 1
+        members = [v for v in range(n) if cands >> v & 1]
+        for size in range(6):
+            got = list(cliques(g.adj, cands, size))
+            assert got == oracle_cliques(g, members, size), (trial, size)
+            listed += len(got)
+    assert listed > 1000
 
 
 def test_distinct_cycles():

@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from twomilton.constructions import k4_strip, triple_n8
-from twomilton.graphs import UGraph, cycle_graph, make_cycle, standard_cycle, union
+from twomilton.constructions import circulant_family, k4_strip, triple_n8
+from twomilton.graphs import UGraph, cliques, cycle_graph, make_cycle, standard_cycle, union
 from twomilton.k4 import (
     Archipelago,
     archipelagos,
@@ -15,7 +15,6 @@ from twomilton.k4 import (
     find_k4_cover,
     find_k4s,
     find_triangle_cover,
-    find_triangles,
     good_paths4,
     psi_exact,
     zeta,
@@ -24,9 +23,9 @@ from twomilton.k4 import (
 from oracles import (
     oracle_archipelagos,
     oracle_clique_cover,
-    oracle_has_k4_cover,
+    oracle_cliques,
+    oracle_has_clique_cover,
     oracle_induced_p4s,
-    oracle_k4s,
     oracle_psi,
 )
 
@@ -40,7 +39,7 @@ def random_graph(n, p, seed):
 def test_find_k4s_matches_oracle():
     for seed in range(30):
         g = random_graph(9, 0.45, seed)
-        assert find_k4s(g) == tuple(oracle_k4s(g)), f"seed={seed}"
+        assert find_k4s(g) == tuple(oracle_cliques(g, range(g.n), 4)), f"seed={seed}"
 
 
 def test_find_k4s_strip():
@@ -97,7 +96,7 @@ def test_check_cover_and_search():
     # removing an edge kills the cover
     broken = UGraph.from_edges(12, [e for e in g.edges() if e != (0, 1)])
     assert find_k4_cover(broken) is None
-    assert not oracle_has_k4_cover(broken)
+    assert not oracle_has_clique_cover(broken, 4)
     assert not check_cover(g, cover[:-1], 4)
     assert find_k4_cover(cycle_graph(standard_cycle(8))) is None
 
@@ -121,7 +120,7 @@ def test_triple_pairwise_covers():
             cover = find_k4_cover(g)
             assert cover is not None, (i, j)
             assert check_cover(g, cover, 4)
-            assert oracle_has_k4_cover(g)
+            assert oracle_has_clique_cover(g, 4)
 
 
 def test_triangle_cover():
@@ -130,7 +129,64 @@ def test_triangle_cover():
     assert cover == ((0, 1, 2), (3, 4, 5))
     assert check_cover(g, cover, 3)
     assert find_triangle_cover(cycle_graph(standard_cycle(4))) is None
-    assert find_triangles(g) == ((0, 1, 2), (3, 4, 5))
+    assert tuple(cliques(g.adj, (1 << g.n) - 1, 3)) == ((0, 1, 2), (3, 4, 5))
+
+
+def test_cover_search_matches_brute_force():
+    # a cover is found exactly when the brute-force partition search finds
+    # one, and a found one checks; n runs over multiples of 3 and 4 and
+    # densities from sparse to near-complete, so both verdicts occur
+    found = {3: [0, 0], 4: [0, 0]}
+    for seed in range(240):
+        rng = random.Random(f"cover:{seed}")
+        n = rng.choice([3, 4, 6, 8, 9, 12])
+        g = random_graph(n, rng.uniform(0.3, 0.95), seed)
+        for size, search in ((3, find_triangle_cover), (4, find_k4_cover)):
+            cover = search(g)
+            expected = oracle_has_clique_cover(g, size)
+            assert (cover is not None) == expected, f"seed={seed} size={size}"
+            if cover is not None:
+                assert oracle_clique_cover(g, list(cover), size), f"seed={seed} size={size}"
+            if not n % size:
+                found[size][expected] += 1
+    assert min(found[3] + found[4]) >= 10, found
+
+
+def test_cover_blocks_pinned():
+    # the blocks are the first partition in the search's branch order: the
+    # least uncovered vertex with its lexicographically first completion
+    assert find_k4_cover(union(list(k4_strip(4)))) == tuple(tuple(range(s, s + 4)) for s in range(0, 16, 4))
+    trio = triple_n8()
+    assert [find_k4_cover(union([trio[i], trio[j]])) for i, j in ((0, 1), (0, 2), (1, 2))] == [
+        ((0, 1, 2, 3), (4, 5, 6, 7)),
+        ((0, 1, 6, 7), (2, 3, 4, 5)),
+        ((0, 2, 4, 6), (1, 3, 5, 7)),
+    ]
+    pinned = {
+        9: [
+            ((0, 1, 2), (3, 4, 5), (6, 7, 8)), ((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+            ((0, 7, 8), (1, 2, 3), (4, 5, 6)), ((0, 1, 8), (2, 3, 4), (5, 6, 7)),
+            ((0, 2, 4), (1, 6, 8), (3, 5, 7)), ((0, 2, 7), (1, 3, 5), (4, 6, 8)),
+            ((0, 5, 7), (1, 3, 8), (2, 4, 6)), ((0, 2, 7), (1, 3, 5), (4, 6, 8)),
+            ((0, 2, 4), (1, 6, 8), (3, 5, 7)), ((0, 5, 7), (1, 3, 8), (2, 4, 6)),
+        ],
+        15: [
+            ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11), (12, 13, 14)),
+            ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11), (12, 13, 14)),
+            ((0, 13, 14), (1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)),
+            ((0, 1, 14), (2, 3, 4), (5, 6, 7), (8, 9, 10), (11, 12, 13)),
+            ((0, 2, 4), (1, 12, 14), (3, 5, 7), (6, 8, 10), (9, 11, 13)),
+            ((0, 2, 13), (1, 3, 5), (4, 6, 8), (7, 9, 11), (10, 12, 14)),
+            ((0, 11, 13), (1, 3, 14), (2, 4, 6), (5, 7, 9), (8, 10, 12)),
+            ((0, 2, 13), (1, 3, 5), (4, 6, 8), (7, 9, 11), (10, 12, 14)),
+            ((0, 2, 4), (1, 12, 14), (3, 5, 7), (6, 8, 10), (9, 11, 13)),
+            ((0, 11, 13), (1, 3, 14), (2, 4, 6), (5, 7, 9), (8, 10, 12)),
+        ],
+    }
+    for n, blocks in pinned.items():
+        fam = circulant_family(n)
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        assert [find_triangle_cover(union([fam[i], fam[j]])) for i, j in pairs] == blocks, n
 
 
 def test_good_paths_match_oracle():

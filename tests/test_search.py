@@ -24,7 +24,7 @@ from twomilton.search import (
     window_partners,
 )
 
-from oracles import oracle_all_cycles, oracle_alpha, oracle_has_k4_cover, oracle_scan_survivors
+from oracles import oracle_all_cycles, oracle_alpha, oracle_has_clique_cover, oracle_scan_survivors
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -395,7 +395,7 @@ def test_verify_nothree_matches_oracle_on_every_pair(n):
     # witnesses are the first eight covered pairs in combinations order
     std = standard_cycle(n)
     covered = [
-        (b, c) for b, c in combinations(window_partners(n), 2) if oracle_has_k4_cover(union([b, c]))
+        (b, c) for b, c in combinations(window_partners(n), 2) if oracle_has_clique_cover(union([b, c]), 4)
     ]
     rep = verify_nothree(n)
     assert (rep.mode, rep.triples_found) == ("exhaustive", len(covered))
@@ -417,7 +417,7 @@ def test_verify_nothree_counts_covers_at_every_offset(monkeypatch):
     others = [c.order for c in window_partners(12)] + near
     cycles = [make_cycle(order)] + [make_cycle([order[v] for v in c]) for c in others]
     monkeypatch.setattr(search, "window_partners", lambda n: cycles)
-    covered = [(b, c) for b, c in combinations(cycles, 2) if oracle_has_k4_cover(union([b, c]))]
+    covered = [(b, c) for b, c in combinations(cycles, 2) if oracle_has_clique_cover(union([b, c]), 4)]
     rep = verify_nothree(12)
     assert rep.triples_found == len(covered) >= 32
     assert [(b.order, c.order) for _, b, c in rep.witnesses] == [(b.order, c.order) for b, c in covered[:8]]
