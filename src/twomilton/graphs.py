@@ -259,24 +259,24 @@ def cliques(adj: Sequence[int], cands: int, size: int) -> Iterator[tuple[int, ..
                 yield (v,) + rest
 
 
-def overlap_rows(masks: Sequence[int]) -> Iterator[int]:
-    """Yield the bitset adjacency rows of the graph where i ~ j iff i != j and
-    masks[i] & masks[j] != 0, in order.
+def overlap_rows(masks: Sequence[int]) -> tuple[int, ...]:
+    """The bitset adjacency rows of the graph where i ~ j iff i != j and
+    masks[i] & masks[j] != 0.
 
     holders[b] collects the members whose mask has bit b, so the members that
-    meet i are the union of holders[b] over the bits b of masks[i].  The rows
-    come one at a time, so a caller that keeps a sparser form of each (such
-    as its complement) never holds all of them.
+    meet i are the union of holders[b] over the bits b of masks[i].
     """
     holders = [0] * max(masks, default=0).bit_length()
     for i, m in enumerate(masks):
         for b in bits(m):
             holders[b] |= 1 << i
+    rows = []
     for i, m in enumerate(masks):
         meet = 0
         for b in bits(m):
             meet |= holders[b]
-        yield meet & ~(1 << i)
+        rows.append(meet & ~(1 << i))
+    return tuple(rows)
 
 
 def depth_first(start, expand) -> tuple | None:

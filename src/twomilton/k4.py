@@ -136,8 +136,7 @@ def psi_exact(g: UGraph) -> int:
     """
     paths = good_paths4(g)
     check_limit("alpha", len(paths), "psi_exact's path-conflict graph")
-    rows = tuple(overlap_rows([mask_of(p) for p in paths]))
-    return AlphaSolver(UGraph(len(paths), rows)).alpha()
+    return AlphaSolver(UGraph(len(paths), overlap_rows([mask_of(p) for p in paths]))).alpha()
 
 
 class Archipelago(NamedTuple):

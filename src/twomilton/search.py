@@ -24,6 +24,14 @@ to its partner neighbours), and a leaf must be the least of the images that
 keep it so.  compute_f refuses on the summed orbit sizes before it expands
 anything, then expands each orbit by canonical_key and puts the orders back
 into the order of the flat scan, which the witness tie-break depends on.
+
+The compatibility rows come from an index over the survivors: for each
+vertex pair, the survivors holding that edge.  A survivor's row is the AND,
+over its own independent (k+1)-sets, of the survivors with an edge inside
+the set.  The dihedral maps fix the standard cycle and keep alpha of a
+union, so they map a survivor's partners onto its image's: one member of an
+orbit with no partner shows that no member has one, and the rest of the
+orbit is skipped.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from typing import NamedTuple
 
 from .constructions import circulant_family, k4_strip
 from .graphs import (
-    HamCycle, VerificationError, bits, canonical_key, cliques, cycle_graph, make_cycle, max_clique, overlap_rows,
+    HamCycle, VerificationError, bits, canonical_key, cliques, cycle_graph, make_cycle, max_clique,
     standard_cycle, union,
 )
 from .independence import alpha_value
@@ -68,13 +76,22 @@ def _pair_rows(n, pair_lists):
 
 
 @lru_cache(maxsize=16)
+def _independent_sets(n, k):
+    """The (k+1)-sets independent in the standard cycle, as ascending tuples
+    in lexicographic order: the (k+1)-cliques of the cycle's complement."""
+    every = (1 << n) - 1
+    apart = [every & ~(row | 1 << v) for v, row in enumerate(cycle_graph(standard_cycle(n)).adj)]
+    return tuple(cliques(apart, every, k + 1))
+
+
+@lru_cache(maxsize=16)
 def _scan_tables(n, k):
     """(rows, full, reach, dist, far, steps) for the pinned scan at (n, k),
     built once per process.
 
     rows[a][b] holds the independent (k+1)-subsets of the standard cycle that
-    contain both a and b, and full all of them; the subsets are the
-    (k+1)-cliques of the cycle's complement, in lexicographic order.
+    contain both a and b, and full all of them, in the order of
+    _independent_sets.
     reach[o] is the OR of rows[a][b] over the pairs {a, b} inside the vertex
     set o, that is, the subsets with at least two members in o.  Splitting o at its two lowest
     members v < w, a pair inside o either misses v, misses w, or is {v, w}.
@@ -85,9 +102,7 @@ def _scan_tables(n, k):
     >= (s1, s2) iff its second edge has length >= thr[d], and equal iff
     that length is tie[d] (-1: never).
     """
-    every = (1 << n) - 1
-    apart = [every & ~(row | 1 << v) for v, row in enumerate(cycle_graph(standard_cycle(n)).adj)]
-    subsets = list(cliques(apart, every, k + 1))
+    subsets = _independent_sets(n, k)
     rows = tuple(map(tuple, _pair_rows(n, (combinations(s, 2) for s in subsets))))
     full = (1 << len(subsets)) - 1
     reach = [0] * (1 << n)
@@ -262,7 +277,8 @@ def _survivors(n, k, workers):
 
 def _expand_orbits(n, reps):
     """Every survivor order, in the order of the flat scan, from the orbit
-    representatives.
+    representatives, as (order, orbit) pairs: orbit is the index in reps of
+    the order's representative.
 
     Each orbit is the set of the 2n dihedral images of its representative,
     normalised by canonical_key, which gives the orientation last > p1 that
@@ -272,17 +288,62 @@ def _expand_orbits(n, reps):
     """
     maps = [g for pair in _dihedral_maps(n) for g in pair]
     buckets = {}
-    for order, size in reps:
+    for index, (order, size) in enumerate(reps):
         relabel = itemgetter(*order)
         orbit = {canonical_key(HamCycle(relabel(g))) for g in maps}
         if len(orbit) != size:
             raise VerificationError(f"the orbit of {order} has {len(orbit)} cycles, the scan counted {size}")
         for o in orbit:
-            buckets.setdefault((o[1] * n + o[2]) * n + o[-1], []).append(o)
+            buckets.setdefault((o[1] * n + o[2]) * n + o[-1], []).append((o, index))
     out = []
     for key in sorted(buckets):
         out += sorted(buckets[key])
     return out
+
+
+def _compatibility_rows(n, k, survivors):
+    """rows[i]: the bitmask of the survivors j whose union with survivor i
+    has alpha <= k, for the (order, orbit) pairs of _expand_orbits.
+
+    alpha(A | B) <= k iff B has an edge inside every (k+1)-set independent
+    in A.  _pair_rows over the survivors' edges indexes, for each vertex
+    pair, the survivors holding it, and the OR of that index over the pairs
+    of a set gives the set's hitters, built on first use.  A row is the AND
+    of the hitters of the survivor's own independent (k+1)-sets, the images
+    of the standard cycle's under v -> order[v], and stops once it is empty.
+
+    A dihedral map of the standard cycle fixes it and keeps alpha of a
+    union, so it maps the partners of A one-to-one onto those of A's image:
+    once a member of an orbit has an empty row, every member has, and the
+    rest of the orbit is skipped.
+    """
+    holders = _pair_rows(n, (zip(o, o[1:] + o[:1]) for o, _ in survivors))
+    # k >= 1 whenever a cycle survives (no edge lies inside a 1-set), so
+    # each getter returns a tuple
+    places = [itemgetter(*s) for s in _independent_sets(n, k)]
+    everyone = (1 << len(survivors)) - 1
+    hitters = {}
+    alone = set()  # orbits whose members have no partner
+    rows = []
+    for order, orbit in survivors:
+        row = 0
+        if orbit not in alone:
+            row = everyone
+            bit = [1 << v for v in order]
+            for place in places:
+                key = sum(place(bit))
+                hit = hitters.get(key)
+                if hit is None:
+                    hit = 0
+                    for a, b in combinations(bits(key), 2):
+                        hit |= holders[a][b]
+                    hitters[key] = hit
+                row &= hit
+                if not row:
+                    alone.add(orbit)
+                    break
+        rows.append(row)
+    return rows
 
 
 def exact_range(n: int, k: int) -> bool:
@@ -312,7 +373,10 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
       family is re-checked pairwise by alpha.  The scan counts the survivors
       from its orbit sizes, and the MAX_ROW_BITS refusal comes before any
       orbit is expanded.  The expanded orders follow the flat scan's fixed
-      prefix-task order, so the result does not depend on `workers`.
+      prefix-task order, so the result does not depend on `workers`.  The
+      clique's rows are ANDs over each survivor's independent (k+1)-sets,
+      read from an edge index over the survivors, and an orbit with no
+      partner costs one row (_compatibility_rows).
     - otherwise, outside exact_range ("lower-bound"): the best construction
       that applies, each of its pairwise unions certified by a clique cover
       (_construction_lower_bound).
@@ -326,7 +390,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
         # every cycle, and the family of all cycles is maximum
         witnesses = ()
         if total <= 1000:
-            witnesses = tuple(make_cycle(o) for o in sorted(_expand_orbits(n, _survivors(n, k, 1)[0])))
+            witnesses = tuple(make_cycle(o) for o, _ in sorted(_expand_orbits(n, _survivors(n, k, 1)[0])))
         log.append(f"alpha of any union <= floor(n/2) = {n // 2} <= k = {k}")
         # Decimal prints any number of digits; str(int) stops at Python's cap
         log.append(f"f({n},{k}) = {Decimal(total)}: the family of all distinct cycles")
@@ -340,24 +404,12 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
             f"f({n},{k}): {count} survivors need {count ** 2} bits "
             f"of compatibility rows, more than the {MAX_ROW_BITS} allowed"
         )
-    survivors = _expand_orbits(n, reps)
+    expanded = _expand_orbits(n, reps)
+    survivors = [order for order, _ in expanded]
     log.append(f"examined {total} distinct cycles across {(n - 1) * (n - 2)} prefix tasks (workers={workers})")
     log.append(f"survivors with alpha(union with standard) <= {k}: {len(survivors)}")
 
-    all_subsets = list(combinations(range(n), k + 1))
-    rows = _pair_rows(n, (combinations(s, 2) for s in all_subsets))
-    full = (1 << len(all_subsets)) - 1
-    masks = []
-    for order in survivors:
-        hit = 0
-        prev = order[-1]
-        for v in order:
-            hit |= rows[prev][v]
-            prev = v
-        masks.append(full & ~hit)
-    # two survivors are compatible iff their masks are disjoint
-    everyone = (1 << len(masks)) - 1
-    clique = max_clique([everyone & ~(row | 1 << i) for i, row in enumerate(overlap_rows(masks))])
+    clique = max_clique(_compatibility_rows(n, k, expanded))
     value = 1 + len(clique)
     witnesses = (standard_cycle(n),) + tuple(make_cycle(survivors[i]) for i in clique)
     for a, b in combinations(witnesses, 2):

@@ -13,7 +13,7 @@ import pytest
 import twomilton
 from twomilton import search
 from twomilton.constructions import circulant_family, k4_strip
-from twomilton.graphs import HamCycle, canonical_key, make_cycle, standard_cycle, union
+from twomilton.graphs import HamCycle, canonical_key, make_cycle, overlap_rows, standard_cycle, union
 from twomilton.independence import alpha_value
 from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, window_path, zeta
 from twomilton.search import (
@@ -83,6 +83,13 @@ PINNED_WITNESSES = {
     (8, 2): [
         (0, 1, 2, 3, 4, 5, 6, 7), (0, 2, 6, 4, 7, 5, 1, 3),
         (0, 4, 2, 5, 3, 7, 1, 6),
+    ],
+    (11, 3): [
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (0, 1, 3, 5, 10, 4, 8, 6, 9, 7, 2),
+        (0, 3, 1, 2, 9, 5, 7, 4, 6, 10, 8),
+    ],
+    (12, 3): [
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), (0, 2, 4, 10, 7, 9, 6, 8, 5, 11, 1, 3),
     ],
 }
 
@@ -166,9 +173,14 @@ def test_pool_size_capped_by_tasks_and_processors(monkeypatch):
     assert "(workers=10000)" in " ".join(res.log)
 
 
-def scan_survivors(n, k):
-    """The pinned scan's survivors, its orbits expanded as compute_f expands them."""
+def expanded_survivors(n, k):
+    """The pinned scan's survivors as (order, orbit) pairs, its orbits expanded as compute_f expands them."""
     return search._expand_orbits(n, search._survivors(n, k, 1)[0])
+
+
+def scan_survivors(n, k):
+    """The pinned scan's survivor orders, in the order compute_f lists them."""
+    return [order for order, _ in expanded_survivors(n, k)]
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -254,6 +266,40 @@ def test_compute_f_survivor_count(n, k, want):
 def test_compute_f_survivors_zero_without_scan():
     assert compute_f(6, 3).survivors == 0  # k >= n // 2: no scan
     assert compute_f(16, 4).survivors == 0  # lower-bound mode
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 1), (6, 2), (7, 2), (8, 2)])
+def test_compatibility_rows_match_brute_force(n, k):
+    # bit j of row i is set exactly when the union of survivors i and j has
+    # alpha <= k; these are every (n, k) with n <= 8 whose scan keeps
+    # survivors, but (8, 3), which test_compatibility_rows_match_overlap_rows covers
+    survivors = expanded_survivors(n, k)
+    cycles = [make_cycle(order) for order, _ in survivors]
+    rows = search._compatibility_rows(n, k, survivors)
+    assert len(rows) == len(cycles)
+    for i, a in enumerate(cycles):
+        want = sum(1 << j for j, b in enumerate(cycles) if j != i and oracle_alpha(union([a, b])) <= k)
+        assert rows[i] == want, (n, k, a.order)
+
+
+@pytest.mark.parametrize("n,k", [(8, 3), (11, 3)])
+def test_compatibility_rows_match_overlap_rows(n, k):
+    # two survivors are compatible iff no (k+1)-set misses the edges of both,
+    # the construction the edge index replaced; at (11, 3) 2,950 of the 4,402
+    # survivors have no partner, so a wrong orbit skip shows here
+    survivors = expanded_survivors(n, k)
+    subsets = list(combinations(range(n), k + 1))
+    holders = search._pair_rows(n, (combinations(sub, 2) for sub in subsets))
+    full = (1 << len(subsets)) - 1
+    missed = []
+    for order, _ in survivors:
+        hit = 0
+        for a, b in zip(order, order[1:] + order[:1]):
+            hit |= holders[a][b]
+        missed.append(full & ~hit)
+    everyone = (1 << len(survivors)) - 1
+    want = [everyone & ~(row | 1 << i) for i, row in enumerate(overlap_rows(missed))]
+    assert search._compatibility_rows(n, k, survivors) == want
 
 
 def test_compute_f_refuses_dense_rows():
