@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import ceil
 from random import Random
 
-from .graphs import HamCycle, UGraph, canonical_key, make_cycle, relabel_cycle, union
+from .graphs import HamCycle, UGraph, canonical_key, make_cycle, relabel_keys, union
 from .k4 import creates_k4, window_path
 
 
@@ -67,7 +67,7 @@ def planted_pair(n: int, k4s: int, seed: str) -> tuple[HamCycle, HamCycle]:
         return planted_pair(n, k4s, seed + "'")
     perm = list(range(n))
     rng.shuffle(perm)
-    return relabel_cycle(c1, perm), relabel_cycle(c2, perm)
+    return tuple(HamCycle(key) for c in (c1, c2) for key in relabel_keys(c.order, (perm,)))
 
 
 def random_k4free(n: int, seed: str) -> UGraph:

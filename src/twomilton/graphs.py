@@ -8,6 +8,7 @@ the package.  Every fixed-size clique list in the package comes from cliques().
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -84,16 +85,21 @@ def canonical_key(cycle: HamCycle) -> tuple[int, ...]:
     directions from 0 need comparing, and they first differ at the neighbour
     of 0 they visit next.
     """
-    o = cycle.order
+    return _least_order(cycle.order)
+
+
+def _least_order(o: tuple[int, ...]) -> tuple[int, ...]:
+    """canonical_key of the cycle that visits o, without building the HamCycle."""
     i = o.index(0)
     if o[i - 1] < o[(i + 1) % len(o)]:
         return o[i::-1] + o[:i:-1]
     return o[i:] + o[:i]
 
 
-def relabel_cycle(cycle: HamCycle, perm: Sequence[int]) -> HamCycle:
-    """Apply the vertex relabeling v -> perm[v] and return the canonical form."""
-    return HamCycle(canonical_key(HamCycle(tuple(perm[v] for v in cycle.order))))
+def relabel_keys(order: Sequence[int], perms: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """canonical_key of the cycle `order` under each relabeling v -> perm[v],
+    lazily: a caller that stops early reads no more of perms."""
+    return map(_least_order, map(itemgetter(*order), perms))
 
 
 class UGraph(NamedTuple):
@@ -337,7 +343,10 @@ class FamilyDocument(NamedTuple):
 
 
 def family_payload(doc: FamilyDocument) -> dict:
-    """The JSON object of a family document, as serialize_family writes it."""
+    """The JSON object of a family document, as serialize_family writes it; it
+    refuses n > MAX_VERTICES with ValueError, as parse_family does."""
+    if doc.n > MAX_VERTICES:
+        raise ValueError(f"n = {doc.n} exceeds the document cap of {MAX_VERTICES} vertices")
     payload: dict = {
         "format_version": FORMAT_VERSION,
         "n": doc.n,
@@ -353,10 +362,7 @@ def family_payload(doc: FamilyDocument) -> dict:
 
 
 def serialize_family(doc: FamilyDocument) -> str:
-    """Canonical JSON for a family document (bit-exact round-trips); like
-    parse_family, it refuses n > MAX_VERTICES with ValueError."""
-    if doc.n > MAX_VERTICES:
-        raise ValueError(f"n = {doc.n} exceeds the document cap of {MAX_VERTICES} vertices")
+    """Canonical JSON for a family document (bit-exact round-trips)."""
     return json.dumps(family_payload(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 

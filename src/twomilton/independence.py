@@ -61,6 +61,7 @@ class AlphaSolver:
     """Reusable exact solver for one graph; all queries share a memo table."""
 
     def __init__(self, g: UGraph):
+        check_limit("alpha", g.n, "the alpha solver")
         self.n = g.n
         self.adj = adj = g.adj
         self.closed = tuple(a | (1 << v) for v, a in enumerate(adj))
@@ -256,15 +257,12 @@ def verify_certificate(g: UGraph, cert: IndepCertificate) -> bool:
 
 def alpha_value(g: UGraph) -> int:
     """Exact independence number (no certificate)."""
-    check_limit("alpha", g.n, "alpha_value")
     return AlphaSolver(g).alpha()
 
 
 def alpha_exact(g: UGraph) -> IndepCertificate:
     """Exact independence number with the lexicographically least witness."""
-    check_limit("alpha", g.n, "alpha_exact")
-    solver = AlphaSolver(g)
-    vertices = solver.lex_min_maximum_set()
+    vertices = AlphaSolver(g).lex_min_maximum_set()
     cert = IndepCertificate(value=len(vertices), vertices=vertices)
     if not verify_certificate(g, cert):
         raise VerificationError(f"alpha certificate {vertices} is not independent")
@@ -273,5 +271,4 @@ def alpha_exact(g: UGraph) -> IndepCertificate:
 
 def has_independent_set(g: UGraph, k: int) -> bool:
     """True iff alpha(g) >= k, with early exit (no full solve on success)."""
-    check_limit("alpha", g.n, "has_independent_set")
     return AlphaSolver(g).at_least(k)

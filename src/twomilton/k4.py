@@ -12,7 +12,6 @@ from .graphs import (
     UGraph, VerificationError, bits, cliques, connected_components, depth_first, mask_of, overlap_rows,
 )
 from .independence import AlphaSolver
-from .limits import check_limit
 
 
 def find_k4s(g: UGraph) -> tuple[tuple[int, int, int, int], ...]:
@@ -132,10 +131,9 @@ def psi_exact(g: UGraph) -> int:
     per path of good_paths4(g), two paths adjacent when they share a vertex.
     That graph has at most n vertices, since each path is read off a middle
     edge between two degree-2 vertices and those edges form paths and cycles
-    on the degree-2 vertices; its size is held to the alpha limit.
+    on the degree-2 vertices; AlphaSolver's alpha limit counts its paths.
     """
     paths = good_paths4(g)
-    check_limit("alpha", len(paths), "psi_exact's path-conflict graph")
     return AlphaSolver(UGraph(len(paths), overlap_rows([mask_of(p) for p in paths]))).alpha()
 
 

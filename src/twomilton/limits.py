@@ -1,10 +1,10 @@
 """Solver size limits, overridable via the TWOMILTON_LIMITS environment variable.
 
 Format: comma-separated key=value pairs, e.g. TWOMILTON_LIMITS="alpha=96,enum=13".
-Keys: alpha (exact independence number, also of psi_exact's path-conflict
-graph; larger inputs raise) and enum (the largest n that compute_f scans
-exhaustively; beyond it compute_f reports a certified construction lower
-bound).  Values are vertex counts.  A key not listed here, or an entry
+Keys: alpha (the largest graph AlphaSolver accepts, psi_exact's path-conflict
+graph included; larger inputs raise) and enum (the largest n that compute_f
+scans exhaustively; beyond it compute_f reports a certified construction
+lower bound).  Values are vertex counts.  A key not listed here, or an entry
 without an integer value, is refused, so a typo cannot leave a limit silently
 at its default.
 """

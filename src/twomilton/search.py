@@ -22,8 +22,8 @@ survivors, so the scan lists one representative per orbit with its orbit
 size: vertex 0 must have the least signature (the sorted pair of distances
 to its partner neighbours), and a leaf must be the least of the images that
 keep it so.  compute_f refuses on the summed orbit sizes before it expands
-anything, then expands each orbit by canonical_key and puts the orders back
-into the order of the flat scan, which the witness tie-break depends on.
+anything, then expands each orbit (graphs.relabel_keys) and puts the orders
+back into the order of the flat scan, which the witness tie-break depends on.
 
 The compatibility rows come from an index over the survivors: for each
 vertex pair, the survivors holding that edge.  A survivor's row is the AND,
@@ -40,15 +40,15 @@ import os
 import time
 from decimal import Decimal
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from math import factorial
 from operator import itemgetter
 from typing import NamedTuple
 
 from .constructions import circulant_family, k4_strip
 from .graphs import (
-    HamCycle, VerificationError, bits, canonical_key, cliques, cycle_graph, make_cycle, max_clique,
-    standard_cycle, union,
+    MAX_VERTICES, HamCycle, VerificationError, bits, cliques, cycle_graph, make_cycle, max_clique,
+    relabel_keys, standard_cycle, union,
 )
 from .independence import alpha_value
 from .k4 import find_k4_cover, find_triangle_cover, window_path, zeta
@@ -146,14 +146,11 @@ def _orbit_size(order, ties):
     signature.
     """
     maps = _dihedral_maps(len(order))
-    relabel = itemgetter(*order)
     fixed = 0
-    for u in ties:
-        for g in maps[u]:
-            image = canonical_key(HamCycle(relabel(g)))
-            if image < order:
-                return 0
-            fixed += image == order
+    for image in relabel_keys(order, chain.from_iterable(maps[u] for u in ties)):
+        if image < order:
+            return 0
+        fixed += image == order
     return 2 * len(order) // fixed
 
 
@@ -289,8 +286,7 @@ def _expand_orbits(n, reps):
     maps = [g for pair in _dihedral_maps(n) for g in pair]
     buckets = {}
     for index, (order, size) in enumerate(reps):
-        relabel = itemgetter(*order)
-        orbit = {canonical_key(HamCycle(relabel(g))) for g in maps}
+        orbit = set(relabel_keys(order, maps))
         if len(orbit) != size:
             raise VerificationError(f"the orbit of {order} has {len(orbit)} cycles, the scan counted {size}")
         for o in orbit:
@@ -355,6 +351,8 @@ def check_f_args(n: int, k: int, workers: int) -> None:
     """Raise ValueError unless compute_f(n, k, workers) has valid input."""
     if n < 3:
         raise ValueError("need n >= 3")
+    if n > MAX_VERTICES:
+        raise ValueError(f"need n <= {MAX_VERTICES}, the largest n a witness document may declare")
     if k < 0:
         raise ValueError("need k >= 0")
     if workers < 1:
@@ -365,9 +363,9 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     """f(n, k) in one of three modes, chosen here and nowhere else.
 
     - k >= n/2 ("exhaustive"): every union has alpha <= floor(n/2) <= k, so
-      f counts all (n-1)!/2 cycles, at any n; they are listed as witnesses
-      (sorted pinned-scan output, which keeps every cycle here) while there
-      are at most 1000 of them.
+      f counts all (n-1)!/2 cycles, for n up to MAX_VERTICES; while there
+      are at most 1000 they are listed as witnesses, with no scan: the keys
+      (0, *p) with p[0] < p[-1], sorted as permutations yields them.
     - n <= limit("enum") ("exhaustive"): the pinned scan over all cycle
       orders, then a maximum clique of compatible survivors, whose witness
       family is re-checked pairwise by alpha.  The scan counts the survivors
@@ -390,7 +388,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
         # every cycle, and the family of all cycles is maximum
         witnesses = ()
         if total <= 1000:
-            witnesses = tuple(make_cycle(o) for o, _ in sorted(_expand_orbits(n, _survivors(n, k, 1)[0])))
+            witnesses = tuple(make_cycle((0,) + p) for p in permutations(range(1, n)) if p[0] < p[-1])
         log.append(f"alpha of any union <= floor(n/2) = {n // 2} <= k = {k}")
         # Decimal prints any number of digits; str(int) stops at Python's cap
         log.append(f"f({n},{k}) = {Decimal(total)}: the family of all distinct cycles")

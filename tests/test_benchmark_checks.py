@@ -38,3 +38,21 @@ def test_benchmark_answers_match_expected(monkeypatch):
             assert workloads.alpha_answer(tracer, g, "c45") == expected[f"circulant:45:{i}-{j}"]
     for n, k in ((7, 2), (8, 2)):
         assert workloads.f_answer(tracer, n, k, 1) == expected[f"f:{n}:{k}"]
+
+
+def test_benchmark_structure_answers_match_expected(monkeypatch):
+    # the structure workload as the benchmark builds it at seed 0 (its
+    # set-up draws every planted pair), then a few of its queries of each
+    # kind, and the scan's process pool
+    workloads = _load("workloads", monkeypatch)
+    tracer = _load("tracing", monkeypatch).Tracer(False)
+    expected = json.loads((BENCH / "expected.json").read_text())["answers"]
+    queries = workloads.build_structure(0, 12).queries
+    wanted = {"planted": 5, "partner": 1, "triangle": 1, "bounds": 1, "amplify": 1}
+    for q in queries:
+        kind = q.qid.split(":")[0]
+        if wanted[kind]:
+            wanted[kind] -= 1
+            assert workloads.canonical(q.run(tracer)) == workloads.canonical(expected[q.qid]), q.qid
+    assert not any(wanted.values()), wanted
+    assert workloads.f_answer(tracer, 11, 3, 2) == expected["f:11:3"]

@@ -240,6 +240,9 @@ def test_search_f_out_of_range(capsys):
     ("--n 2 --k -1", "need n >= 3"),
     ("--n 20 --k -1", "need k >= 0"),
     ("--n 20 --k 3 --workers 0", "need workers >= 1"),
+    # past the document cap the witness document could not be parsed back
+    ("--n 70000 --k 35000", "need n <= 65536, the largest n a witness document may declare"),
+    ("--n 70000 --k 100 --lower-bound", "need n <= 65536, the largest n a witness document may declare"),
 ])
 def test_search_f_checks_its_input_before_the_range(capsys, argv, message):
     # a bad input is named as such, not refused as out of exhaustive range

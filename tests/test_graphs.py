@@ -17,11 +17,12 @@ from twomilton.graphs import (
     connected_components,
     cycle_graph,
     distinct_cycles,
+    family_payload,
     is_connected,
     make_cycle,
     max_clique,
     parse_family,
-    relabel_cycle,
+    relabel_keys,
     serialize_family,
     standard_cycle,
     union,
@@ -107,11 +108,19 @@ def test_relabel_preserves_union_shape(order, perm):
     c1 = standard_cycle(8)
     c2 = make_cycle(order)
     g = union([c1, c2])
-    h = union([relabel_cycle(c1, perm), relabel_cycle(c2, perm)])
+    h = union([HamCycle(key) for c in (c1, c2) for key in relabel_keys(c.order, [perm])])
     assert h.edge_count() == g.edge_count()
     assert sorted(h.degree_sequence()) == sorted(g.degree_sequence())
     relabeled = UGraph.from_edges(8, [(perm[u], perm[v]) for u, v in g.edges()])
     assert relabeled.degree_sequence() == h.degree_sequence()
+
+
+@given(st.integers(3, 12).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.lists(st.permutations(range(n)), min_size=1, max_size=5))))
+def test_relabel_keys_is_the_canonical_key_of_each_image(case):
+    order, perms = case
+    want = [canonical_key(HamCycle(tuple(perm[v] for v in order))) for perm in perms]
+    assert list(relabel_keys(tuple(order), perms)) == want
 
 
 def test_connectivity_matches_oracle():
@@ -199,6 +208,9 @@ def test_serialize_refuses_what_parse_refuses():
     assert parse_family(serialize_family(FamilyDocument(n=MAX_VERTICES, cycles=()))).n == MAX_VERTICES
     with pytest.raises(ValueError):
         serialize_family(FamilyDocument(n=MAX_VERTICES + 1, cycles=()))
+    # every emitter builds its document through family_payload
+    with pytest.raises(ValueError, match="exceeds the document cap"):
+        family_payload(FamilyDocument(n=MAX_VERTICES + 1, cycles=()))
 
 
 def test_document_edge_payload():

@@ -430,6 +430,15 @@ def test_limits_env_override(monkeypatch):
     assert alpha_value(g) == 5
 
 
+def test_alpha_limit_is_the_solvers(monkeypatch):
+    # every exact alpha is held to the limit where it is computed, not by
+    # each entry point in turn
+    monkeypatch.setenv("TWOMILTON_LIMITS", "alpha=8")
+    with pytest.raises(ValueError) as err:
+        AlphaSolver(cycle_graph(standard_cycle(10)))
+    assert str(err.value) == "the alpha solver supports n <= 8 (got n=10); raise via TWOMILTON_LIMITS=alpha=10"
+
+
 @pytest.mark.parametrize("entry, message", [
     ("alpah=1", "unknown TWOMILTON_LIMITS key 'alpah'; known keys: alpha, enum"),
     ("alpha", "bad TWOMILTON_LIMITS entry 'alpha'"),

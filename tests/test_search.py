@@ -13,7 +13,7 @@ import pytest
 import twomilton
 from twomilton import search
 from twomilton.constructions import circulant_family, k4_strip
-from twomilton.graphs import HamCycle, canonical_key, make_cycle, overlap_rows, standard_cycle, union
+from twomilton.graphs import MAX_VERTICES, HamCycle, canonical_key, make_cycle, overlap_rows, standard_cycle, union
 from twomilton.independence import alpha_value
 from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, window_path, zeta
 from twomilton.search import (
@@ -28,9 +28,14 @@ from oracles import oracle_all_cycles, oracle_alpha, oracle_has_clique_cover, or
 
 
 @pytest.mark.parametrize("n", range(3, 8))
-def test_closed_form_witnesses_are_all_cycles(n):
-    # k >= n/2: the scan keeps every cycle, and the witnesses list each
-    # distinct cycle once, in its canonical order, sorted
+def test_closed_form_witnesses_are_all_cycles(n, monkeypatch):
+    # k >= n/2: the witnesses list each distinct cycle once, in its canonical
+    # order, sorted, and are listed without the scan or the orbit expansion
+    def scanned(*args):
+        raise AssertionError("the closed form ran the pinned scan")
+
+    monkeypatch.setattr(search, "_survivors", scanned)
+    monkeypatch.setattr(search, "_expand_orbits", scanned)
     res = compute_f(n, n // 2)
     assert res.value == factorial(n - 1) // 2
     assert [c.order for c in res.witnesses] == sorted(oracle_all_cycles(n))
@@ -334,6 +339,12 @@ def test_compute_f_enum_limit_sets_the_exhaustive_range(monkeypatch):
     res = compute_f(13, 3)
     assert (res.mode, res.value, res.survivors) == ("exhaustive", 1, 0)
     assert res.examined == factorial(12) // 2
+
+
+def test_compute_f_refuses_past_the_document_cap():
+    # its witness document could not be parsed back
+    with pytest.raises(ValueError, match=f"need n <= {MAX_VERTICES}"):
+        compute_f(MAX_VERTICES + 1, (MAX_VERTICES + 1) // 2)
 
 
 def test_compute_f_closed_form_beyond_enum_limit():
