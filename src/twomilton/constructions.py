@@ -19,9 +19,7 @@ from math import floor
 from random import Random
 from typing import NamedTuple
 
-from .bounds import semirandom_rate
-from .graphs import HamCycle, UGraph, VerificationError, make_cycle, standard_cycle, union
-from .independence import alpha_value
+from .graphs import HamCycle, UGraph, canonical_key, make_cycle, standard_cycle, union
 
 # chain draws per family member before amplify gives up
 MAX_ATTEMPTS = 10000
@@ -113,6 +111,8 @@ class AmplifyResult(NamedTuple):
 
 def base_alpha_ratio(base: tuple[HamCycle, ...]) -> Fraction:
     """max over base pairs of alpha(union)/n, exact; 0 for a one-cycle base."""
+    from .independence import alpha_value
+
     return max(
         (Fraction(alpha_value(union(pair)), base[0].n) for pair in combinations(base, 2)),
         default=Fraction(0),
@@ -156,6 +156,8 @@ def amplify(
 
     The construction is deterministic in (base, blocks, family_size, seed, eps).
     """
+    from .bounds import semirandom_rate
+
     k0 = len(base)
     if k0 < 2:
         raise ValueError("base must have at least two cycles")
@@ -184,28 +186,22 @@ def amplify(
         chains.append(chain)
     return AmplifyResult(
         n=blocks * n0,
-        cycles=tuple(_assemble(base, chain, n0) for chain in chains),
+        cycles=tuple(_assemble(base, chain) for chain in chains),
         chains=tuple(chains),
         bound=blocks * n0 * semirandom_rate(n0, c0, k0, eps * (Fraction(1, 2) - c0)),
         agreement_cap=floor(cap),
     )
 
 
-def _assemble(base: tuple[HamCycle, ...], chain: tuple[int, ...], n0: int) -> HamCycle:
-    """Stitch shifted base blocks into one Hamiltonian cycle (see amplify)."""
-    paths = []
-    for a, pick in enumerate(chain):
-        order = base[pick].order
-        at0 = order.index(0)
-        bigger = max(order[at0 - 1], order[(at0 + 1) % n0])
-        # path from 0 to its larger neighbour, walking away from that neighbour
-        if order[(at0 + 1) % n0] == bigger:
-            walk = [order[(at0 - t) % n0] for t in range(n0)]
-        else:
-            walk = [order[(at0 + t) % n0] for t in range(n0)]
-        if walk[0] != 0 or walk[-1] != bigger:
-            raise VerificationError(f"block walk {walk} does not run from 0 to {bigger}")
-        paths.append([a * n0 + v for v in walk])
+def _assemble(base: tuple[HamCycle, ...], chain: tuple[int, ...]) -> HamCycle:
+    """Stitch shifted base blocks into one Hamiltonian cycle (see amplify).
+
+    Block a is the canonical key of base[chain[a]] shifted by a * n0: the path
+    from 0 toward its smaller cycle neighbour that ends at the larger one, so
+    the deleted edge is 0's edge toward the larger neighbour.
+    """
+    n0 = base[0].n
+    paths = [[a * n0 + v for v in canonical_key(base[pick])] for a, pick in enumerate(chain)]
     order_out: list[int] = []
     for i in range(0, len(chain), 2):
         # e ... v(2i) - v(2i+1) ... f, entered at e = far end of block 2i

@@ -5,8 +5,8 @@ vertices) one class at a time, occasionally adding a reconnecting edge between
 non-K4 vertices:
 
 1. "small" archipelagos (acyclic, neighbourhood exactly two independent
-   vertices): delete and join the two neighbours, splicing both maintained
-   Hamiltonian cycles through the new edge;
+   vertices): delete and join the two neighbours, once each cycle is seen
+   to pass the archipelago as one arc between them;
 2. if the non-K4 vertices are disconnected, route the first cycle's arcs
    through archipelagos, add the arc endpoints of a spanning tree, and delete
    the traversed archipelagos;
@@ -25,10 +25,11 @@ lift_independent turns an independent set of the remainder into one of the
 input union by one rule: each entry adds the transversal of its first option
 whose u is not in the set, gaining exactly one vertex per K4.
 
-The working graph and the maintained cycles are bitset rows (cycle_graph's
-adj): splicing a cycle through a new edge a-b is two XORs, and step 2 walks
-the first cycle by leaving each vertex through the row bit that is not the
-previous vertex.  An edge between two neighbours of an archipelago is tested
+The pipeline's state is its working graph (bitset rows) and its live mask.
+Each cycle is read off its live order, the input order with the deleted
+vertices skipped: step 1 replaces an arc a-A-b by the edge a-b, so the live
+order is the cycle through the joined edges, and step 2 routes along the
+first cycle's.  An edge between two neighbours of an archipelago is tested
 with creates_k4 while that archipelago is still present.  That cannot change
 the answer: a K4 vertex has three neighbours in its K4 and, at maximum degree
 4, at most one outside, so no archipelago vertex is adjacent to both ends;
@@ -52,7 +53,6 @@ from .graphs import (
     VerificationError,
     bits,
     connected_components,
-    cycle_graph,
     depth_first,
     distinct_cycles,
     is_connected,
@@ -112,6 +112,7 @@ class DiagnosticReport(NamedTuple):
 class _Pipeline:
     def __init__(self, g: UGraph, cycles):
         self.g = g
+        self.cycles = cycles or ()  # the first also routes step 2
         self.n = g.n
         self.adj = list(g.adj)  # mutable working adjacency
         self.alive = (1 << g.n) - 1  # an archipelago is live while its vertices are
@@ -121,10 +122,6 @@ class _Pipeline:
             self._fail("archipelagos", str(exc))
         self.trace: list[TraceStep] = []
         self.lift: list[LiftEntry] = []
-        # bitset rows of the maintained cycles (the first also routes step 2)
-        self.cyc: list[list[int]] = [
-            list(cycle_graph(c).adj) for c in cycles or ()
-        ]
 
     # -- state helpers ----------------------------------------------------
 
@@ -137,6 +134,10 @@ class _Pipeline:
         raise StructureViolation(
             step, reason, self._artifact({"reason": reason, **detail})
         )
+
+    def _live(self, cycle: HamCycle) -> list[int]:
+        """The cycle's input order with the deleted vertices skipped."""
+        return [v for v in cycle.order if self.alive >> v & 1]
 
     def _open_archs(self, size: int | None = None):
         """Live acyclic archipelagos whose neighbourhood is independent (and of
@@ -221,21 +222,6 @@ class _Pipeline:
 
     # -- step 1: small archipelagos ---------------------------------------
 
-    def _splice_cycles(self, arch: Archipelago, a: int, b: int):
-        for rows in self.cyc:
-            ka = rows[a] & arch.mask
-            kb = rows[b] & arch.mask
-            if ka.bit_count() != 1 or kb.bit_count() != 1:
-                self._fail(
-                    "small",
-                    "cycle does not pass the small archipelago as one arc",
-                    archipelago=list(arch.vertices), a=a, b=b,
-                )
-            rows[a] ^= ka | 1 << b
-            rows[b] ^= kb | 1 << a
-            for v in arch.vertices:
-                rows[v] = 0
-
     def step1(self):
         while True:
             arch = next(self._open_archs(2), None)
@@ -249,10 +235,25 @@ class _Pipeline:
                     f"joining neighbourhood ({a},{b}) completes K4 {quad}",
                     edge=[a, b], k4=list(quad),
                 )
-            # when the archipelago and its two neighbours were the whole
-            # graph, nothing is left to splice, and step 2 reads no cycle
+            # each live order must pass the archipelago as one arc from a to b,
+            # or joining a-b leaves it no cycle; when the archipelago and a, b
+            # are the whole live graph a cycle passes it twice (and step 2
+            # reads no cycle)
             if (self.alive & ~arch.mask).bit_count() > 2:
-                self._splice_cycles(arch, a, b)
+                m = arch.mask
+                for cycle in self.cycles:
+                    live = self._live(cycle)
+                    # the outside end of each live edge that enters or leaves
+                    flanks = sorted(
+                        v if m >> u & 1 else u
+                        for u, v in zip(live[-1:] + live, live) if (m >> u ^ m >> v) & 1
+                    )
+                    if flanks != [a, b]:
+                        self._fail(
+                            "small",
+                            "cycle does not pass the small archipelago as one arc",
+                            archipelago=list(arch.vertices), a=a, b=b,
+                        )
             self._delete_arch(arch)
             self._join("small", arch, a, b)
 
@@ -266,28 +267,19 @@ class _Pipeline:
         comps = connected_components(UGraph(self.n, tuple(self.adj)), within=plain)
         if len(comps) <= 1:
             return
-        if not self.cyc:
+        if not self.cycles:
             self._fail(
                 "connect",
                 "remainder is disconnected and no Hamiltonian cycle is available "
                 "to route reconnecting arcs",
             )
-        route = self.cyc[0]
-        # walk the maintained cycle once; each step leaves by the row bit that
-        # is not the previous vertex (the lowest at the start); a broken cycle
-        # stops after n steps at most
-        start = (plain & -plain).bit_length() - 1
-        seq = [start]
-        prev, cur = 0, start
-        while len(seq) <= self.n:
-            rest = route[cur] & ~prev
-            nxt = (rest & -rest).bit_length() - 1
-            if nxt == start or not rest:
-                break
-            prev, cur = 1 << cur, nxt
-            seq.append(cur)
-        if len(seq) != self.alive.bit_count():
-            self._fail("connect", "maintained cycle lost vertices", length=len(seq))
+        # the first cycle's live order, from the least plain vertex toward
+        # its lower neighbour
+        live = self._live(self.cycles[0])
+        i = live.index((plain & -plain).bit_length() - 1)
+        seq = live[i:] + live[:i]
+        if seq[-1] < seq[1]:
+            seq[1:] = seq[:0:-1]
         # each run of K4 vertices between two plain vertices u, v is an arc
         # through the one archipelago that the run meets
         arcs = []

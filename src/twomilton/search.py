@@ -45,7 +45,6 @@ from math import factorial
 from operator import itemgetter
 from typing import NamedTuple
 
-from .constructions import circulant_family, k4_strip
 from .graphs import (
     MAX_VERTICES, HamCycle, VerificationError, bits, cliques, cycle_graph, make_cycle, max_clique,
     relabel_keys, standard_cycle, union,
@@ -441,6 +440,8 @@ def _construction_lower_bound(n, k, t0, log):
     circulant cycles (n odd, 3 | n) pairwise by n/3 disjoint triangles; a
     cover that fails to check raises instead of dropping the construction.
     """
+    from .constructions import circulant_family, k4_strip
+
     log.append(f"n > {limit('enum')} is out of exhaustive range; reporting a construction lower bound")
     best = (standard_cycle(n),)
     if n % 4 == 0 and n // 4 <= k:

@@ -107,11 +107,6 @@ CASES = {
         m.find_k4s = lambda g: ((0, 1, 2, 3),)
         m.archipelagos(UGraph.from_edges(4, [(0, 1), (2, 3)]))
     """,
-    "constructions.amplify": """
-        from twomilton.constructions import _assemble
-        from twomilton.graphs import standard_cycle
-        _assemble((standard_cycle(9),), (0, 0), 8)  # blocks of 8 from a 9-cycle
-    """,
 }
 
 WRAPPER = """\

@@ -59,6 +59,21 @@ def test_alpha_command_loads_no_other_layer(tmp_path):
     assert not [m for m in loaded if m.rpartition(".")[2] in SOLVER_MODULES]
 
 
+def test_construct_loads_no_solver():
+    script = "import twomilton.cli\nassert twomilton.cli.main(['construct', 'triple8']) == 0"
+    assert loaded_after(script) == [
+        "twomilton", "twomilton.cli", "twomilton.constructions", "twomilton.graphs", "twomilton.limits",
+    ]
+
+
+def test_search_f_loads_no_bounds_or_constructions():
+    # the constructions serve the lower-bound mode alone
+    script = "import twomilton.cli\nassert twomilton.cli.main(['search-f', '--n', '8', '--k', '2']) == 0"
+    loaded = loaded_after(script)
+    assert "twomilton.search" in loaded
+    assert [m for m in ("twomilton.bounds", "twomilton.constructions") if m in loaded] == []
+
+
 # the records are NamedTuples: dataclasses would load inspect, ast, dis and
 # tokenize, and compile each record's methods, in every CLI process
 @pytest.mark.parametrize("argv", [

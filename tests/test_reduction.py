@@ -96,9 +96,10 @@ def test_reconnection_step():
     check_result(res)
 
 
-# planted pairs (n, K4s, seed) whose step 1 splices both cycles and whose
-# step 2 then routes its arcs along the spliced first cycle; the two steps
-# were taken before the cycles became bitset rows
+# planted pairs (n, K4s, seed) whose step 1 deletes a small archipelago and
+# whose step 2 then routes its arcs along the first cycle's live order, which
+# skips the deleted vertices; the two steps were taken while the pipeline
+# still kept a spliced copy of each cycle
 SPLICE_THEN_CONNECT = [
     ((34, 7, "8"), (
         ("small", (11, 24, 28, 30), (6, 8)),
@@ -108,12 +109,24 @@ SPLICE_THEN_CONNECT = [
         ("small", (0, 25, 27, 34), (16, 28)),
         ("connect", (3, 15, 24, 38), (6, 21)),
     )),
+    ((33, 6, "sc:2081"), (
+        ("small", (6, 9, 12, 20), (1, 5)),
+        ("connect", (0, 2, 3, 4, 11, 15, 16, 17, 18, 21, 22, 25, 26, 27, 28, 29), (1, 32)),
+    )),
+    ((38, 6, "sc:4284"), (
+        ("small", (0, 7, 21, 35), (3, 16)),
+        ("connect", (2, 9, 22, 29), (23, 24)),
+    )),
+    ((30, 6, "sc:5992"), (
+        ("small", (4, 6, 17, 18), (9, 21)),
+        ("connect", (1, 2, 3, 5, 11, 12, 13, 14, 15, 16, 20, 23, 24, 25, 27, 28), (0, 22)),
+    )),
 ]
 
 
 @pytest.mark.parametrize("args,steps", SPLICE_THEN_CONNECT)
-def test_reconnection_walks_a_spliced_cycle(args, steps):
-    # a wrong splice in step 1 breaks step 2's walk along the first cycle
+def test_reconnection_walks_the_live_order(args, steps):
+    # step 2 must route along the cycle that step 1's joined edge closes
     res = technical_reduce(*planted_pair(*args))
     assert _trace(res)[:2] == steps
     check_result(res)
@@ -233,6 +246,38 @@ def test_diagnose_reports_overlapping_k4s():
     assert "overlap" in report.reason
     assert report.artifact.edges == tuple(g.edges())
     assert report.result is None
+
+
+def test_diagnose_refuses_a_cycle_that_splits_a_small_archipelago():
+    # step 1 deletes (6, 9, 12, 20) between 1 and 5; with 9 moved to the front
+    # of the first cycle's order, that cycle passes the archipelago twice
+    c1, c2 = planted_pair(33, 6, "sc:2081")
+    moved = make_cycle((9,) + tuple(v for v in c1.order if v != 9))
+    report = diagnose_reduction(union([c1, c2]), (moved, c2))
+    assert (report.failed_step, report.reason) == (
+        "small", "cycle does not pass the small archipelago as one arc")
+    assert report.artifact.meta["detail"]["archipelago"] == [6, 9, 12, 20]
+
+
+def test_diagnose_reports_a_k4_with_one_neighbour():
+    g = UGraph.from_edges(5, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(0, 4)])
+    report = diagnose_reduction(g)
+    assert (report.failed_step, report.reason) == (
+        "final",
+        "acyclic archipelago (0, 1, 2, 3) with neighbourhood of size 1: "
+        "impossible for a union of two Hamiltonian cycles",
+    )
+
+
+def test_diagnose_needs_a_cycle_to_reconnect():
+    # deleting the K4 leaves the islands {4} and {5, 6}
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(0, 4), (1, 5), (2, 6), (5, 6)]
+    report = diagnose_reduction(UGraph.from_edges(7, edges))
+    assert (report.failed_step, report.reason) == (
+        "connect",
+        "remainder is disconnected and no Hamiltonian cycle is available "
+        "to route reconnecting arcs",
+    )
 
 
 def test_diagnose_rejects_high_degree():
