@@ -100,10 +100,8 @@ def good_paths4(g: UGraph) -> tuple[tuple[int, int, int, int], ...]:
     """Induced 3-edge paths a-b-c-d whose interior vertices have degree 2,
     each once (a < d), ascending.
 
-    These are the paths the degree-2 contraction applies to: b and c have no
-    neighbors outside the path, so removing b, c, d (or a, b, c) and rewiring
-    trades 2 vertices for 1 guaranteed independent pick.  A shared K4 of two
-    unions contributes exactly such a path, never a plain induced path.
+    psi_exact counts the most of them that share no vertex.  A shared K4 of
+    two unions contributes exactly such a path, never a plain induced path.
 
     Each path is read off its middle edge b-c: a and d are the other
     neighbours of b and c, and the path is induced iff a != d and a, d are

@@ -5,9 +5,8 @@ vertices) one class at a time, occasionally adding a reconnecting edge between
 non-K4 vertices:
 
 1. "small" archipelagos (acyclic, neighbourhood exactly two independent
-   vertices): delete and join the two neighbours, once each cycle is seen
-   to pass the archipelago as one arc between them;
-2. if the non-K4 vertices are disconnected, route the first cycle's arcs
+   vertices): delete and join the two neighbours;
+2. if the non-K4 vertices are disconnected, route the given cycle's arcs
    through archipelagos, add the arc endpoints of a spanning tree, and delete
    the traversed archipelagos;
 3. acyclic archipelagos with an independent 3-vertex neighbourhood: the
@@ -26,14 +25,23 @@ input union by one rule: each entry adds the transversal of its first option
 whose u is not in the set, gaining exactly one vertex per K4.
 
 The pipeline's state is its working graph (bitset rows) and its live mask.
-Each cycle is read off its live order, the input order with the deleted
-vertices skipped: step 1 replaces an arc a-A-b by the edge a-b, so the live
-order is the cycle through the joined edges, and step 2 routes along the
-first cycle's.  An edge between two neighbours of an archipelago is tested
-with creates_k4 while that archipelago is still present.  That cannot change
-the answer: a K4 vertex has three neighbours in its K4 and, at maximum degree
-4, at most one outside, so no archipelago vertex is adjacent to both ends;
-and only non-K4 vertices ever gain edges.
+Step 2 reads the route, a Hamiltonian cycle of the input graph, off its live
+order: the input order with the deleted vertices skipped.  The route is
+checked once, on entry, and then needs no check inside the loop:
+
+- the live order stays a Hamiltonian cycle of the working graph.  A small
+  archipelago A is left only through its neighbours a and b, so the live
+  order passes A as one arc from a to b, and the joined edge a-b replaces
+  that arc.  The one exception is when A, a and b are all that is live; then
+  step 2 has nothing to join.
+- only non-K4 vertices gain edges, so consecutive K4 vertices of the live
+  order are adjacent in the input graph, and they lie in one archipelago.
+
+An edge between two neighbours of an archipelago is tested with creates_k4
+while that archipelago is still present.  That cannot change the answer: a
+K4 vertex has three neighbours in its K4 and, at maximum degree 4, at most
+one outside (it gains no edges), so no archipelago vertex is adjacent to
+both ends.
 
 No step may complete a new K4; for genuine unions of two Hamiltonian cycles on
 n > 13 vertices this is a theorem, so a trigger means the input (or the
@@ -110,9 +118,9 @@ class DiagnosticReport(NamedTuple):
 
 
 class _Pipeline:
-    def __init__(self, g: UGraph, cycles):
+    def __init__(self, g: UGraph, route: HamCycle | None):
         self.g = g
-        self.cycles = cycles or ()  # the first also routes step 2
+        self.route = route  # a Hamiltonian cycle of g, or None
         self.n = g.n
         self.adj = list(g.adj)  # mutable working adjacency
         self.alive = (1 << g.n) - 1  # an archipelago is live while its vertices are
@@ -135,10 +143,6 @@ class _Pipeline:
             step, reason, self._artifact({"reason": reason, **detail})
         )
 
-    def _live(self, cycle: HamCycle) -> list[int]:
-        """The cycle's input order with the deleted vertices skipped."""
-        return [v for v in cycle.order if self.alive >> v & 1]
-
     def _open_archs(self, size: int | None = None):
         """Live acyclic archipelagos whose neighbourhood is independent (and of
         the given size), ordered by least vertex."""
@@ -154,29 +158,28 @@ class _Pipeline:
     def _safe_pair(self, step: str, arch: Archipelago, reason: str) -> tuple[int, int]:
         """The least neighbourhood pair whose edge completes no K4 once the
         archipelago is gone; fails with the reason when there is none.  For
-        an archipelago from _open_archs the edge is also new, so it passes
-        every check of _add_edge."""
+        an archipelago from _open_archs the edge is also new, so _add_edge
+        accepts it."""
         for a, b in combinations(arch.neighborhood, 2):
             if creates_k4(self.adj, a, b) is None:
                 return a, b
         self._fail(step, f"archipelago {arch.vertices}: {reason}", archipelago=list(arch.vertices))
 
-    def _join(self, step: str, arch: Archipelago, u: int, v: int):
-        self.adj[u] |= 1 << v
-        self.adj[v] |= 1 << u
-        self.trace.append(TraceStep(step, arch.vertices, (u, v)))
-
     def _add_edge(self, step: str, u: int, v: int, arch: Archipelago):
+        """Join two neighbours of the archipelago: the one way an edge enters
+        the working graph."""
         if self.adj[u] >> v & 1:
             self._fail(step, f"edge ({u},{v}) already present", edge=[u, v])
         quad = creates_k4(self.adj, u, v)
         if quad is not None:
             self._fail(
                 step,
-                f"adding edge ({u},{v}) completes K4 {quad}",
+                f"joining neighbourhood ({u},{v}) completes K4 {quad}",
                 edge=[u, v], k4=list(quad),
             )
-        self._join(step, arch, u, v)
+        self.adj[u] |= 1 << v
+        self.adj[v] |= 1 << u
+        self.trace.append(TraceStep(step, arch.vertices, (u, v)))
 
     def _delete_arch(self, arch: Archipelago):
         for v in arch.vertices:
@@ -227,35 +230,8 @@ class _Pipeline:
             arch = next(self._open_archs(2), None)
             if arch is None:
                 return
-            a, b = arch.neighborhood
-            quad = creates_k4(self.adj, a, b)
-            if quad is not None:
-                self._fail(
-                    "small",
-                    f"joining neighbourhood ({a},{b}) completes K4 {quad}",
-                    edge=[a, b], k4=list(quad),
-                )
-            # each live order must pass the archipelago as one arc from a to b,
-            # or joining a-b leaves it no cycle; when the archipelago and a, b
-            # are the whole live graph a cycle passes it twice (and step 2
-            # reads no cycle)
-            if (self.alive & ~arch.mask).bit_count() > 2:
-                m = arch.mask
-                for cycle in self.cycles:
-                    live = self._live(cycle)
-                    # the outside end of each live edge that enters or leaves
-                    flanks = sorted(
-                        v if m >> u & 1 else u
-                        for u, v in zip(live[-1:] + live, live) if (m >> u ^ m >> v) & 1
-                    )
-                    if flanks != [a, b]:
-                        self._fail(
-                            "small",
-                            "cycle does not pass the small archipelago as one arc",
-                            archipelago=list(arch.vertices), a=a, b=b,
-                        )
+            self._add_edge("small", *arch.neighborhood, arch)
             self._delete_arch(arch)
-            self._join("small", arch, a, b)
 
     # -- step 2: reconnect the non-K4 remainder ---------------------------
 
@@ -267,15 +243,15 @@ class _Pipeline:
         comps = connected_components(UGraph(self.n, tuple(self.adj)), within=plain)
         if len(comps) <= 1:
             return
-        if not self.cycles:
+        if self.route is None:
             self._fail(
                 "connect",
                 "remainder is disconnected and no Hamiltonian cycle is available "
                 "to route reconnecting arcs",
             )
-        # the first cycle's live order, from the least plain vertex toward
-        # its lower neighbour
-        live = self._live(self.cycles[0])
+        # the route's live order, from the least plain vertex toward its
+        # lower neighbour
+        live = [v for v in self.route.order if self.alive >> v & 1]
         i = live.index((plain & -plain).bit_length() - 1)
         seq = live[i:] + live[:i]
         if seq[-1] < seq[1]:
@@ -290,8 +266,6 @@ class _Pipeline:
                 continue
             if run:
                 idx = next(i for i, arch in enumerate(self.archs) if arch.mask & run)
-                if run & ~self.archs[idx].mask:
-                    self._fail("connect", "cycle arc crosses several archipelagos", arc=[u, v])
                 arcs.append((min(u, v), max(u, v), idx))
                 run = 0
             u = v
@@ -377,7 +351,7 @@ class _Pipeline:
                 "three", arch,
                 "every neighbourhood pair completes a K4 (undetected forbidden pattern)",
             )
-            self._join("three", arch, *pair)
+            self._add_edge("three", *pair, arch)
             self._delete_arch(arch)
 
     # -- step 4: the rest ---------------------------------------------------
@@ -402,7 +376,7 @@ class _Pipeline:
                     f"of size {size} survived its dedicated step",
                     archipelago=list(arch.vertices),
                 )
-            self._join("final", arch, *self._safe_pair("final", arch, "no safe neighbourhood pair"))
+            self._add_edge("final", *self._safe_pair("final", arch, "no safe neighbourhood pair"), arch)
             self._delete_arch(arch)
         for arch in self.archs:
             if arch.mask & self.alive:
@@ -469,19 +443,24 @@ def technical_reduce(c1: HamCycle, c2: HamCycle) -> ReductionResult:
         raise ValueError("technical_reduce requires n > 13")
     if not distinct_cycles([c1, c2]):
         raise ValueError("the two cycles must be distinct")
-    return _Pipeline(union([c1, c2]), (c1, c2)).run()
+    return _Pipeline(union([c1, c2]), c1).run()
 
 
 def diagnose_reduction(g: UGraph, cycles=None) -> DiagnosticReport:
     """Run the pipeline on an arbitrary max-degree-4 graph and report.
 
     Unlike technical_reduce this never raises on invariant failures: the
-    failing step, reason, and offending state come back in the report.
+    failing step, reason, and offending state come back in the report.  The
+    cycles, if given, must be Hamiltonian cycles of g (ValueError otherwise);
+    the first routes step 2.
     """
     if g.max_degree() > 4:
         raise ValueError("diagnostic reduction expects max degree <= 4")
+    for c in cycles or ():
+        if c.n != g.n or not all(g.has_edge(u, v) for u, v in c.edges()):
+            raise ValueError("each cycle must be a Hamiltonian cycle of the graph")
     try:
-        result = _Pipeline(g, cycles).run()
+        result = _Pipeline(g, cycles[0] if cycles else None).run()
     except StructureViolation as exc:
         return DiagnosticReport(
             ok=False, failed_step=exc.step, reason=exc.reason,

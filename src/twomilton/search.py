@@ -254,17 +254,17 @@ def _survivors(n, k, workers):
     The tasks run in a fixed order and their outputs are joined in that
     order, so the list is the same for every worker count.  The pool starts
     all its processes at once, so it gets no more than there are tasks or
-    processors.
+    processors, and none when that is one.
     """
     tasks = [(n, k, p1, p2) for p1 in range(1, n) for p2 in range(1, n) if p2 != p1]
-    if workers == 1:
+    procs = min(workers, len(tasks), os.cpu_count() or 1)
+    if procs <= 1:
         chunks = [_scan_task(t) for t in tasks]
     else:
-        # imported here, where workers > 1 needs it, so that importing this
+        # imported here, where a pool is started, so that importing this
         # module loads neither concurrent.futures nor multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        procs = min(workers, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(_scan_task, tasks, chunksize=max(1, len(tasks) // (4 * procs))))
     reps = [rep for chunk in chunks for rep in chunk]

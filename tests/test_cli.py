@@ -14,6 +14,8 @@ import pytest
 import twomilton
 from twomilton import cli, search
 from twomilton.cli import main
+from twomilton.corpus import planted_pair
+from twomilton.graphs import union
 
 
 def run(capsys, *argv):
@@ -191,6 +193,22 @@ def test_reduce_diagnose_counterexample(capsys, tmp_path):
     assert not rep["ok"]
     assert rep["failed_step"] == "small"
     assert rep["artifact"]["n"] == 24
+
+
+def test_reduce_diagnose_refuses_a_route_off_the_edge_payload(capsys, tmp_path):
+    # 10 moved to follow 18 in the first cycle: (10,18), (4,10) and (6,16) are
+    # not edges of the union that the document's edge payload carries
+    c1, c2 = planted_pair(20, 4, "sc:6")
+    route = [0, 18, 10, 4, 12, 17, 1, 3, 11, 15, 6, 16, 7, 2, 8, 13, 9, 5, 14, 19]
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "n": 20, "cycles": [route, list(c2.order)], "meta": {},
+        "edges": [list(e) for e in union([c1, c2]).edges()],
+    }))
+    rc = main(["reduce", "--input", str(path), "--diagnose"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert "Hamiltonian cycle" in err
 
 
 def test_reduce_diagnose_overlapping_k4s(capsys, tmp_path):

@@ -115,7 +115,7 @@ def test_cli_on_document_with_one_field_replaced(field, value):
     text = replaced(*field, value)
     valid = parses_or_refuses(text) is not None
     for argv in (["verify", "--input", "-", "--claim", "zeta>=0", "--claim", "pairwise-alpha<=4"],
-                 ["zeta", "--input", "-"]):
+                 ["zeta", "--input", "-"], ["reduce", "--diagnose", "--input", "-"]):
         rc, out, err = run_cli(argv, text)
         assert rc in (0, 1, 2), argv
         if not valid:

@@ -250,13 +250,18 @@ def test_diagnose_reports_overlapping_k4s():
 
 def test_diagnose_refuses_a_cycle_that_splits_a_small_archipelago():
     # step 1 deletes (6, 9, 12, 20) between 1 and 5; with 9 moved to the front
-    # of the first cycle's order, that cycle passes the archipelago twice
+    # of the first cycle's order, that cycle passes the archipelago twice, so
+    # it holds a non-edge and is refused before any step runs
     c1, c2 = planted_pair(33, 6, "sc:2081")
     moved = make_cycle((9,) + tuple(v for v in c1.order if v != 9))
-    report = diagnose_reduction(union([c1, c2]), (moved, c2))
-    assert (report.failed_step, report.reason) == (
-        "small", "cycle does not pass the small archipelago as one arc")
-    assert report.artifact.meta["detail"]["archipelago"] == [6, 9, 12, 20]
+    with pytest.raises(ValueError, match="Hamiltonian cycle"):
+        diagnose_reduction(union([c1, c2]), (moved, c2))
+
+
+def test_diagnose_refuses_a_cycle_on_other_vertices():
+    c1, c2 = planted_pair(18, 1, "diag")
+    with pytest.raises(ValueError, match="Hamiltonian cycle"):
+        diagnose_reduction(union([c1, c2]), (c1, make_cycle(range(19))))
 
 
 def test_diagnose_reports_a_k4_with_one_neighbour():

@@ -151,9 +151,11 @@ def test_compute_f_workers_agree():
         assert [line.replace("(workers=2)", "(workers=1)") for line in b.log] == list(a.log), (n, k)
 
 
-def test_pool_size_capped_by_tasks_and_processors(monkeypatch):
-    # the pool starts all its processes at once; the fake maps serially and
-    # starts none, so the large request is never acted on
+def _pool_sizes(monkeypatch, cpus, workers):
+    """The max_workers of each pool compute_f(7, 2, workers) constructs on a
+    host with the given processor count.  The pool starts all its processes
+    at once; the fake maps serially and starts none, so a large request is
+    never acted on."""
     import concurrent.futures
 
     sizes = []
@@ -172,10 +174,19 @@ def test_pool_size_capped_by_tasks_and_processors(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    res = compute_f(7, 2, workers=10_000)
-    assert sizes == [min(6 * 5, os.cpu_count() or 1)]
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    res = compute_f(7, 2, workers=workers)
     assert res.value == 5
-    assert "(workers=10000)" in " ".join(res.log)
+    assert f"(workers={workers})" in " ".join(res.log)
+    return sizes
+
+
+def test_pool_size_capped_by_tasks_and_processors(monkeypatch):
+    assert _pool_sizes(monkeypatch, 2, 10_000) == [2]
+
+
+def test_one_processor_constructs_no_pool(monkeypatch):
+    assert _pool_sizes(monkeypatch, 1, 2) == []
 
 
 def expanded_survivors(n, k):
