@@ -119,7 +119,7 @@ def cmd_reduce(args) -> int:
 
     doc = _load_doc(args.input)
     if args.diagnose:
-        report = diagnose_reduction(_graph_for(doc, None), doc.cycles if len(doc.cycles) == 2 else None)
+        report = diagnose_reduction(_graph_for(doc, None), doc.cycles or None)
         payload = {
             "command": "reduce", "diagnose": True, "ok": report.ok,
             "failed_step": report.failed_step, "reason": report.reason,
@@ -337,15 +337,15 @@ def cmd_verify(args) -> int:
 def cmd_search_f(args) -> int:
     from .search import check_f_args, compute_f, exact_range
 
-    check_f_args(args.n, args.k, args.workers)
+    check_f_args(args.n, args.k)
     if not (args.lower_bound or exact_range(args.n, args.k)):
         raise ValueError(
             f"n > {limit('enum')} is out of exhaustive range; pass --lower-bound for a labeled bound"
         )
-    res = compute_f(args.n, args.k, workers=args.workers)
+    res = compute_f(args.n, args.k)
     witnesses = FamilyDocument(args.n, res.witnesses, {}, {"f": res.value, "mode": res.mode})
     _emit(args, {
-        "command": "search-f", "n": args.n, "k": args.k, "workers": args.workers,
+        "command": "search-f", "n": args.n, "k": args.k, "workers": 1,
         "value": res.value, "mode": res.mode, "examined": res.examined,
         "elapsed_seconds": round(res.elapsed, 3), "log": list(res.log),
         "witnesses": family_payload(witnesses),
@@ -475,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--lower-bound", action="store_true",
                    help="accept a cover-certified construction lower bound when n exceeds "
                         f"the enum limit (default {DEFAULTS['enum']}) and k < n/2")

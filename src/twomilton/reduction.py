@@ -37,6 +37,13 @@ checked once, on entry, and then needs no check inside the loop:
 - only non-K4 vertices gain edges, so consecutive K4 vertices of the live
   order are adjacent in the input graph, and they lie in one archipelago.
 
+Step 4 meets no open archipelago with a neighbourhood of size 2 or 3.  A
+neighbourhood holds only non-K4 vertices (a K4 vertex next to an archipelago
+lies in it), and no edge between two of them is ever removed, so a
+neighbourhood that stops being independent never becomes independent again.
+Step 1 drains the open size-2 archipelagos and step 3 the open size-3 ones,
+and the steps after each only add edges and delete archipelagos.
+
 An edge between two neighbours of an archipelago is tested with creates_k4
 while that archipelago is still present.  That cannot change the answer: a
 K4 vertex has three neighbours in its K4 and, at maximum degree 4, at most
@@ -249,13 +256,12 @@ class _Pipeline:
                 "remainder is disconnected and no Hamiltonian cycle is available "
                 "to route reconnecting arcs",
             )
-        # the route's live order, from the least plain vertex toward its
-        # lower neighbour
+        # the route's live order, rotated to start at a plain vertex so that
+        # no run of K4 vertices wraps; an arc is kept as (min, max, idx), so
+        # the route's direction is never read
         live = [v for v in self.route.order if self.alive >> v & 1]
         i = live.index((plain & -plain).bit_length() - 1)
         seq = live[i:] + live[:i]
-        if seq[-1] < seq[1]:
-            seq[1:] = seq[:0:-1]
         # each run of K4 vertices between two plain vertices u, v is an arc
         # through the one archipelago that the run meets
         arcs = []
@@ -367,13 +373,6 @@ class _Pipeline:
                     "final",
                     f"acyclic archipelago {arch.vertices} with neighbourhood of "
                     f"size {size}: impossible for a union of two Hamiltonian cycles",
-                    archipelago=list(arch.vertices),
-                )
-            if size in (2, 3):
-                self._fail(
-                    "final",
-                    f"archipelago {arch.vertices} with independent neighbourhood "
-                    f"of size {size} survived its dedicated step",
                     archipelago=list(arch.vertices),
                 )
             self._add_edge("final", *self._safe_pair("final", arch, "no safe neighbourhood pair"), arch)

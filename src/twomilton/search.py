@@ -36,7 +36,6 @@ orbit is skipped.
 
 from __future__ import annotations
 
-import os
 import time
 from decimal import Decimal
 from functools import lru_cache
@@ -153,7 +152,7 @@ def _orbit_size(order, ties):
     return 2 * len(order) // fixed
 
 
-def _scan_task(args):
+def _scan_task(n, k, p1, p2):
     """One representative per dihedral orbit of the survivor orders among
     cycles (0, p1, p2, *mid, last) with last > p1, as (order, orbit size).
 
@@ -179,7 +178,6 @@ def _scan_task(args):
     reflection that fixes 0 already rules out p1 > n - last for a whole
     `last`.
     """
-    n, k, p1, p2 = args
     rows, full, reach, dist, far, steps = _scan_tables(n, k)
     head = (0, p1, p2)
     base = rows[0][p1] | rows[p1][p2]
@@ -246,28 +244,13 @@ class FSearchResult(NamedTuple):
     log: tuple[str, ...]
 
 
-def _survivors(n, k, workers):
+def _survivors(n, k):
     """(representatives, count): the orbit representatives of the pinned
     scan over all prefix tasks, as (order, orbit size) in task order, and
-    the number of survivors, the sum of the orbit sizes.
-
-    The tasks run in a fixed order and their outputs are joined in that
-    order, so the list is the same for every worker count.  The pool starts
-    all its processes at once, so it gets no more than there are tasks or
-    processors, and none when that is one.
-    """
-    tasks = [(n, k, p1, p2) for p1 in range(1, n) for p2 in range(1, n) if p2 != p1]
-    procs = min(workers, len(tasks), os.cpu_count() or 1)
-    if procs <= 1:
-        chunks = [_scan_task(t) for t in tasks]
-    else:
-        # imported here, where a pool is started, so that importing this
-        # module loads neither concurrent.futures nor multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            chunks = list(pool.map(_scan_task, tasks, chunksize=max(1, len(tasks) // (4 * procs))))
-    reps = [rep for chunk in chunks for rep in chunk]
+    the number of survivors, the sum of the orbit sizes."""
+    reps = [
+        rep for p1 in range(1, n) for p2 in range(1, n) if p2 != p1 for rep in _scan_task(n, k, p1, p2)
+    ]
     return reps, sum(size for _, size in reps)
 
 
@@ -346,16 +329,14 @@ def exact_range(n: int, k: int) -> bool:
     return k >= n // 2 or n <= limit("enum")
 
 
-def check_f_args(n: int, k: int, workers: int) -> None:
-    """Raise ValueError unless compute_f(n, k, workers) has valid input."""
+def check_f_args(n: int, k: int) -> None:
+    """Raise ValueError unless compute_f(n, k) has valid input."""
     if n < 3:
         raise ValueError("need n >= 3")
     if n > MAX_VERTICES:
         raise ValueError(f"need n <= {MAX_VERTICES}, the largest n a witness document may declare")
     if k < 0:
         raise ValueError("need k >= 0")
-    if workers < 1:
-        raise ValueError("need workers >= 1")
 
 
 def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
@@ -370,15 +351,18 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
       family is re-checked pairwise by alpha.  The scan counts the survivors
       from its orbit sizes, and the MAX_ROW_BITS refusal comes before any
       orbit is expanded.  The expanded orders follow the flat scan's fixed
-      prefix-task order, so the result does not depend on `workers`.  The
-      clique's rows are ANDs over each survivor's independent (k+1)-sets,
-      read from an edge index over the survivors, and an orbit with no
-      partner costs one row (_compatibility_rows).
+      prefix-task order.  The scan runs in this process; `workers` selects
+      nothing and only refuses values below 1.  The clique's rows are ANDs
+      over each survivor's independent (k+1)-sets, read from an edge index
+      over the survivors, and an orbit with no partner costs one row
+      (_compatibility_rows).
     - otherwise, outside exact_range ("lower-bound"): the best construction
       that applies, each of its pairwise unions certified by a clique cover
       (_construction_lower_bound).
     """
-    check_f_args(n, k, workers)
+    check_f_args(n, k)
+    if workers < 1:
+        raise ValueError("need workers >= 1")
     t0 = time.perf_counter()
     total = factorial(n - 1) // 2
     log = ["pinned first cycle to the standard order; families are closed under relabeling"]
@@ -395,7 +379,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     if not exact_range(n, k):
         return _construction_lower_bound(n, k, t0, log)
 
-    reps, count = _survivors(n, k, workers)
+    reps, count = _survivors(n, k)
     if count ** 2 > MAX_ROW_BITS:
         raise ValueError(
             f"f({n},{k}): {count} survivors need {count ** 2} bits "
@@ -403,7 +387,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
         )
     expanded = _expand_orbits(n, reps)
     survivors = [order for order, _ in expanded]
-    log.append(f"examined {total} distinct cycles across {(n - 1) * (n - 2)} prefix tasks (workers={workers})")
+    log.append(f"examined {total} distinct cycles across {(n - 1) * (n - 2)} prefix tasks (workers=1)")
     log.append(f"survivors with alpha(union with standard) <= {k}: {len(survivors)}")
 
     clique = max_clique(_compatibility_rows(n, k, expanded))

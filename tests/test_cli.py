@@ -14,7 +14,7 @@ import pytest
 import twomilton
 from twomilton import cli, search
 from twomilton.cli import main
-from twomilton.corpus import planted_pair
+from twomilton.corpus import planted_pair, random_pair
 from twomilton.graphs import union
 
 
@@ -211,6 +211,33 @@ def test_reduce_diagnose_refuses_a_route_off_the_edge_payload(capsys, tmp_path):
     assert "Hamiltonian cycle" in err
 
 
+def _diagnose_doc(tmp_path, cycles):
+    """A document with the edges of planted_pair(40, 6, "s2")'s union and the given cycles."""
+    c1, c2 = planted_pair(40, 6, "s2")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "n": 40, "cycles": [list(c.order) for c in cycles], "meta": {},
+        "edges": [list(e) for e in union([c1, c2]).edges()],
+    }))
+    return str(path)
+
+
+def test_reduce_diagnose_routes_along_a_single_cycle(capsys, tmp_path):
+    # the union needs a "connect" step, and the one cycle the document holds routes it
+    c1, _ = planted_pair(40, 6, "s2")
+    rc, rep = run_json(capsys, "reduce", "--input", _diagnose_doc(tmp_path, [c1]), "--diagnose")
+    assert (rc, rep["ok"], rep["failed_step"]) == (0, True, None)
+
+
+def test_reduce_diagnose_checks_every_cycle_of_three(capsys, tmp_path):
+    # the third cycle is no cycle of the graph, so the document is refused
+    c1, c2 = planted_pair(40, 6, "s2")
+    rc = main(["reduce", "--input", _diagnose_doc(tmp_path, [c1, c2, random_pair(40, "zz")[0]]), "--diagnose"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: each cycle must be a Hamiltonian cycle of the graph\n"
+
+
 def test_reduce_diagnose_overlapping_k4s(capsys, tmp_path):
     path = tmp_path / "k5e.json"
     path.write_text(json.dumps({
@@ -257,7 +284,6 @@ def test_search_f_out_of_range(capsys):
 @pytest.mark.parametrize("argv, message", [
     ("--n 2 --k -1", "need n >= 3"),
     ("--n 20 --k -1", "need k >= 0"),
-    ("--n 20 --k 3 --workers 0", "need workers >= 1"),
     # past the document cap the witness document could not be parsed back
     ("--n 70000 --k 35000", "need n <= 65536, the largest n a witness document may declare"),
     ("--n 70000 --k 100 --lower-bound", "need n <= 65536, the largest n a witness document may declare"),
@@ -267,6 +293,15 @@ def test_search_f_checks_its_input_before_the_range(capsys, argv, message):
     rc = main(["search-f", *argv.split()])
     out, err = capsys.readouterr()
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_search_f_has_no_workers_option(capsys):
+    # the scan runs in one process, so the option is gone and argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["search-f", "--n", "8", "--k", "2", "--workers", "2"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments: --workers 2" in err
 
 
 def test_search_f_refuses_before_it_builds(capsys, monkeypatch):
@@ -601,15 +636,21 @@ def test_pair_out_of_range(capsys, triple8_doc):
 
 
 def test_cli_import_loads_no_process_pool():
-    # the pool is imported inside compute_f, where workers > 1 needs it
-    script = (
-        "import sys, twomilton.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-    )
+    # the scan runs in one process: neither importing the CLI nor a scan
+    # that is passed workers=2 loads a process pool
+    script = """
+import contextlib, io, sys
+import twomilton.cli
+from twomilton.search import compute_f
+
+compute_f(12, 3, workers=2)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = twomilton.cli.main(["search-f", "--n", "12", "--k", "3"])
+print(rc, sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
     src = os.path.dirname(os.path.dirname(twomilton.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "0 []"

@@ -132,6 +132,19 @@ def test_reconnection_walks_the_live_order(args, steps):
     check_result(res)
 
 
+@pytest.mark.parametrize("args", [args for args, _ in SPLICE_THEN_CONNECT])
+def test_reconnection_ignores_the_route_direction(args):
+    # step 2 keeps each arc by its ends in ascending order, so walking the
+    # route backwards gives the same trace, lift plan and remainder
+    c1, c2 = planted_pair(*args)
+    g = union([c1, c2])
+    forward = diagnose_reduction(g, (c1,)).result
+    backward = diagnose_reduction(g, (make_cycle(c1.order[::-1]),)).result
+    assert forward.trace == technical_reduce(c1, c2).trace
+    assert (backward.trace, backward.lift_plan, backward.h, backward.h_vertex_map) == (
+        forward.trace, forward.lift_plan, forward.h, forward.h_vertex_map)
+
+
 def test_small_archipelago_that_is_the_whole_graph():
     # a 4-regular chain of three K4s: step 1 deletes all twelve K4 vertices at
     # once, and its two neighbours, joined, are the whole remainder

@@ -147,51 +147,13 @@ def test_compute_f_workers_agree():
         assert a.value == b.value, (n, k)
         assert [c.order for c in a.witnesses] == [c.order for c in b.witnesses], (n, k)
         assert (a.examined, a.survivors) == (b.examined, b.survivors), (n, k)
-        # the log names the worker count in one line; every other byte agrees
-        assert [line.replace("(workers=2)", "(workers=1)") for line in b.log] == list(a.log), (n, k)
-
-
-def _pool_sizes(monkeypatch, cpus, workers):
-    """The max_workers of each pool compute_f(7, 2, workers) constructs on a
-    host with the given processor count.  The pool starts all its processes
-    at once; the fake maps serially and starts none, so a large request is
-    never acted on."""
-    import concurrent.futures
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    res = compute_f(7, 2, workers=workers)
-    assert res.value == 5
-    assert f"(workers={workers})" in " ".join(res.log)
-    return sizes
-
-
-def test_pool_size_capped_by_tasks_and_processors(monkeypatch):
-    assert _pool_sizes(monkeypatch, 2, 10_000) == [2]
-
-
-def test_one_processor_constructs_no_pool(monkeypatch):
-    assert _pool_sizes(monkeypatch, 1, 2) == []
+        # the keyword selects nothing, so the log agrees byte for byte
+        assert b.log == a.log, (n, k)
 
 
 def expanded_survivors(n, k):
     """The pinned scan's survivors as (order, orbit) pairs, its orbits expanded as compute_f expands them."""
-    return search._expand_orbits(n, search._survivors(n, k, 1)[0])
+    return search._expand_orbits(n, search._survivors(n, k)[0])
 
 
 def scan_survivors(n, k):
@@ -246,7 +208,7 @@ def test_scan_keeps_one_representative_per_orbit(n, k):
     # least of its images that keep it there (the least of all 2n images may
     # put a vertex of larger signature at 0, as in 106 of the 191 orbits at
     # (8,3)); the orbits are disjoint, and together they are the survivors
-    reps, count = search._survivors(n, k, 1)
+    reps, count = search._survivors(n, k)
     seen = set()
     for order, size in reps:
         images = dihedral_images(order)
@@ -269,7 +231,7 @@ ORBIT_COUNTS = {(8, 3): 191, (9, 3): 777, (10, 3): 1187, (11, 3): 230, (12, 3): 
 
 @pytest.mark.parametrize("n,k", sorted(ORBIT_COUNTS))
 def test_orbit_counts_pinned(n, k):
-    assert len(search._survivors(n, k, 1)[0]) == ORBIT_COUNTS[n, k]
+    assert len(search._survivors(n, k)[0]) == ORBIT_COUNTS[n, k]
 
 
 @pytest.mark.parametrize("n,k,want", [(8, 2, 40), (10, 2, 0), (11, 3, 4402), (12, 3, 56)])
