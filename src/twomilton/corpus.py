@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import ceil
 from random import Random
 
-from .graphs import HamCycle, UGraph, canonical_key, make_cycle, relabel_keys, union
+from .graphs import HamCycle, UGraph, canonical_key, cycle_graph, make_cycle, relabel_keys
 from .k4 import creates_k4, window_path
 
 
@@ -79,7 +79,7 @@ def random_k4free(n: int, seed: str) -> UGraph:
     at least one vertex below degree 4.
     """
     rng = Random(f"k4free:{n}:{seed}")
-    g = union([random_cycle(n, rng)])
+    g = cycle_graph(random_cycle(n, rng))
     target = rng.randint(n, 2 * n - 1)
     tries = 0
     while g.edge_count() < target and tries < 20 * n:

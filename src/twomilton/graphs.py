@@ -153,18 +153,17 @@ def cycle_graph(cycle: HamCycle) -> UGraph:
     return UGraph.from_edges(cycle.n, cycle.edges())
 
 
-def union(parts: Iterable[HamCycle | UGraph]) -> UGraph:
-    """Union of cycles/graphs on the same vertex set; shared edges appear once."""
-    parts = list(parts)
-    if not parts:
+def union(cycles: Iterable[HamCycle]) -> UGraph:
+    """Union of cycles on the same vertex set; shared edges appear once."""
+    cycles = list(cycles)
+    if not cycles:
         raise ValueError("union of an empty family")
-    n = parts[0].n
+    n = cycles[0].n
     adj = [0] * n
-    for p in parts:
-        if p.n != n:
+    for c in cycles:
+        if c.n != n:
             raise ValueError("all members must share the vertex set")
-        g = cycle_graph(p) if isinstance(p, HamCycle) else p
-        for v, row in enumerate(g.adj):
+        for v, row in enumerate(cycle_graph(c).adj):
             adj[v] |= row
     return UGraph(n, tuple(adj))
 

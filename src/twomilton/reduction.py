@@ -1,20 +1,31 @@
 """Reduction of a union of two Hamiltonian cycles to a K4-free remainder.
 
 The pipeline deletes archipelagos (components of the subgraph induced on K4
-vertices) one class at a time, occasionally adding a reconnecting edge between
-non-K4 vertices:
+vertices), occasionally adding a reconnecting edge between non-K4 vertices.
+An archipelago is open while it is live and acyclic with an independent
+neighbourhood; closing it joins two of its neighbours, then deletes it:
 
-1. "small" archipelagos (acyclic, neighbourhood exactly two independent
-   vertices): delete and join the two neighbours;
+1. "small": close each open archipelago whose neighbourhood is two vertices;
 2. if the non-K4 vertices are disconnected, route the given cycle's arcs
-   through archipelagos, add the arc endpoints of a spanning tree, and delete
-   the traversed archipelagos;
-3. acyclic archipelagos with an independent 3-vertex neighbourhood: the
-   one-edge-short "risky" patterns get their designated edge first, everything
-   else the least pair that completes no K4;
-4. remaining acyclic archipelagos with independent neighbourhood (now of size
-   >= 4) get one safe neighbourhood edge; all other archipelagos are deleted
-   with no edge.
+   through archipelagos, delete the traversed archipelagos and join the arc
+   endpoints of a spanning tree;
+3. close the open archipelagos with a 3-vertex neighbourhood: the
+   one-edge-short "risky" patterns by their designated edge first, the rest
+   by the least pair that completes no K4;
+4. close the remaining open archipelagos (neighbourhood size >= 4) by a safe
+   pair; delete all other archipelagos with no edge.
+
+Steps 1, 3 and 4 are one loop, _drain: it closes the first open trio by step
+3's rule or, with none open, the least open archipelago by step 1's or step
+4's rule; step 1 is the drain restricted to size 2.  That reproduces the
+steps in order because no archipelago opens again.  Neighbourhoods are
+static and hold only non-K4 vertices (a K4 vertex next to an archipelago
+lies in it); every step only adds edges between such vertices and deletes
+archipelagos, which removes no edge between two of them.  So a neighbourhood
+that stops being independent never becomes independent again: no open
+size-2 archipelago is left after step 1, and step 4 meets none of size 2 or
+3.  Closing adds its edge before it deletes; step 2 deletes first.  A
+failure's artifact, the live graph, depends on that order.
 
 Every deleted archipelago leaves a lift entry: a list of options (u, t), each
 a transversal t (one vertex per K4) whose outside edges all point at u.  A
@@ -36,13 +47,6 @@ checked once, on entry, and then needs no check inside the loop:
   step 2 has nothing to join.
 - only non-K4 vertices gain edges, so consecutive K4 vertices of the live
   order are adjacent in the input graph, and they lie in one archipelago.
-
-Step 4 meets no open archipelago with a neighbourhood of size 2 or 3.  A
-neighbourhood holds only non-K4 vertices (a K4 vertex next to an archipelago
-lies in it), and no edge between two of them is ever removed, so a
-neighbourhood that stops being independent never becomes independent again.
-Step 1 drains the open size-2 archipelagos and step 3 the open size-3 ones,
-and the steps after each only add edges and delete archipelagos.
 
 An edge between two neighbours of an archipelago is tested with creates_k4
 while that archipelago is still present.  That cannot change the answer: a
@@ -150,13 +154,11 @@ class _Pipeline:
             step, reason, self._artifact({"reason": reason, **detail})
         )
 
-    def _open_archs(self, size: int | None = None):
-        """Live acyclic archipelagos whose neighbourhood is independent (and of
-        the given size), ordered by least vertex."""
+    def _open_archs(self):
+        """Live acyclic archipelagos whose neighbourhood is independent,
+        ordered by least vertex."""
         for arch in self.archs:
             if not arch.mask & self.alive or arch.cyclic:
-                continue
-            if size is not None and len(arch.neighborhood) != size:
                 continue
             nbhd = mask_of(arch.neighborhood)
             if all(self.adj[v] & nbhd == 0 for v in arch.neighborhood):
@@ -215,30 +217,15 @@ class _Pipeline:
         options = []
         for u in (None,) if arch.cyclic else arch.neighborhood:
             t = self._transversal(arch, 0 if u is None else 1 << u)
-            if t is None and u is None:
-                self._fail(
-                    "lift-plan",
-                    f"cyclic archipelago {arch.vertices} has no clean transversal",
-                    archipelago=list(arch.vertices),
-                )
             if t is None:
                 self._fail(
                     "lift-plan",
-                    f"archipelago {arch.vertices} has no transversal toward {u}",
-                    archipelago=list(arch.vertices), neighbor=u,
+                    f"cyclic archipelago {arch.vertices} has no clean transversal" if u is None
+                    else f"archipelago {arch.vertices} has no transversal toward {u}",
+                    archipelago=list(arch.vertices), **({} if u is None else {"neighbor": u}),
                 )
             options.append((u, t))
         return LiftEntry(arch.vertices, tuple(options))
-
-    # -- step 1: small archipelagos ---------------------------------------
-
-    def step1(self):
-        while True:
-            arch = next(self._open_archs(2), None)
-            if arch is None:
-                return
-            self._add_edge("small", *arch.neighborhood, arch)
-            self._delete_arch(arch)
 
     # -- step 2: reconnect the non-K4 remainder ---------------------------
 
@@ -290,7 +277,7 @@ class _Pipeline:
                 self._delete_arch(arch)
             self._add_edge("connect", u, v, arch)
 
-    # -- step 3: independent neighbourhoods of size 3 ----------------------
+    # -- steps 1, 3 and 4: close the open archipelagos ---------------------
 
     def _classify3(self, arch: Archipelago) -> tuple[int, int] | None:
         """The edge a risky pattern on an independent 3-neighbourhood demands,
@@ -340,56 +327,52 @@ class _Pipeline:
         a, b = best[3:]
         return min(a, b), max(a, b)
 
-    def step3(self):
+    def _close(self, step: str, arch: Archipelago, pair):
+        self._add_edge(step, *pair, arch)
+        self._delete_arch(arch)
+
+    def _drain(self, size: int | None = None):
+        """Close open archipelagos (of the given neighbourhood size, if one is
+        given) until none is left: trios first, then the least one."""
         while True:
-            live = list(self._open_archs(3))
+            live = [arch for arch in self._open_archs() if size is None or len(arch.neighborhood) == size]
             if not live:
                 return
-            # every archipelago is classified first: a forbidden one fails
-            risky = [(arch, edge) for arch, edge in zip(live, map(self._classify3, live)) if edge]
+            trios = [arch for arch in live if len(arch.neighborhood) == 3]
+            # every trio is classified first: a forbidden one fails
+            risky = [(arch, edge) for arch, edge in zip(trios, map(self._classify3, trios)) if edge]
+            arch = (trios or live)[0]
+            k = len(arch.neighborhood)
             if risky:
-                arch, (a, b) = risky[0]
-                self._add_edge("three-risky", a, b, arch)
-                self._delete_arch(arch)
-                continue
-            arch = live[0]
-            pair = self._safe_pair(
-                "three", arch,
-                "every neighbourhood pair completes a K4 (undetected forbidden pattern)",
-            )
-            self._add_edge("three", *pair, arch)
-            self._delete_arch(arch)
-
-    # -- step 4: the rest ---------------------------------------------------
-
-    def step4(self):
-        while True:
-            arch = next(self._open_archs(), None)
-            if arch is None:
-                break
-            size = len(arch.neighborhood)
-            if size <= 1:
+                self._close("three-risky", *risky[0])
+            elif k == 3:
+                self._close("three", arch, self._safe_pair(
+                    "three", arch,
+                    "every neighbourhood pair completes a K4 (undetected forbidden pattern)",
+                ))
+            elif k == 2:
+                self._close("small", arch, arch.neighborhood)
+            elif k >= 4:
+                self._close("final", arch, self._safe_pair("final", arch, "no safe neighbourhood pair"))
+            else:
                 self._fail(
                     "final",
                     f"acyclic archipelago {arch.vertices} with neighbourhood of "
-                    f"size {size}: impossible for a union of two Hamiltonian cycles",
+                    f"size {k}: impossible for a union of two Hamiltonian cycles",
                     archipelago=list(arch.vertices),
                 )
-            self._add_edge("final", *self._safe_pair("final", arch, "no safe neighbourhood pair"), arch)
-            self._delete_arch(arch)
-        for arch in self.archs:
-            if arch.mask & self.alive:
-                self._delete_arch(arch)
-                self.trace.append(TraceStep("final", arch.vertices, None))
 
     # -- drive --------------------------------------------------------------
 
     def run(self) -> ReductionResult:
         zeta_total = sum(len(a.k4s) for a in self.archs)
-        self.step1()
+        self._drain(2)
         self.step2()
-        self.step3()
-        self.step4()
+        self._drain()
+        for arch in self.archs:  # step 4's rest: delete with no edge
+            if arch.mask & self.alive:
+                self._delete_arch(arch)
+                self.trace.append(TraceStep("final", arch.vertices, None))
         h_vertices = tuple(bits(self.alive))
         new_id = {old: i for i, old in enumerate(h_vertices)}
         h = UGraph.from_edges(len(h_vertices), [

@@ -8,14 +8,15 @@ import sys
 from decimal import Decimal
 from math import factorial
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import twomilton
 from twomilton import cli, search
 from twomilton.cli import main
-from twomilton.corpus import planted_pair, random_pair
-from twomilton.graphs import union
+from twomilton.corpus import planted_pair, random_cycle, random_pair
+from twomilton.graphs import FamilyDocument, serialize_family, union
 
 
 def run(capsys, *argv):
@@ -105,6 +106,20 @@ def test_verify_falsified_claim(capsys, strip4_doc):
     assert rc == 1 and not rep["ok"]
     bad = [c for c in rep["claims"] if not c["ok"]]
     assert "alpha is 4" in bad[0]["detail"]
+
+
+def test_verify_builds_each_pairwise_union_when_it_checks_it(capsys, tmp_path, monkeypatch):
+    rng = Random("six-cycles")
+    path = tmp_path / "six.json"
+    path.write_text(serialize_family(FamilyDocument(12, tuple(random_cycle(12, rng) for _ in range(6)))))
+    built = []
+    monkeypatch.setattr(cli, "union", lambda parts: built.append(parts) or union(parts))
+    rc, rep = run_json(capsys, "verify", "--input", str(path), "--claim", "pairwise-alpha<=1")
+    assert rc == 1 and rep["claims"][0]["detail"].startswith("pair (0,1): ")
+    assert len(built) == 1
+    rc, rep = run_json(capsys, "verify", "--input", str(path), "--claim", "pairwise-alpha>=1")
+    assert rc == 0 and rep["claims"][0]["detail"] == "alpha>=1 on 15 graph(s)"
+    assert len(built) == 16
 
 
 def test_verify_tampered_certificate(capsys, strip4_doc, tmp_path):

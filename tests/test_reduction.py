@@ -354,6 +354,31 @@ def test_forbidden_pattern_detected():
     assert "forbidden" in report.reason
 
 
+@pytest.mark.parametrize("args,steps", [
+    ((21, 3, "d7"), ["three", "final", "final"]),
+    ((31, 3, "d117"), ["connect", "three", "final"]),
+])
+def test_trios_close_before_larger_neighbourhoods(args, steps):
+    # a trio closes before an archipelago with a larger neighbourhood, even
+    # when that one has the least vertex: step 3 runs before step 4
+    assert [t.step for t in technical_reduce(*planted_pair(*args)).trace] == steps
+
+
+@pytest.mark.parametrize("cycles,reason,detail", [
+    (k4_strip(2), "cyclic archipelago (0, 1, 2, 3, 4, 5, 6, 7) has no clean transversal",
+     {"archipelago": list(range(8))}),
+    (planted_pair(24, 2, "pin:0"), "archipelago (1, 9, 19, 20) has no transversal toward 4",
+     {"archipelago": [1, 9, 19, 20], "neighbor": 4}),
+])
+def test_lift_plan_failure_names_the_archipelago(monkeypatch, cycles, reason, detail):
+    from twomilton.reduction import _Pipeline
+
+    monkeypatch.setattr(_Pipeline, "_transversal", lambda self, arch, allowed: None)
+    report = diagnose_reduction(union(cycles), cycles)
+    assert (report.failed_step, report.reason) == ("lift-plan", reason)
+    assert list(report.artifact.meta["detail"].items()) == [("reason", reason), *detail.items()]
+
+
 def test_strict_mode_raises():
     g = counterexample_strip(2)
     with pytest.raises(StructureViolation) as info:
