@@ -130,6 +130,8 @@ def cmd_reduce(args) -> int:
         return 0
     if len(doc.cycles) != 2:
         raise ValueError("reduce needs a document with two cycles")
+    if doc.graph() != union(doc.cycles):
+        raise ValueError("the edge payload must be the union of the two cycles")
     result = technical_reduce(doc.cycles[0], doc.cycles[1])
     cert = alpha_exact(result.h)
     lifted = lift_independent(result, cert.vertices)

@@ -29,9 +29,9 @@ def creates_k4(adj, u: int, v: int):
 
     adj holds bitset rows, as UGraph.adj does.  Only K4s through the new edge
     can appear, so it suffices to find an adjacent pair among the common
-    neighbours of u and v.  The reduction pipeline asks this about two
-    neighbours of an archipelago it is about to delete; no vertex of that
-    archipelago can be one of the pair, since a K4 vertex has at most one
+    neighbours of u and v.  The reduction pipeline's _close asks this about
+    two neighbours of an archipelago before it deletes that archipelago; no
+    vertex of it can be one of the pair, since a K4 vertex has at most one
     neighbour outside its K4 when the maximum degree is 4.
     """
     for pair in cliques(adj, adj[u] & adj[v], 2):

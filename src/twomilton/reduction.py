@@ -2,18 +2,20 @@
 
 The pipeline deletes archipelagos (components of the subgraph induced on K4
 vertices), occasionally adding a reconnecting edge between non-K4 vertices.
+Every archipelago leaves through one exit, _close: it joins the given pair of
+the archipelago's neighbours, if there is one, then deletes the archipelago.
 An archipelago is open while it is live and acyclic with an independent
-neighbourhood; closing it joins two of its neighbours, then deletes it:
+neighbourhood:
 
 1. "small": close each open archipelago whose neighbourhood is two vertices;
 2. if the non-K4 vertices are disconnected, route the given cycle's arcs
-   through archipelagos, delete the traversed archipelagos and join the arc
-   endpoints of a spanning tree;
+   through archipelagos and, over a spanning tree of the components, close
+   each arc's archipelago by the arc's endpoints;
 3. close the open archipelagos with a 3-vertex neighbourhood: the
    one-edge-short "risky" patterns by their designated edge first, the rest
    by the least pair that completes no K4;
 4. close the remaining open archipelagos (neighbourhood size >= 4) by a safe
-   pair; delete all other archipelagos with no edge.
+   pair; close all other live archipelagos with no edge.
 
 Steps 1, 3 and 4 are one loop, _drain: it closes the first open trio by step
 3's rule or, with none open, the least open archipelago by step 1's or step
@@ -24,8 +26,12 @@ lies in it); every step only adds edges between such vertices and deletes
 archipelagos, which removes no edge between two of them.  So a neighbourhood
 that stops being independent never becomes independent again: no open
 size-2 archipelago is left after step 1, and step 4 meets none of size 2 or
-3.  Closing adds its edge before it deletes; step 2 deletes first.  A
-failure's artifact, the live graph, depends on that order.
+3.  Two of step 2's arcs may pass through one archipelago; the second joins
+its endpoints and finds the archipelago already gone.  Step 2's join checks
+cannot fail, with its archipelago present or gone: the endpoints u and v lie
+in different plain components, so they are not adjacent, and a common
+neighbour would be plain and join those components, or be a K4 vertex, which
+has at most one neighbour outside its K4.
 
 Every deleted archipelago leaves a lift entry: a list of options (u, t), each
 a transversal t (one vertex per K4) whose outside edges all point at u.  A
@@ -154,49 +160,40 @@ class _Pipeline:
             step, reason, self._artifact({"reason": reason, **detail})
         )
 
-    def _open_archs(self):
-        """Live acyclic archipelagos whose neighbourhood is independent,
-        ordered by least vertex."""
-        for arch in self.archs:
-            if not arch.mask & self.alive or arch.cyclic:
-                continue
-            nbhd = mask_of(arch.neighborhood)
-            if all(self.adj[v] & nbhd == 0 for v in arch.neighborhood):
-                yield arch
-
     def _safe_pair(self, step: str, arch: Archipelago, reason: str) -> tuple[int, int]:
         """The least neighbourhood pair whose edge completes no K4 once the
         archipelago is gone; fails with the reason when there is none.  For
-        an archipelago from _open_archs the edge is also new, so _add_edge
-        accepts it."""
+        an open archipelago the edge is also new, so _close accepts it."""
         for a, b in combinations(arch.neighborhood, 2):
             if creates_k4(self.adj, a, b) is None:
                 return a, b
         self._fail(step, f"archipelago {arch.vertices}: {reason}", archipelago=list(arch.vertices))
 
-    def _add_edge(self, step: str, u: int, v: int, arch: Archipelago):
-        """Join two neighbours of the archipelago: the one way an edge enters
-        the working graph."""
-        if self.adj[u] >> v & 1:
-            self._fail(step, f"edge ({u},{v}) already present", edge=[u, v])
-        quad = creates_k4(self.adj, u, v)
-        if quad is not None:
-            self._fail(
-                step,
-                f"joining neighbourhood ({u},{v}) completes K4 {quad}",
-                edge=[u, v], k4=list(quad),
-            )
-        self.adj[u] |= 1 << v
-        self.adj[v] |= 1 << u
-        self.trace.append(TraceStep(step, arch.vertices, (u, v)))
-
-    def _delete_arch(self, arch: Archipelago):
-        for v in arch.vertices:
-            for u in bits(self.adj[v]):
-                self.adj[u] &= ~(1 << v)
-            self.adj[v] = 0
-        self.alive &= ~arch.mask
-        self.lift.append(self._lift_entry(arch))
+    def _close(self, step: str, arch: Archipelago, pair: tuple[int, int] | None):
+        """Join the pair of the archipelago's neighbours, if one is given, then
+        delete the archipelago if it is still live: the one way an edge enters
+        the working graph and an archipelago leaves it."""
+        if pair is not None:
+            u, v = pair
+            if self.adj[u] >> v & 1:
+                self._fail(step, f"edge ({u},{v}) already present", edge=[u, v])
+            quad = creates_k4(self.adj, u, v)
+            if quad is not None:
+                self._fail(
+                    step,
+                    f"joining neighbourhood ({u},{v}) completes K4 {quad}",
+                    edge=[u, v], k4=list(quad),
+                )
+            self.adj[u] |= 1 << v
+            self.adj[v] |= 1 << u
+        self.trace.append(TraceStep(step, arch.vertices, pair))
+        if arch.mask & self.alive:
+            for v in arch.vertices:
+                for w in bits(self.adj[v]):
+                    self.adj[w] &= ~(1 << v)
+                self.adj[v] = 0
+            self.alive &= ~arch.mask
+            self.lift.append(self._lift_entry(arch))
 
     # -- lift transversals (against the original graph; static) -----------
 
@@ -264,18 +261,12 @@ class _Pipeline:
             u = v
         # spanning tree over the components, arcs in ascending endpoint order
         groups = list(comps)
-        chosen = []
         for u, v, idx in sorted(arcs):
             gu = next(m for m in groups if m >> u & 1)
             if not gu >> v & 1:
                 gv = next(m for m in groups if m >> v & 1)
                 groups = [m for m in groups if m not in (gu, gv)] + [gu | gv]
-                chosen.append((u, v, idx))
-        for u, v, idx in chosen:
-            arch = self.archs[idx]
-            if arch.mask & self.alive:
-                self._delete_arch(arch)
-            self._add_edge("connect", u, v, arch)
+                self._close("connect", self.archs[idx], (u, v))
 
     # -- steps 1, 3 and 4: close the open archipelagos ---------------------
 
@@ -327,15 +318,16 @@ class _Pipeline:
         a, b = best[3:]
         return min(a, b), max(a, b)
 
-    def _close(self, step: str, arch: Archipelago, pair):
-        self._add_edge(step, *pair, arch)
-        self._delete_arch(arch)
-
     def _drain(self, size: int | None = None):
         """Close open archipelagos (of the given neighbourhood size, if one is
         given) until none is left: trios first, then the least one."""
         while True:
-            live = [arch for arch in self._open_archs() if size is None or len(arch.neighborhood) == size]
+            live = []
+            for arch in self.archs:
+                if arch.mask & self.alive and not arch.cyclic and size in (None, len(arch.neighborhood)):
+                    nbhd = mask_of(arch.neighborhood)
+                    if not any(self.adj[v] & nbhd for v in arch.neighborhood):
+                        live.append(arch)
             if not live:
                 return
             trios = [arch for arch in live if len(arch.neighborhood) == 3]
@@ -369,10 +361,9 @@ class _Pipeline:
         self._drain(2)
         self.step2()
         self._drain()
-        for arch in self.archs:  # step 4's rest: delete with no edge
+        for arch in self.archs:  # step 4's rest: close with no edge
             if arch.mask & self.alive:
-                self._delete_arch(arch)
-                self.trace.append(TraceStep("final", arch.vertices, None))
+                self._close("final", arch, None)
         h_vertices = tuple(bits(self.alive))
         new_id = {old: i for i, old in enumerate(h_vertices)}
         h = UGraph.from_edges(len(h_vertices), [

@@ -2,7 +2,10 @@
 
 Each case makes the verifier behind one check lie (or hands the check an
 inconsistent input) and expects the check to raise.  A bare assert would
-vanish under -O and let the bad result through.
+vanish under -O and let the bad result through.  The cases above run in a
+child process under -O; the last test runs in process (and so under -O when
+the suite does) and also covers the input refusals of the generators and of
+UGraph, and lift_independent's checks on tampered reduction results.
 """
 
 import os
@@ -13,6 +16,12 @@ import textwrap
 import pytest
 
 import twomilton
+from twomilton.bounds import delta_fn
+from twomilton.constructions import k4_strip
+from twomilton.corpus import planted_pair, random_pair
+from twomilton.graphs import UGraph, VerificationError
+from twomilton.reduction import LiftEntry, lift_independent, technical_reduce
+from twomilton.search import window_partners
 
 CASES = {
     "independence.alpha_exact": """
@@ -134,3 +143,37 @@ def test_check_runs_under_optimize(site):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("raised ")
+
+
+def _tampered_lift(case):
+    """Run lift_independent on a ReductionResult tampered as the case names."""
+    if case == "neighbourhood":
+        # the first entry's one option points at h vertex 0, which the set holds
+        res = technical_reduce(*planted_pair(24, 2, "pin:0"))
+        entry = res.lift_plan[0]
+        plan = (entry._replace(options=((res.h_vertex_map[0], entry.options[0][1]),)),) + res.lift_plan[1:]
+        return lift_independent(res._replace(lift_plan=plan), (0,))
+    # the strip's union is one cyclic archipelago, lifted by one clean transversal
+    res = technical_reduce(*k4_strip(4))
+    plan = () if case == "dropped" else (LiftEntry(tuple(range(16)), ((None, (3, 5, 8, 12)),)),)
+    return lift_independent(res._replace(lift_plan=plan), ())
+
+
+@pytest.mark.parametrize("run, error, match", [
+    (lambda: delta_fn(0, 1), ValueError, "0 < x <= 1"),
+    (lambda: k4_strip(0), ValueError, "k >= 1"),
+    (lambda: random_pair(3, "s"), ValueError, "n >= 4"),
+    (lambda: planted_pair(12, 3, "s"), ValueError, "too many K4s"),
+    (lambda: window_partners(6), ValueError, "divisible by 4"),
+    (lambda: UGraph.from_edges(3, [(0, 3)]), ValueError, r"bad edge \(0, 3\)"),
+    (lambda: UGraph(3, (0, 0, 0)).with_edge(1, 1), ValueError, "loops"),
+    (lambda: _tampered_lift("dropped"), VerificationError, r"expected 0 \+ zeta 4"),
+    # 3-5 is a hop edge of the strip
+    (lambda: _tampered_lift("adjacent"), VerificationError, "not independent in the input union"),
+    (lambda: _tampered_lift("neighbourhood"), VerificationError, "fully inside the set"),
+], ids=["delta_fn", "k4_strip", "random_pair", "planted_pair", "window_partners", "from_edges",
+        "with_edge", "lift-dropped-entry", "lift-adjacent-transversal", "lift-neighbourhood-in-set"])
+def test_refusals_and_tampered_lifts_raise_in_process(run, error, match):
+    # explicit raises, not asserts, so these hold under python -O as well
+    with pytest.raises(error, match=match):
+        run()

@@ -15,6 +15,7 @@ import pytest
 import twomilton
 from twomilton import cli, search
 from twomilton.cli import main
+from twomilton.constructions import k4_strip
 from twomilton.corpus import planted_pair, random_cycle, random_pair
 from twomilton.graphs import FamilyDocument, serialize_family, union
 
@@ -177,6 +178,28 @@ def test_reduce_rejects_small_n(capsys, tmp_path):
     assert run(capsys, "construct", "strip", "--k", "3", "--out", str(path))[0] == 0
     rc, _ = run(capsys, "reduce", "--input", str(path))
     assert rc == 2
+
+
+def test_reduce_refuses_an_edge_payload_other_than_the_union(capsys, tmp_path):
+    # zeta and alpha read the payload, so reduce must not reduce another graph
+    c1, c2 = k4_strip(4)
+    path = tmp_path / "doc.json"
+
+    def write(edges):
+        path.write_text(json.dumps({
+            "format_version": 1, "n": 16, "cycles": [list(c1.order), list(c2.order)], "meta": {},
+            "edges": [list(e) for e in edges],
+        }))
+
+    write(c1.edges())
+    assert run_json(capsys, "zeta", "--input", str(path))[1]["value"] == 0
+    rc = main(["reduce", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert "edge payload" in err
+    write(union([c1, c2]).edges())
+    rc, rep = run_json(capsys, "reduce", "--input", str(path))
+    assert (rc, rep["zeta"]) == (0, 4)
 
 
 @pytest.mark.parametrize("cycles, argv, message", [
@@ -456,14 +479,19 @@ def test_corpus_refuses_documents_over_the_reader_cap(capsys):
     assert err.startswith("error: ")
 
 
-def test_readme_commands_parse():
-    # every command line README.md shows is accepted by today's parser
+def test_readme_commands_parse(capsys, monkeypatch, tmp_path):
+    # every command line README.md shows is accepted by today's parser, and
+    # in order (later lines read the files earlier ones write) each exits 0
     readme = Path(twomilton.__file__).parents[2] / "README.md"
     lines = [line for line in readme.read_text().splitlines() if line.startswith("twomilton ")]
-    assert len(lines) >= 17
+    assert len(lines) >= 18
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert (line, main(shlex.split(line)[1:])) == (line, 0)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name, default_n", [("exceptional", 8), ("circulant", 9)])

@@ -379,6 +379,32 @@ def test_lift_plan_failure_names_the_archipelago(monkeypatch, cycles, reason, de
     assert list(report.artifact.meta["detail"].items()) == [("reason", reason), *detail.items()]
 
 
+def test_step2_closes_like_every_step(monkeypatch):
+    # step 2 joins the arc's endpoints before it deletes the archipelago, so a
+    # failing lift entry leaves the joined edge in the artifact
+    from twomilton.reduction import _Pipeline
+
+    monkeypatch.setattr(_Pipeline, "_transversal", lambda self, arch, allowed: None)
+    c1, c2 = planted_pair(31, 3, "d117")
+    g = union([c1, c2])
+    report = diagnose_reduction(g, [c1])
+    assert (report.failed_step, report.reason) == (
+        "lift-plan", "archipelago (5, 7, 10, 23) has no transversal toward 8")
+    assert set(report.artifact.edges) - set(g.edges()) == {(14, 29)}
+    assert not any({5, 7, 10, 23} & set(e) for e in report.artifact.edges)
+
+
+def test_two_arcs_through_one_archipelago():
+    # the route passes one archipelago twice and both arcs join components:
+    # the second close joins its endpoints and finds the archipelago gone
+    res = technical_reduce(*planted_pair(26, 5, "d712"))
+    arch = (0, 3, 5, 7, 8, 9, 11, 13, 14, 16, 17, 20, 21, 22, 23, 25)
+    assert [tuple(t) for t in res.trace] == [
+        ("connect", arch, (2, 6)), ("connect", arch, (2, 15)), ("final", (1, 4, 10, 19), None),
+    ]
+    assert [e.vertices for e in res.lift_plan] == [arch, (1, 4, 10, 19)]
+    check_result(res)
+
 def test_strict_mode_raises():
     g = counterexample_strip(2)
     with pytest.raises(StructureViolation) as info:
