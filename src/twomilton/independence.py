@@ -21,10 +21,11 @@ and examining them changes nothing.  The components of a reduced subproblem
 start clean.  The degree rule applies whenever it can, so a reduced
 subproblem has no vertex of degree below 2.
 
-One pass over a reduced subproblem Q walks the component of its lowest
-vertex and sorts the vertices it visits by degree in Q: 2, at least 3, at
-least 4.  When the component is not all of Q, alpha(Q) is its alpha plus
-that of the rest, which splits again on its own.  A connected Q of maximum
+One pass over a reduced subproblem Q grows the component of its lowest
+vertex a layer at a time, ORing a layer's rows into one mask that is cleared
+of the vertices seen once, and sorts the vertices by degree in Q: 2, at least
+3, at least 4.  When the component is not all of Q, alpha(Q) is its alpha
+plus that of the rest, which splits again on its own.  A connected Q of maximum
 degree 2 is a cycle, whose alpha is half its length rounded down.  Otherwise
 the solver branches, and the branch that takes the vertex runs first.  A
 neighbour scores 1 for degree at least 3 and 1 more for degree at least 4:
@@ -36,7 +37,10 @@ neighbour scores 1 for degree at least 3 and 1 more for degree at least 4:
   have dropped them.  So alpha is the larger of 1 + alpha(Q - N[w]) and
   2 + alpha(Q - N[x] - N[z]): the degree-2 fold, which merges x, w, z into
   one vertex standing for "w, or both x and z" and costs exactly one unit
-  of alpha.  High-degree x and z make the second branch remove more.
+  of alpha.  High-degree x and z make the second branch remove more.  As w
+  is in N[x], Q - N[x] - N[z] lies inside Q - N[w], so the second branch
+  beats the first by one at most: it only decides whether
+  alpha(Q - N[x] - N[z]) reaches alpha(Q - N[w]).
 - with no vertex of degree 2, on the vertex of maximum degree whose
   neighbours score lowest, the lowest on a tie: take it, or drop it.
 
@@ -46,14 +50,15 @@ and no certificate.
 One memoised search with a target k answers every query: it returns alpha
 exactly when that is below k and otherwise stops at the first value >= k it
 finds; the second branch runs only when the first falls short.  Only the
-exact values, those below the target, are memoised.
+exact values, those below the target, are memoised, and none that the rules
+solve outright: that costs one reduction again, not an entry.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import UGraph, VerificationError, bits, mask_of
+from .graphs import UGraph, VerificationError, mask_of
 from .limits import check_limit
 
 
@@ -73,9 +78,13 @@ class AlphaSolver:
         on_triangle = 0
         for v, a in enumerate(adj):
             reach = tri = 0
-            for u in bits(a):
-                reach |= adj[u]
-                tri |= adj[u] & a
+            m = a
+            while m:
+                low = m & -m
+                m ^= low
+                row = adj[low.bit_length() - 1]
+                reach |= row
+                tri |= row & a
             ball.append(reach | a)
             if tri:
                 on_triangle |= 1 << v
@@ -126,76 +135,86 @@ class AlphaSolver:
 
     def _alpha(self, P: int, dirty: int, k: int) -> int:
         """alpha(P) when that is below k; otherwise some value >= k, returned
-        as soon as one is found.  Only the exact values (below k) are memoised.
-
-        In the reduced subproblem Q, a degree-2 vertex w with nonadjacent
-        neighbours x, z is folded:
-        alpha(Q) = max(1 + alpha(Q - N[w]), 2 + alpha(Q - N[x] - N[z]))."""
+        as soon as one is found.  Only the exact values (below k) are memoised."""
         if P == 0:
             return 0
         hit = self.memo.get(P)
         if hit is not None:
             return hit
         size, Q = self._reduce(P, dirty)
-        if Q and size < k:
-            adj, closed, ball = self.adj, self.closed, self.ball
-            # one pass: the component of Q's lowest vertex, noting which of the
-            # vertices it visits have degree 2 in Q and which degree 4 or more
-            comp = frontier = Q & -Q
-            two = four = 0
+        if not Q or size >= k:
+            return size
+        adj = self.adj
+        # one pass, a layer at a time: the component of Q's lowest vertex,
+        # noting which of its vertices have degree 2 in Q and which 4 or more
+        comp = frontier = Q & -Q
+        two = four = 0
+        while frontier:
+            grow = 0
             while frontier:
                 low = frontier & -frontier
+                frontier ^= low
                 near = adj[low.bit_length() - 1] & Q
-                frontier = (frontier ^ low) | (near & ~comp)
-                comp |= near
+                grow |= near
                 d = near.bit_count()
                 if d == 2:
                     two |= low
                 elif d > 3:
                     four |= low
-            if comp != Q:
-                size += self._alpha(comp, 0, k - size)
-                if size < k:
-                    size += self._alpha(Q ^ comp, 0, k - size)
-            elif two == Q:
-                size += Q.bit_count() // 2
+            frontier = grow & ~comp
+            comp |= frontier
+        if comp != Q:
+            size += self._alpha(comp, 0, k - size)
+            if size < k:
+                size += self._alpha(Q ^ comp, 0, k - size)
+        elif two == Q:
+            size += Q.bit_count() // 2
+        else:
+            closed, ball = self.closed, self.ball
+            three = Q ^ two  # no vertex of a reduced Q has degree below 2
+            room = k - size
+            # a neighbour scores 1 for degree >= 3 and 2 for degree >= 4; a
+            # child that removes vertices hands on every neighbour of them,
+            # since a rule can newly apply only there
+            if two:
+                score, m = -1, two
+                while m and score < 4:
+                    low = m & -m
+                    m ^= low
+                    near = adj[low.bit_length() - 1] & Q
+                    s = (near & three).bit_count() + (near & four).bit_count()
+                    if s > score:
+                        w, score, pair = low.bit_length() - 1, s, near
+                # some maximum set holds w or both neighbours: a set holding
+                # one alone can swap it for w
+                x, z = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
+                if adj[x] >> z & 1:
+                    raise VerificationError(
+                        f"degree-2 vertex {w} has adjacent neighbours {x} and {z}; "
+                        "the reduction should have dropped them")
+                best = 1 + self._alpha(Q & ~closed[w], ball[w], room - 1)
+                # taking x and z beats taking w by one at most
+                if best < room and self._alpha(
+                        Q & ~(closed[x] | closed[z]), ball[x] | ball[z], best - 1) >= best - 1:
+                    best += 1
             else:
-                three = Q ^ two  # no vertex of a reduced Q has degree below 2
-                # a neighbour scores 1 for degree >= 3 and 2 for degree >= 4
-                if two:
-                    v, score, m = -1, -1, two
-                    while m and score < 4:
-                        low = m & -m
-                        m ^= low
-                        near = adj[low.bit_length() - 1] & Q
+                # most neighbours in Q, then lowest score, then lowest vertex
+                degree, score, m = -1, 0, four or three
+                while m:
+                    low = m & -m
+                    m ^= low
+                    near = adj[low.bit_length() - 1] & Q
+                    d = near.bit_count()
+                    if d >= degree:
                         s = (near & three).bit_count() + (near & four).bit_count()
-                        if s > score:
-                            v, score = low.bit_length() - 1, s
-                else:
-                    v = min(bits(four or three), key=lambda u: (
-                        -(adj[u] & Q).bit_count(),
-                        (adj[u] & three).bit_count() + (adj[u] & four).bit_count(), u))
-                near = adj[v] & Q
-                if near.bit_count() == 2:
-                    # some maximum set holds v or both neighbours: a set
-                    # holding one alone can swap it for v
-                    x, z = (near & -near).bit_length() - 1, near.bit_length() - 1
-                    if adj[x] >> z & 1:
-                        raise VerificationError(
-                            f"degree-2 vertex {v} has adjacent neighbours {x} and {z}; "
-                            "the reduction should have dropped them")
-                    children = ((1, closed[v], ball[v]),
-                                (2, closed[x] | closed[z], ball[x] | ball[z]))
-                else:
-                    children = ((1, closed[v], ball[v]), (0, 1 << v, adj[v]))
-                best = 0
-                # a rule can newly apply only next to a removed vertex, and
-                # touched holds every neighbour of the removed vertices
-                for gain, gone, touched in children:
-                    if best >= k - size:
-                        break
-                    best = max(best, gain + self._alpha(Q & ~gone, touched, k - size - gain))
-                size += best
+                        if d > degree or s < score:
+                            v, degree, score = low.bit_length() - 1, d, s
+                best = 1 + self._alpha(Q & ~closed[v], ball[v], room - 1)
+                if best < room:
+                    rest = self._alpha(Q ^ (1 << v), adj[v], room)
+                    if rest > best:
+                        best = rest
+            size += best
         if size < k:
             self.memo[P] = size
         return size

@@ -1,6 +1,7 @@
 """Independence solver vs the subset-recursion oracle, certificates, and the
 degree-2 fold behind the solver's branch."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twomilton.constructions import circulant_family
-from twomilton.corpus import random_pair
+from twomilton.corpus import planted_pair, random_k4free, random_pair
 from twomilton.graphs import UGraph, bits, cycle_graph, make_cycle, standard_cycle, union
 from twomilton.independence import (
     AlphaSolver,
@@ -18,6 +19,7 @@ from twomilton.independence import (
     verify_certificate,
     verify_independent,
 )
+from twomilton.reduction import technical_reduce
 
 from oracles import oracle_alpha, oracle_independent_sets
 
@@ -157,11 +159,37 @@ def test_degree_two_branch_stays_live():
     # memo entries after alpha() on the pinned pairs: 378 and 2,509 when every
     # branch was on a vertex of maximum degree, 311 and 1,204 when the
     # degree-2 branch took the lowest degree-2 vertex, 141 and 603 when it
-    # takes the one whose neighbours have the highest degrees
-    for n, limit in ((48, 141), (64, 603)):
+    # took the one whose neighbours have the highest degrees, 80 and 352 now
+    # that a subproblem the rules solve outright leaves no entry
+    for n, limit in ((48, 80), (64, 352)):
         solver = AlphaSolver(union(random_pair(n, f"pin:{n}")))
         solver.alpha()
         assert len(solver.memo) <= limit, n
+
+
+@pytest.mark.parametrize("n, limits", [(48, (140, 296, 21, 140)), (64, (607, 856, 19, 607))])
+def test_search_stays_small(n, limits):
+    # _reduce runs once per node that misses the memo, so its calls count the
+    # search tree; each query runs on a fresh solver, and a change that grows
+    # the tree of any of them fails here
+    g = union(random_pair(n, f"pin:{n}"))
+    a = AlphaSolver(g).alpha()
+    queries = (AlphaSolver.alpha, AlphaSolver.lex_min_maximum_set,
+               lambda s: s.at_least(a), lambda s: s.at_least(a + 1))
+    calls = []
+    for query in queries:
+        solver = AlphaSolver(g)
+        inner, count = solver._reduce, 0
+
+        def counted(P, dirty):
+            nonlocal count
+            count += 1
+            return inner(P, dirty)
+
+        solver._reduce = counted
+        query(solver)
+        calls.append(count)
+    assert all(c <= limit for c, limit in zip(calls, limits)), calls
 
 
 def step_circulant(n, steps):
@@ -286,6 +314,32 @@ def test_certificate_pinned(key):
     assert " ".join(map(str, cert.vertices)) == PINNED_CERTIFICATES[key]
 
 
+def digest_corpus():
+    """Random unions (n = 20..64), the K4-free remainders technical_reduce
+    leaves of planted pairs, random K4-free graphs, and general random graphs
+    with triangles (n <= 16); three seeds each."""
+    seeds = range(3)
+    graphs = [union(random_pair(n, f"digest:{s}")) for n in range(20, 65, 4) for s in seeds]
+    graphs += [technical_reduce(*planted_pair(n, n // 8, f"digest:{s}")).h
+               for n in range(24, 65, 8) for s in seeds]
+    graphs += [random_k4free(n, f"digest:{s}") for n in range(16, 65, 8) for s in seeds]
+    graphs += [random_graph(n, p, 7000 + s) for n in (8, 12, 16) for p in (0.2, 0.35, 0.5) for s in seeds]
+    return graphs
+
+
+def test_solver_outputs_digest():
+    # one sha256 over alpha, the lex-min certificate and the decision at
+    # alpha - 1, alpha and alpha + 1 on every graph of the corpus, taken before
+    # the solver's node was reworked; a change to the solver that moves any
+    # answer moves the digest
+    h = hashlib.sha256()
+    for g in digest_corpus():
+        cert = alpha_exact(g)
+        a = cert.value
+        h.update(repr((g.n, a, cert.vertices, [has_independent_set(g, k) for k in (a - 1, a, a + 1)])).encode())
+    assert h.hexdigest() == "fd78301b2ea90947f8face20f5b49ec438bd565f7a89e16ac4291ee575197740"
+
+
 def test_alpha_matches_oracle_random():
     for seed in range(40):
         n = 6 + seed % 9
@@ -334,26 +388,33 @@ def test_certificate_lex_min_property(n, p, seed):
     assert alpha_exact(g).vertices == lex_min_by_enumeration(g)
 
 
-def test_certificate_probes_each_vertex_once():
-    # after alpha(), the certificate makes at most one top-level search per
-    # vertex (106 on this graph when every take restarted from vertex 0)
-    g = union(random_pair(48, "pin:48"))
-    solver = AlphaSolver(g)
-    solver.alpha()
-    inner = solver._alpha
-    depth = top = 0
+def record_searches(solver):
+    """Log (depth, P, k) for every search the solver makes from now on;
+    depth 0 is a top-level search."""
+    inner, log, depth = solver._alpha, [], 0
 
-    def counted(P, dirty, k):
-        nonlocal depth, top
-        top += depth == 0
+    def recorded(P, dirty, k):
+        nonlocal depth
+        log.append((depth, P, k))
         depth += 1
         try:
             return inner(P, dirty, k)
         finally:
             depth -= 1
 
-    solver._alpha = counted
+    solver._alpha = recorded
+    return log
+
+
+def test_certificate_probes_each_vertex_once():
+    # after alpha(), the certificate makes at most one top-level search per
+    # vertex (106 on this graph when every take restarted from vertex 0)
+    g = union(random_pair(48, "pin:48"))
+    solver = AlphaSolver(g)
+    solver.alpha()
+    log = record_searches(solver)
     assert solver.lex_min_maximum_set() == alpha_exact(g).vertices
+    top = sum(depth == 0 for depth, _, _ in log)
     # one of the top-level calls is the certificate's own alpha(), a memo hit
     assert top - 1 <= g.n, top
 
@@ -419,6 +480,55 @@ def test_degree_two_fold_identity():
             folds += 1
             both_only += take_w < a
     assert folds >= 100 and both_only >= 15, (folds, both_only)
+
+
+# Reduced, connected graphs whose first branch is the degree-2 fold at w
+# (edges, w).  In the "ties" group the take-x-and-z child has the same
+# remainder alpha as the take-w child, so it wins by one; in the "short" group
+# it has one less, so it loses by one.
+FOLD_CASES = {
+    "ties-9": ([(0, 5), (0, 6), (0, 8), (1, 2), (1, 3), (1, 7), (2, 5), (2, 7), (3, 5), (3, 6),
+                (4, 6), (4, 7), (4, 8), (5, 6)], 8),
+    "ties-10": ([(0, 2), (0, 3), (0, 4), (0, 7), (1, 2), (1, 4), (1, 5), (1, 6), (1, 8), (2, 3),
+                 (2, 5), (3, 5), (3, 6), (3, 7), (3, 8), (4, 6), (4, 7), (4, 8), (5, 8), (6, 9),
+                 (7, 9)], 9),
+    "ties-11": ([(0, 2), (0, 4), (0, 9), (1, 2), (1, 6), (1, 10), (2, 7), (2, 8), (3, 4), (3, 6),
+                 (3, 9), (3, 10), (4, 5), (4, 6), (4, 8), (5, 7), (6, 8), (6, 9), (8, 9)], 10),
+    "short-7": ([(0, 1), (0, 2), (1, 4), (1, 6), (2, 4), (3, 4), (3, 5), (5, 6)], 0),
+    "short-7-triangles": ([(0, 1), (0, 3), (0, 5), (1, 4), (2, 3), (2, 4), (2, 6), (3, 5),
+                           (5, 6)], 6),
+    "short-9": ([(0, 7), (0, 8), (1, 7), (1, 8), (2, 3), (2, 5), (3, 4), (4, 6), (5, 6), (5, 8),
+                 (6, 8)], 0),
+    "short-11": ([(0, 1), (0, 4), (0, 6), (0, 7), (0, 9), (1, 2), (1, 9), (2, 4), (2, 5), (2, 7),
+                  (3, 9), (3, 10), (4, 8), (4, 9), (5, 10), (6, 7), (6, 8), (6, 9)], 8),
+}
+
+
+@pytest.mark.parametrize("name", list(FOLD_CASES))
+def test_fold_second_child_is_a_decision(name):
+    # Q - N[x] - N[z] lies inside Q - N[w], so the solver asks the second
+    # child only whether it reaches alpha(Q - N[w]); a target one too low
+    # would count a child that falls short as a win
+    edges, w = FOLD_CASES[name]
+    g = UGraph.from_edges(max(max(e) for e in edges) + 1, edges)
+    closed = [a | 1 << v for v, a in enumerate(g.adj)]
+    x, z = bits(g.adj[w])
+    take_w = oracle_alpha(without(g, closed[w]))
+    take_both = oracle_alpha(without(g, closed[x] | closed[z]))
+    ties = name.startswith("ties")
+    assert take_both == take_w - (not ties)
+    a = oracle_alpha(g)
+    assert a == 1 + take_w + ties
+    cert = alpha_exact(g)
+    assert (cert.value, cert.vertices) == (a, lex_min_by_enumeration(g))
+    assert [has_independent_set(g, k) for k in range(a + 2)] == [True] * (a + 1) + [False]
+    # the graph still reaches the fold at w: below the root, the first call
+    # drops N[w] and the second asks about Q - N[x] - N[z] at target take_w
+    solver = AlphaSolver(g)
+    log = record_searches(solver)
+    assert solver.alpha() == a
+    below_root = [(P, k) for depth, P, k in log if depth == 1]
+    assert below_root == [(solver.full ^ closed[w], g.n), (solver.full & ~(closed[x] | closed[z]), take_w)]
 
 
 def test_limits_env_override(monkeypatch):
