@@ -366,12 +366,11 @@ def test_certificate_is_lex_min_maximum():
 
 
 def lex_min_by_enumeration(g):
-    """The least maximum independent set in lexicographic order, by scanning
-    the subsets of each size from the top in combinations() order."""
-    for size in range(g.n, -1, -1):
-        for c in combinations(range(g.n), size):
-            if verify_independent(g, c):
-                return c
+    """The least maximum independent set in lexicographic order: the first
+    independent oracle_alpha(g)-subset in combinations() order."""
+    for c in combinations(range(g.n), oracle_alpha(g)):
+        if verify_independent(g, c):
+            return c
 
 
 def test_certificate_lex_min_against_enumeration():

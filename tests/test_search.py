@@ -234,6 +234,28 @@ def test_orbit_counts_pinned(n, k):
     assert len(search._survivors(n, k)[0]) == ORBIT_COUNTS[n, k]
 
 
+# leaves of the pinned scan: the orders that pass the signature test and the
+# leaf's hit test and reach _orbit_size; a weaker signature test shows here.
+# The open-vertex cut only drops subtrees whose leaves fail the hit test, so a
+# weaker cut leaves these counts as they are and shows only in time
+LEAF_COUNTS = {(10, 3): 2262, (10, 4): 18309, (11, 3): 619, (12, 3): 16}
+
+
+@pytest.mark.parametrize("n,k", sorted(LEAF_COUNTS))
+def test_scan_leaf_counts_pinned(n, k, monkeypatch):
+    calls = 0
+    orbit_size = search._orbit_size
+
+    def counted(order, ties):
+        nonlocal calls
+        calls += 1
+        return orbit_size(order, ties)
+
+    monkeypatch.setattr(search, "_orbit_size", counted)
+    search._survivors(n, k)
+    assert calls == LEAF_COUNTS[n, k]
+
+
 @pytest.mark.parametrize("n,k,want", [(8, 2, 40), (10, 2, 0), (11, 3, 4402), (12, 3, 56)])
 def test_compute_f_survivor_count(n, k, want):
     res = compute_f(n, k)
