@@ -16,7 +16,11 @@ soon as some subset is unhit and has at most one *open* vertex (the path end,
 the closing vertex or an unvisited one): every edge still to be placed joins
 two open vertices, so such a subset stays unhit in every completion.  A table
 over all vertex sets gives the subsets with two or more open members in one
-lookup.
+lookup.  A second cut looks at the unhit subsets with exactly two open
+members, one of them the closing vertex: only the edge between those two can
+hit one.  While an unvisited vertex is left, the closing vertex takes exactly
+one more edge, from an unvisited vertex, so a prefix is cut unless all those
+subsets hold one same unvisited vertex.
 
 The dihedral group of the standard cycle (order 2n) maps survivors to
 survivors, so the scan lists one representative per orbit with its orbit
@@ -30,19 +34,19 @@ The compatibility rows come from an index over the survivors: for each
 vertex pair, the survivors holding that edge.  A survivor's row is the AND,
 over its own independent (k+1)-sets, of the survivors with an edge inside
 the set.  The dihedral maps fix the standard cycle and keep alpha of a
-union, so they map a survivor's partners onto its image's: one member of an
-orbit with no partner shows that no member has one, and the rest of the
-orbit is skipped.
+union, so a map g that sends A to g(A) sends A's partners onto g(A)'s:
+row(g(A)) = g(row(A)).  Only each orbit's representative is ANDed, and
+every other member's row is read off it through the member's map.
 """
 
 from __future__ import annotations
 
 import time
 from decimal import Decimal
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations, islice, permutations, product
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from .graphs import (
@@ -85,8 +89,8 @@ def _independent_sets(n, k):
 
 @lru_cache(maxsize=16)
 def _scan_tables(n, k):
-    """(rows, full, reach, dist, far, steps) for the pinned scan at (n, k),
-    built once per process.
+    """(rows, full, reach, three, members, dist, far, steps) for the pinned
+    scan at (n, k), built once per process.
 
     rows[a][b] holds the independent (k+1)-subsets of the standard cycle that
     contain both a and b, and full all of them, in the order of
@@ -94,6 +98,10 @@ def _scan_tables(n, k):
     reach[o] is the OR of rows[a][b] over the pairs {a, b} inside the vertex
     set o, that is, the subsets with at least two members in o.  Splitting o at its two lowest
     members v < w, a pair inside o either misses v, misses w, or is {v, w}.
+    three[o] holds the subsets with at least three members in o, by the same
+    split: such a subset misses v, misses w, or holds v, w and a member of
+    o other than v and w, that is, lies in rows[v][w] & reach[o - v].
+    members[i] is the vertex mask of subset i.
     dist[a][b] is the distance of a and b on the standard cycle, and
     far[a][t] the set of vertices at distance at least t from a.  For a
     least signature (s1, s2) of vertex 0, steps[s1][s2] = (thr, tie):
@@ -104,13 +112,17 @@ def _scan_tables(n, k):
     subsets = _independent_sets(n, k)
     rows = tuple(map(tuple, _pair_rows(n, (combinations(s, 2) for s in subsets))))
     full = (1 << len(subsets)) - 1
+    members = tuple(sum(1 << v for v in s) for s in subsets)
     reach = [0] * (1 << n)
+    three = [0] * (1 << n)
     for o in range(1 << n):
         rest = o & (o - 1)
         if rest:
             v = (o & -o).bit_length() - 1
             w = (rest & -rest).bit_length() - 1
-            reach[o] = reach[rest] | reach[o ^ (1 << w)] | rows[v][w]
+            vw = rows[v][w]
+            reach[o] = reach[rest] | reach[o ^ (1 << w)] | vw
+            three[o] = three[rest] | three[o ^ (1 << w)] | vw & reach[rest]
     half = n // 2
     dist = tuple(tuple(min((a - b) % n, (b - a) % n) for b in range(n)) for a in range(n))
     far = tuple(tuple(sum(1 << b for b in range(n) if dist[a][b] >= t) for t in range(half + 2)) for a in range(n))
@@ -124,7 +136,7 @@ def _scan_tables(n, k):
         )
         for s1 in range(half + 1)
     )
-    return rows, full, tuple(reach), dist, far, steps
+    return rows, full, tuple(reach), tuple(three), members, dist, far, steps
 
 
 @lru_cache(maxsize=16)
@@ -166,6 +178,17 @@ def _survivors(n, k):
     acc | reach[open] (at most one open member) can never be hit, and the
     whole subtree is cut.
 
+    The closing-vertex cut: an unhit subset outside three[open] that holds
+    `last` has exactly one other open member (the closing edge hits those
+    that hold 0, and the first cut, one level up, those with none), and
+    only the edge between the two can hit it.  While unvisited vertices are
+    left, `last` takes exactly one more edge, from the vertex visited last,
+    which is unvisited now.  So the subtree is cut unless those subsets all
+    hold the unvisited member u of the lowest of them; when that one holds
+    the path end instead, no u exists, and the subtree is cut too (the path
+    end's next edge goes to an unvisited vertex).  Both cuts only drop
+    subtrees whose leaves all fail the hit test.
+
     The dihedral group of the standard cycle (v -> +-v + a mod n) maps
     survivors to survivors, and the scan keeps one member of each orbit.  A
     vertex's signature is the sorted pair of the standard-cycle distances to
@@ -181,7 +204,7 @@ def _survivors(n, k):
     reflection that fixes 0 already rules out p1 > n - last for a whole
     `last`.
     """
-    rows, full, reach, dist, far, steps = _scan_tables(n, k)
+    rows, full, reach, three, members, dist, far, steps = _scan_tables(n, k)
     out = []
 
     def extend(prev, dp, free, acc, path, tied):
@@ -198,8 +221,20 @@ def _survivors(n, k):
                 if size:
                     out.append((order, size))
             return
+        # unhit, with at most two open members: only the edge between those
+        # two can hit one
+        opens = free | last_bit
+        forced = full & ~(acc | three[opens | 1 << prev])
+        # last takes one more edge, from an unvisited vertex, so the forced
+        # subsets that hold it must all hold the unvisited member u of the
+        # lowest of them (none when that one holds prev)
+        ends = forced & with_last
+        if ends:
+            u = members[(ends & -ends).bit_length() - 1] & free
+            if not u or ends & ~rows[last][u.bit_length() - 1]:
+                return
         # each child's open set is free | last, so one lookup prunes them all
-        need = full & ~(acc | reach[free | last_bit])
+        need = full & ~(acc | reach[opens])
         rest = free & far[prev][thr[dp]]
         lengths = dist[prev]
         even = tie[dp]
@@ -220,6 +255,7 @@ def _survivors(n, k):
             d0 = dist[0][last]
             thr, tie = steps[min(d01, d0)][max(d01, d0)]
             last_bit = 1 << last
+            with_last = reduce(or_, rows[last])
             extend(p1, d01, others ^ (1 << p1) ^ last_bit, rows[0][p1] | rows[last][0], (0, p1), (0,))
     return out, sum(size for _, size in out)
 
@@ -238,71 +274,92 @@ class FSearchResult(NamedTuple):
 
 def _expand_orbits(n, reps):
     """Every survivor order, in the order of the flat scan, from the orbit
-    representatives, as (order, orbit) pairs: orbit is the index in reps of
-    the order's representative.
+    representatives, as (order, orbit, g) triples: orbit is the index in reps
+    of the order's representative, and g a dihedral map (a lookup tuple)
+    that sends the representative to the order.
 
     Each orbit is the set of the 2n dihedral images of its representative,
     normalised by canonical_key, which gives the orientation last > p1 that
-    the scan lists.  The flat scan runs over p1, p2 and last and then over
+    the scan lists; one relabel_keys pass gives each image with a map that
+    makes it.  The flat scan runs over p1, p2 and last and then over
     the middle in lexicographic order, so the orders are bucketed by
     (p1, p2, last) and each bucket is sorted as plain tuples.
     """
     maps = [g for pair in _dihedral_maps(n) for g in pair]
     buckets = {}
     for index, (order, size) in enumerate(reps):
-        orbit = set(relabel_keys(order, maps))
+        orbit = dict(zip(relabel_keys(order, maps), maps))
         if len(orbit) != size:
             raise VerificationError(f"the orbit of {order} has {len(orbit)} cycles, the scan counted {size}")
-        for o in orbit:
-            buckets.setdefault((o[1] * n + o[2]) * n + o[-1], []).append((o, index))
+        for o, g in orbit.items():
+            buckets.setdefault((o[1] * n + o[2]) * n + o[-1], []).append((o, index, g))
     out = []
     for key in sorted(buckets):
         out += sorted(buckets[key])
     return out
 
 
-def _compatibility_rows(n, k, survivors):
+def _compatibility_rows(n, k, reps, survivors):
     """rows[i]: the bitmask of the survivors j whose union with survivor i
-    has alpha <= k, for the (order, orbit) pairs of _expand_orbits.
+    has alpha <= k, for the orbit representatives of _survivors and the
+    (order, orbit, g) triples _expand_orbits makes from them.
 
     alpha(A | B) <= k iff B has an edge inside every (k+1)-set independent
     in A.  _pair_rows over the survivors' edges indexes, for each vertex
     pair, the survivors holding it, and the OR of that index over the pairs
-    of a set gives the set's hitters, built on first use.  A row is the AND
-    of the hitters of the survivor's own independent (k+1)-sets, the images
-    of the standard cycle's under v -> order[v], and stops once it is empty.
+    of a set gives the set's hitters, built on first use.  own_row is the
+    AND of the hitters of a survivor's own independent (k+1)-sets, the
+    images of the standard cycle's under v -> order[v], and stops once it is
+    empty.
 
-    A dihedral map of the standard cycle fixes it and keeps alpha of a
-    union, so it maps the partners of A one-to-one onto those of A's image:
-    once a member of an orbit has an empty row, every member has, and the
-    rest of the orbit is skipped.
+    It runs on each representative A only.  A dihedral map g fixes the
+    standard cycle and keeps alpha of a union, so it maps A's partners
+    one-to-one onto g(A)'s: row(g(A)) is the set of the images g(B) of the
+    partners B in row(A), each read through relabel_keys over the maps of
+    the orbit's members.  So an empty row zeroes the whole orbit.  An image
+    costs one relabel per partner and member, so when A has at least as many
+    partners as it has (k+1)-sets, each member ANDs its own sets instead: at
+    (8,3), where every orbit is that dense, images alone made the rows some
+    800 times slower.
     """
-    holders = _pair_rows(n, (zip(o, o[1:] + o[:1]) for o, _ in survivors))
+    holders = _pair_rows(n, (zip(o, o[1:] + o[:1]) for o, _, _ in survivors))
     # k >= 1 whenever a cycle survives (no edge lies inside a 1-set), so
     # each getter returns a tuple
     places = [itemgetter(*s) for s in _independent_sets(n, k)]
     everyone = (1 << len(survivors)) - 1
     hitters = {}
-    alone = set()  # orbits whose members have no partner
-    rows = []
-    for order, orbit in survivors:
-        row = 0
-        if orbit not in alone:
-            row = everyone
-            bit = [1 << v for v in order]
-            for place in places:
-                key = sum(place(bit))
-                hit = hitters.get(key)
-                if hit is None:
-                    hit = 0
-                    for a, b in combinations(bits(key), 2):
-                        hit |= holders[a][b]
-                    hitters[key] = hit
-                row &= hit
-                if not row:
-                    alone.add(orbit)
-                    break
-        rows.append(row)
+
+    def own_row(order):
+        row = everyone
+        bit = [1 << v for v in order]
+        for place in places:
+            key = sum(place(bit))
+            hit = hitters.get(key)
+            if hit is None:
+                hit = 0
+                for a, b in combinations(bits(key), 2):
+                    hit |= holders[a][b]
+                hitters[key] = hit
+            row &= hit
+            if not row:
+                break
+        return row
+
+    orbits = [[] for _ in reps]
+    for i, (_, rep, g) in enumerate(survivors):
+        orbits[rep].append((i, g))
+    index = {order: i for i, (order, _, _) in enumerate(survivors)}
+    rows = [0] * len(survivors)
+    for (order, _), orbit in zip(reps, orbits):
+        row = own_row(order)
+        if row.bit_count() >= len(places):
+            for i, _ in orbit:
+                rows[i] = own_row(survivors[i][0])
+        elif row:
+            maps = [g for _, g in orbit]
+            for j in bits(row):
+                for (i, _), image in zip(orbit, relabel_keys(survivors[j][0], maps)):
+                    rows[i] |= 1 << index[image]
     return rows
 
 
@@ -333,11 +390,12 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
       family is re-checked pairwise by alpha.  The scan counts the survivors
       from its orbit sizes, and the MAX_ROW_BITS refusal comes before any
       orbit is expanded.  The expanded orders follow the flat scan's order.
-      The scan runs in this process; `workers` selects nothing and only
-      refuses values below 1.  The clique's rows are ANDs
-      over each survivor's independent (k+1)-sets, read from an edge index
-      over the survivors, and an orbit with no partner costs one row
-      (_compatibility_rows).
+      The scan cuts a prefix at the open vertices and at the closing vertex
+      (_survivors).  It runs in this process; `workers` selects nothing and
+      only refuses values below 1.  The clique's rows are ANDs over each
+      orbit representative's independent (k+1)-sets, read from an edge index
+      over the survivors, and every other member's row is the image of its
+      representative's under the member's dihedral map (_compatibility_rows).
     - otherwise, outside exact_range ("lower-bound"): the best construction
       that applies, each of its pairwise unions certified by a clique cover
       (_construction_lower_bound).
@@ -368,13 +426,13 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
             f"of compatibility rows, more than the {MAX_ROW_BITS} allowed"
         )
     expanded = _expand_orbits(n, reps)
-    survivors = [order for order, _ in expanded]
+    survivors = [order for order, _, _ in expanded]
     # the golden CLI digests and the benchmark's search-f stdout hash pin this
     # line; its "prefix tasks" count the ordered (p1, p2) prefixes of the scan
     log.append(f"examined {total} distinct cycles across {(n - 1) * (n - 2)} prefix tasks (workers=1)")
     log.append(f"survivors with alpha(union with standard) <= {k}: {len(survivors)}")
 
-    clique = max_clique(_compatibility_rows(n, k, expanded))
+    clique = max_clique(_compatibility_rows(n, k, reps, expanded))
     value = 1 + len(clique)
     witnesses = (standard_cycle(n),) + tuple(make_cycle(survivors[i]) for i in clique)
     for a, b in combinations(witnesses, 2):

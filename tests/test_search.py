@@ -1,7 +1,9 @@
 """Exhaustive f(n, k) search, exceptional graphs, and covered-triple scans."""
 
+import cProfile
 import hashlib
 import os
+import pstats
 import random
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import pytest
 
 import twomilton
 from twomilton import search
+from twomilton.bounds import smooth_bound
 from twomilton.constructions import circulant_family, k4_strip
 from twomilton.graphs import MAX_VERTICES, HamCycle, canonical_key, make_cycle, overlap_rows, standard_cycle, union
 from twomilton.independence import alpha_value
@@ -106,6 +109,19 @@ def test_compute_f_witness_order_pinned(n, k):
     assert res.value == len(PINNED_WITNESSES[n, k])
 
 
+def test_compute_f_outputs_digest():
+    # one sha256 over every field but the elapsed time of compute_f's result,
+    # at each exhaustive cell of the benchmark's table and at (5,1) and (8,3);
+    # taken before the compatibility rows were built one per orbit and the
+    # scan cut at the closing vertex, so a change that moves any output moves it
+    h = hashlib.sha256()
+    for n, k in [(4, 1), (5, 1), (6, 2), (7, 2), (8, 2), (8, 3), (10, 2), (11, 3), (12, 3)]:
+        res = compute_f(n, k)
+        witnesses = [c.order for c in res.witnesses]
+        h.update(repr((n, k, res.value, witnesses, res.mode, res.examined, res.survivors, res.log)).encode())
+    assert h.hexdigest() == "f19aaf790c07b85f366a2a7a5a1d8fc79a30bb692df4f59e248c01f1c61c2686"
+
+
 def test_witness_recheck_runs_under_optimize():
     # A bare assert would vanish under -O; the re-check must still raise.
     script = (
@@ -152,13 +168,16 @@ def test_compute_f_workers_agree():
 
 
 def expanded_survivors(n, k):
-    """The pinned scan's survivors as (order, orbit) pairs, its orbits expanded as compute_f expands them."""
-    return search._expand_orbits(n, search._survivors(n, k)[0])
+    """(representatives, survivors): the pinned scan's orbit representatives,
+    and its survivors as (order, orbit, map) triples, its orbits expanded as
+    compute_f expands them."""
+    reps = search._survivors(n, k)[0]
+    return reps, search._expand_orbits(n, reps)
 
 
 def scan_survivors(n, k):
     """The pinned scan's survivor orders, in the order compute_f lists them."""
-    return [order for order, _ in expanded_survivors(n, k)]
+    return [order for order, _, _ in expanded_survivors(n, k)[1]]
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -187,6 +206,28 @@ def test_scan_survivors_pinned(n, k):
     assert (len(survivors), hashlib.sha256(repr(survivors).encode()).hexdigest()) == SCAN_DIGESTS[n, k]
 
 
+@pytest.mark.parametrize("n", range(5, 11))
+def test_scan_tables_three_and_members(n):
+    # three[o]: the subsets with at least three members in the vertex set o,
+    # and members[i] the vertex mask of subset i, for every k the scan runs at
+    for k in range(n // 2):
+        masks = [sum(1 << v for v in s) for s in search._independent_sets(n, k)]
+        _, _, _, three, members, *_ = search._scan_tables(n, k)
+        assert list(members) == masks, (n, k)
+        for o in range(1 << n):
+            want = sum(1 << i for i, mask in enumerate(masks) if (mask & o).bit_count() >= 3)
+            assert three[o] == want, (n, k, o)
+
+
+@pytest.mark.parametrize("n", [13, 14, 15])
+def test_no_partner_keeps_alpha_below_four(n):
+    # the lemma's floor by machine: no cycle on 13 to 15 vertices makes a
+    # union with alpha <= 3 with the standard cycle, so, relabeling, every
+    # union of two Hamiltonian cycles there has alpha >= 4 > (7n - 4)/26
+    assert search._survivors(n, 3) == ([], 0)
+    assert smooth_bound(n, 0) < 4
+
+
 def signatures(order):
     """sig[v]: the sorted standard-cycle distances from v to its two neighbours in order."""
     n = len(order)
@@ -207,7 +248,9 @@ def test_scan_keeps_one_representative_per_orbit(n, k):
     # each representative has vertex 0 at the least signature and is the
     # least of its images that keep it there (the least of all 2n images may
     # put a vertex of larger signature at 0, as in 106 of the 191 orbits at
-    # (8,3)); the orbits are disjoint, and together they are the survivors
+    # (8,3)); the orbits are disjoint, and together they are the survivors;
+    # the expansion gives each member a map that sends its representative
+    # to it
     reps, count = search._survivors(n, k)
     seen = set()
     for order, size in reps:
@@ -223,6 +266,8 @@ def test_scan_keeps_one_representative_per_orbit(n, k):
     else:
         assert len(seen) == SCAN_DIGESTS[n, k][0]
     assert count == len(seen)
+    for order, orbit, g in search._expand_orbits(n, reps):
+        assert canonical_key(HamCycle(tuple(g[v] for v in reps[orbit][0]))) == order
 
 
 # orbits of the survivors under the 2n maps, one representative each
@@ -236,8 +281,9 @@ def test_orbit_counts_pinned(n, k):
 
 # leaves of the pinned scan: the orders that pass the signature test and the
 # leaf's hit test and reach _orbit_size; a weaker signature test shows here.
-# The open-vertex cut only drops subtrees whose leaves fail the hit test, so a
-# weaker cut leaves these counts as they are and shows only in time
+# The open-vertex and closing-vertex cuts only drop subtrees whose leaves fail
+# the hit test, so a weaker cut leaves these counts as they are; it shows in
+# EXTEND_COUNTS below
 LEAF_COUNTS = {(10, 3): 2262, (10, 4): 18309, (11, 3): 619, (12, 3): 16}
 
 
@@ -254,6 +300,19 @@ def test_scan_leaf_counts_pinned(n, k, monkeypatch):
     monkeypatch.setattr(search, "_orbit_size", counted)
     search._survivors(n, k)
     assert calls == LEAF_COUNTS[n, k]
+
+
+# nodes of the pinned scan (calls of its recursion, extend): a weaker cut
+# shows here
+EXTEND_COUNTS = {(10, 3): 14033, (11, 3): 14766, (12, 3): 14540}
+
+
+@pytest.mark.parametrize("n,k", sorted(EXTEND_COUNTS))
+def test_scan_extend_counts_pinned(n, k):
+    prof = cProfile.Profile()
+    prof.runcall(search._survivors, n, k)
+    calls = [total for (_, _, name), (_, total, *_) in pstats.Stats(prof).stats.items() if name == "extend"]
+    assert calls == [EXTEND_COUNTS[n, k]]
 
 
 @pytest.mark.parametrize("n,k,want", [(8, 2, 40), (10, 2, 0), (11, 3, 4402), (12, 3, 56)])
@@ -273,9 +332,9 @@ def test_compatibility_rows_match_brute_force(n, k):
     # bit j of row i is set exactly when the union of survivors i and j has
     # alpha <= k; these are every (n, k) with n <= 8 whose scan keeps
     # survivors, but (8, 3), which test_compatibility_rows_match_overlap_rows covers
-    survivors = expanded_survivors(n, k)
-    cycles = [make_cycle(order) for order, _ in survivors]
-    rows = search._compatibility_rows(n, k, survivors)
+    reps, survivors = expanded_survivors(n, k)
+    cycles = [make_cycle(order) for order, _, _ in survivors]
+    rows = search._compatibility_rows(n, k, reps, survivors)
     assert len(rows) == len(cycles)
     for i, a in enumerate(cycles):
         want = sum(1 << j for j, b in enumerate(cycles) if j != i and oracle_alpha(union([a, b])) <= k)
@@ -286,20 +345,23 @@ def test_compatibility_rows_match_brute_force(n, k):
 def test_compatibility_rows_match_overlap_rows(n, k):
     # two survivors are compatible iff no (k+1)-set misses the edges of both,
     # the construction the edge index replaced; at (11, 3) 2,950 of the 4,402
-    # survivors have no partner, so a wrong orbit skip shows here
-    survivors = expanded_survivors(n, k)
+    # survivors have no partner, so a wrong orbit skip shows here, and the
+    # other 1,452 read their rows off 71 representatives through their maps;
+    # (8, 3)'s representatives have more partners than sets, so each member
+    # ANDs its own
+    reps, survivors = expanded_survivors(n, k)
     subsets = list(combinations(range(n), k + 1))
     holders = search._pair_rows(n, (combinations(sub, 2) for sub in subsets))
     full = (1 << len(subsets)) - 1
     missed = []
-    for order, _ in survivors:
+    for order, _, _ in survivors:
         hit = 0
         for a, b in zip(order, order[1:] + order[:1]):
             hit |= holders[a][b]
         missed.append(full & ~hit)
     everyone = (1 << len(survivors)) - 1
     want = [everyone & ~(row | 1 << i) for i, row in enumerate(overlap_rows(missed))]
-    assert search._compatibility_rows(n, k, survivors) == want
+    assert search._compatibility_rows(n, k, reps, survivors) == want
 
 
 def test_compute_f_refuses_dense_rows():
