@@ -176,19 +176,6 @@ class FamilyStats(NamedTuple):
     size: int
     table: tuple[tuple[int, int, int, int, int], ...]  # (i, j, zeta, psi, alpha)
 
-    def stat(self, i: int, j: int) -> tuple[int, int, int]:
-        if i > j:
-            i, j = j, i
-        for a, b, z, p, al in self.table:
-            if (a, b) == (i, j):
-                return z, p, al
-        raise KeyError((i, j))
-
-    @property
-    def m_of_x(self) -> Fraction:
-        """min zeta(C u D)/n over the pairs; always within [0, 1]."""
-        return min(Fraction(z, self.n) for _, _, z, _, _ in self.table)
-
 
 def family_stats(cycles) -> FamilyStats:
     cycles = list(cycles)
@@ -258,26 +245,26 @@ class StepReport(NamedTuple):
 
 
 def step_check(stats: FamilyStats, eps) -> StepReport:
-    """One densification round on a concrete family.
+    """One densification round on a concrete family; eps outside (0, 1) is refused first.
 
-    Hypothesis: exists_check finds no pair.  Conclusion checked: any >= 2
-    clique Y of the auxiliary graph at x = 4*m(X) has
-    m(Y)^2 > m(X)^2 + eps/(1-eps).
+    m(X) is the least K4 density zeta/n over the pairs.  Hypothesis:
+    exists_check finds no pair.  Conclusion checked: any >= 2 clique Y of the
+    auxiliary graph (pairs with psi >= (1-eps) m(X)^2 n) has
+    m(Y)^2 > m(X)^2 + eps/(1-eps).  With psi/n < (1-eps)(zeta/n)^2 - eps from
+    the hypothesis, every auxiliary edge already has that bound on (zeta/n)^2,
+    so the conclusion fails only if the code departs from this argument.
     """
+    gain = step_gain(eps)
     eps = Fraction(eps)
-    n = stats.n
-    m = stats.m_of_x
+    density = {(i, j): Fraction(z, stats.n) for i, j, z, _, _ in stats.table}
+    m = min(density.values())
     hyp = exists_check(stats, eps) is None
-    aux = _aux_graph(stats, (1 - eps) * m * m * n)
+    aux = _aux_graph(stats, (1 - eps) * m * m * stats.n)
     clique = max_clique(aux.adj)
-    m_y = None
-    ok = True
-    if hyp and len(clique) >= 2:
-        m_y = min(
-            Fraction(stats.stat(i, j)[0], n) for i, j in combinations(clique, 2)
-        )
-        ok = m_y * m_y > m * m + step_gain(eps)
-    return StepReport(hyp, m, clique, m_y, step_gain(eps), ok)
+    pairs = combinations(clique, 2) if hyp else ()
+    m_y = min((density[p] for p in pairs), default=None)
+    ok = m_y is None or m_y * m_y > m * m + gain
+    return StepReport(hyp, m, clique, m_y, gain, ok)
 
 
 def exists_check(stats: FamilyStats, eps) -> tuple[int, int] | None:

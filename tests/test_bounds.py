@@ -1,11 +1,13 @@
 """Rational bounds, checker predicates, and family statistics."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from twomilton.bounds import (
     FamilyStats,
+    IteratingReport,
     delta_fn,
     exists_check,
     family_stats,
@@ -208,14 +210,9 @@ def test_smooth_check_on_corpus():
 def test_family_stats_table():
     stats = family_stats(triple_n8())
     assert stats.n == 8 and stats.size == 3
-    assert len(stats.table) == 3
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        z, p, a = stats.stat(i, j)
+    assert [(i, j) for i, j, _, _, _ in stats.table] == [(0, 1), (0, 2), (1, 2)]
+    for _, _, z, _, a in stats.table:
         assert z == 2 and a == 2
-        assert stats.stat(j, i) == (z, p, a)
-    assert stats.m_of_x == Fraction(2, 8)
-    with pytest.raises(KeyError):
-        stats.stat(0, 3)
 
 
 def test_family_stats_requires_two_cycles():
@@ -281,11 +278,13 @@ def test_step_check_reports_gain():
     assert rep.m_x == Fraction(1, 4)
 
 
+HAND_BUILT = FamilyStats(100, 3, ((0, 1, 20, 0, 40), (0, 2, 50, 10, 30), (1, 2, 50, 10, 30)))
+
+
 def test_step_check_conclusion_on_hand_built_stats():
     # hypothesis holds on every pair (psi/n below (1-eps)(zeta/n)^2 - eps), and
     # the auxiliary clique (0, 2) has m(Y) = 1/2 with m(Y)^2 > m(X)^2 + 1/99
-    stats = FamilyStats(100, 3, ((0, 1, 20, 0, 40), (0, 2, 50, 10, 30), (1, 2, 50, 10, 30)))
-    rep = step_check(stats, Fraction(1, 100))
+    rep = step_check(HAND_BUILT, Fraction(1, 100))
     assert rep.hypothesis_holds
     assert rep.subfamily == (0, 2)
     assert rep.m_x == Fraction(1, 5) and rep.m_y == Fraction(1, 2)
@@ -304,6 +303,71 @@ def test_exists_check_can_fail_to_find():
     c1, c2 = k4_strip(4)
     stats = family_stats([c1, c2])
     pair = exists_check(stats, Fraction(0))
-    z, p, _ = stats.stat(0, 1)
+    _, _, z, p, _ = stats.table[0]
     expected = Fraction(p, 16) >= Fraction(z, 16) ** 2
     assert pair == ((0, 1) if expected else None)
+
+
+def test_density_checkers_digest():
+    # one sha256 over each table and the step, exists and iterating reports
+    # on it at three values of eps and three of x, taken before FamilyStats
+    # lost its lookup accessors; a rewrite of the checkers that moves any
+    # report field moves the digest
+    tables = [family_stats(fam) for fam in (
+        triple_n8(), circulant_family(9), circulant_family(15), circulant_family(45),
+        k4_strip(3), k4_strip(4), *(random_pair(16, f"bd:{s}") for s in range(4)),
+    )] + [HAND_BUILT]
+    epsilons = (Fraction(1, 100), Fraction(1, 10), Fraction(1, 2))
+    xs = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
+    h = hashlib.sha256()
+    for stats in tables:
+        h.update(repr(stats.table).encode())
+        for eps in epsilons:
+            h.update(repr((step_check(stats, eps), exists_check(stats, eps))).encode())
+            for x in xs:
+                h.update(repr(iterating_check(stats, x, eps)).encode())
+    assert h.hexdigest() == "82c2bcf564290e28441bc2332bc061cebcdb3ef5a4823903329aff4d14446b2a"
+
+
+# Tight cases: each checker's inequality holds with equality, so a flip of
+# >= to > (or <= to <) in the checker turns a pass into a failure.
+
+
+def test_smooth_check_is_tight_on_an_n8_union():
+    g = union([standard_cycle(8), make_cycle((0, 2, 5, 1, 6, 4, 7, 3))])
+    assert zeta(g) == 0 and alpha_value(g) == smooth_bound(8, 0) == 2
+    assert smooth_check(g)
+
+
+def test_locke_lou_check_is_tight_on_the_square_of_c8():
+    # C8^2 is connected, K4-free and 4-regular with alpha 2 = (7*8 - 4)/26,
+    # and e - 9n + 26*alpha = 16 - 72 + 52 = -4
+    g = UGraph.from_edges(8, [(i, (i + d) % 8) for i in range(8) for d in (1, 2)])
+    assert g.edge_count() == 16 and g.max_degree() == 4
+    assert alpha_value(g) == smooth_bound(g.n, 0) == 2
+    assert locke_lou_check(g)
+
+
+def test_johnson_check_is_tight_at_one_full_set():
+    # m = 1 = q(1, 1/2)
+    assert johnson_q(1, Fraction(1, 2)) == 1
+    assert johnson_check(6, [range(6)], 1, Fraction(1, 2))
+
+
+def test_exists_check_finds_a_pair_at_equality():
+    # psi/n = 1/4 = (zeta/n)^2 at eps = 0
+    assert exists_check(FamilyStats(4, 2, ((0, 1, 2, 1, 1),)), 0) == (0, 1)
+
+
+def test_iterating_check_is_tight_in_both_inequalities():
+    # zeta = x*n/4 on every pair, and no pair reaches the psi floor, so the
+    # auxiliary graph is empty: alpha_aux = 8 = q(1/4, 1/2) + 1
+    stats = FamilyStats(4, 8, tuple((i, j, 1, 0, 0) for i in range(8) for j in range(i + 1, 8)))
+    rep = iterating_check(stats, 1, Fraction(1, 2))
+    assert rep == IteratingReport(True, 8, Fraction(8), (0,), True)
+
+
+def test_step_check_refuses_eps_outside_the_open_unit_interval():
+    for eps in (0, 1):
+        with pytest.raises(ValueError, match="0 < eps < 1"):
+            step_check(HAND_BUILT, eps)

@@ -277,6 +277,23 @@ def test_diagnose_refuses_a_cycle_on_other_vertices():
         diagnose_reduction(union([c1, c2]), (c1, make_cycle(range(19))))
 
 
+def test_diagnose_refuses_a_cycle_shorter_than_the_graph():
+    # every edge of the 4-cycle is an edge of the first block's K4
+    with pytest.raises(ValueError, match="Hamiltonian cycle"):
+        diagnose_reduction(union(list(k4_strip(4))), (make_cycle(range(4)),))
+
+
+def test_diagnose_reports_a_remainder_with_no_degree_drop():
+    # two K4s joined by 0-4 and 1-5 form a cyclic archipelago with no outside
+    # neighbour; deleting it leaves the 5-cycle on 8..12 with every degree kept
+    edges = [(a + u, a + v) for a in (0, 4) for u in range(4) for v in range(u + 1, 4)]
+    edges += [(0, 4), (1, 5)] + [(8 + i, 8 + (i + 1) % 5) for i in range(5)]
+    report = diagnose_reduction(UGraph.from_edges(13, edges))
+    assert (report.failed_step, report.reason) == (
+        "post", "postcondition degree_drop_somewhere failed",
+    )
+
+
 def test_diagnose_reports_a_k4_with_one_neighbour():
     g = UGraph.from_edges(5, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(0, 4)])
     report = diagnose_reduction(g)
