@@ -123,7 +123,7 @@ def amplify(
     base: tuple[HamCycle, ...],
     blocks: int,
     family_size: int,
-    seed: str = "amplify",
+    seed: str,
     eps: Fraction = Fraction(1, 4),
 ) -> AmplifyResult:
     """Build family_size cycles on blocks * n0 vertices from a base family.

@@ -364,18 +364,15 @@ def _compatibility_rows(n, k, reps, survivors):
 
 
 def exact_range(n: int, k: int) -> bool:
-    """Does compute_f(n, k) answer exactly, in closed form or by the scan?"""
-    return k >= n // 2 or n <= limit("enum")
-
-
-def check_f_args(n: int, k: int) -> None:
-    """Raise ValueError unless compute_f(n, k) has valid input."""
+    """Does compute_f(n, k) answer exactly, in closed form or by the scan?
+    Raises ValueError unless (n, k) is valid input to compute_f."""
     if n < 3:
         raise ValueError("need n >= 3")
     if n > MAX_VERTICES:
         raise ValueError(f"need n <= {MAX_VERTICES}, the largest n a witness document may declare")
     if k < 0:
         raise ValueError("need k >= 0")
+    return k >= n // 2 or n <= limit("enum")
 
 
 def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
@@ -400,7 +397,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
       that applies, each of its pairwise unions certified by a clique cover
       (_construction_lower_bound).
     """
-    check_f_args(n, k)
+    exact = exact_range(n, k)
     if workers < 1:
         raise ValueError("need workers >= 1")
     t0 = time.perf_counter()
@@ -409,44 +406,41 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     if k >= n // 2:
         # no (k+1)-set is independent in the standard cycle, so the scan keeps
         # every cycle, and the family of all cycles is maximum
+        value, mode, examined, count = total, "exhaustive", 0, 0
         witnesses = ()
         if total <= 1000:
             witnesses = tuple(make_cycle((0,) + p) for p in permutations(range(1, n)) if p[0] < p[-1])
         log.append(f"alpha of any union <= floor(n/2) = {n // 2} <= k = {k}")
         # Decimal prints any number of digits; str(int) stops at Python's cap
         log.append(f"f({n},{k}) = {Decimal(total)}: the family of all distinct cycles")
-        return FSearchResult(n, k, total, witnesses, "exhaustive", 0, 0, time.perf_counter() - t0, tuple(log))
-    if not exact_range(n, k):
-        return _construction_lower_bound(n, k, t0, log)
-
-    reps, count = _survivors(n, k)
-    if count ** 2 > MAX_ROW_BITS:
-        raise ValueError(
-            f"f({n},{k}): {count} survivors need {count ** 2} bits "
-            f"of compatibility rows, more than the {MAX_ROW_BITS} allowed"
-        )
-    expanded = _expand_orbits(n, reps)
-    survivors = [order for order, _, _ in expanded]
-    # the golden CLI digests and the benchmark's search-f stdout hash pin this
-    # line; its "prefix tasks" count the ordered (p1, p2) prefixes of the scan
-    log.append(f"examined {total} distinct cycles across {(n - 1) * (n - 2)} prefix tasks (workers=1)")
-    log.append(f"survivors with alpha(union with standard) <= {k}: {len(survivors)}")
-
-    clique = max_clique(_compatibility_rows(n, k, reps, expanded))
-    value = 1 + len(clique)
-    witnesses = (standard_cycle(n),) + tuple(make_cycle(survivors[i]) for i in clique)
-    for a, b in combinations(witnesses, 2):
-        alpha_ab = alpha_value(union([a, b]))
-        if alpha_ab > k:
-            raise WitnessCheckError(
-                f"f({n},{k}) witnesses {a.order} and {b.order}: "
-                f"alpha of their union is {alpha_ab} > {k}"
+    elif not exact:
+        witnesses = _construction_lower_bound(n, k, log)
+        value, mode, examined, count = len(witnesses), "lower-bound", 0, 0
+    else:
+        reps, count = _survivors(n, k)
+        if count ** 2 > MAX_ROW_BITS:
+            raise ValueError(
+                f"f({n},{k}): {count} survivors need {count ** 2} bits "
+                f"of compatibility rows, more than the {MAX_ROW_BITS} allowed"
             )
-    log.append(f"maximum clique among survivors: {len(clique)}")
-    log.append(f"f({n},{k}) = {value}; witness family re-verified pairwise")
-    return FSearchResult(
-        n, k, value, witnesses, "exhaustive", total, len(survivors), time.perf_counter() - t0, tuple(log)
-    )
+        expanded = _expand_orbits(n, reps)
+        # the golden CLI digests and the benchmark's search-f stdout hash pin this
+        # line; its "prefix tasks" count the ordered (p1, p2) prefixes of the scan
+        log.append(f"examined {total} distinct cycles across {(n - 1) * (n - 2)} prefix tasks (workers=1)")
+        log.append(f"survivors with alpha(union with standard) <= {k}: {count}")
+        clique = max_clique(_compatibility_rows(n, k, reps, expanded))
+        value, mode, examined = 1 + len(clique), "exhaustive", total
+        witnesses = (standard_cycle(n),) + tuple(make_cycle(expanded[i][0]) for i in clique)
+        for a, b in combinations(witnesses, 2):
+            alpha_ab = alpha_value(union([a, b]))
+            if alpha_ab > k:
+                raise WitnessCheckError(
+                    f"f({n},{k}) witnesses {a.order} and {b.order}: "
+                    f"alpha of their union is {alpha_ab} > {k}"
+                )
+        log.append(f"maximum clique among survivors: {len(clique)}")
+        log.append(f"f({n},{k}) = {value}; witness family re-verified pairwise")
+    return FSearchResult(n, k, value, witnesses, mode, examined, count, time.perf_counter() - t0, tuple(log))
 
 
 def _certify_cover(cycles, find_cover, size, name):
@@ -459,7 +453,7 @@ def _certify_cover(cycles, find_cover, size, name):
             raise VerificationError(f"{name}: the union of cycles {i} and {j} has no cover by {size}-cliques")
 
 
-def _construction_lower_bound(n, k, t0, log):
+def _construction_lower_bound(n, k, log):
     """A family whose pairwise unions have alpha <= k, proved by clique covers.
 
     The strip pair (4 | n) is covered by n/4 disjoint K4s and the five
@@ -482,7 +476,7 @@ def _construction_lower_bound(n, k, t0, log):
             f"n/3 = {n // 3} disjoint triangles, so alpha <= {n // 3} <= k"
         )
     log.append(f"f({n},{k}) >= {len(best)} (lower-bound mode)")
-    return FSearchResult(n, k, len(best), best, "lower-bound", 0, 0, time.perf_counter() - t0, tuple(log))
+    return best
 
 
 def _closings(pieces, singles):

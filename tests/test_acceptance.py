@@ -25,7 +25,6 @@ from twomilton.constructions import (
     amplify,
     circulant_family,
     counterexample_strip,
-    k4_strip,
     triple_n8,
 )
 from twomilton.corpus import random_johnson_system, random_k4free, random_pair

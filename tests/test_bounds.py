@@ -31,7 +31,7 @@ from twomilton.constructions import circulant_family, k4_strip, triple_n8
 from twomilton.corpus import random_johnson_system, random_pair
 from twomilton.graphs import UGraph, make_cycle, standard_cycle, union
 from twomilton.independence import alpha_value
-from twomilton.k4 import psi_exact, zeta
+from twomilton.k4 import zeta
 
 
 def test_threshold_lower_exact():
@@ -248,15 +248,19 @@ def test_iterating_check_on_circulant():
     fam = circulant_family(9)
     stats = family_stats(fam)
     rep = iterating_check(stats, Fraction(1, 2), Fraction(1, 2))
+    assert not rep.hypothesis_holds
+    assert rep.alpha_aux == 5 and rep.alpha_cap == 16
     assert rep.ok
-    if rep.hypothesis_holds:
-        assert rep.alpha_aux <= rep.alpha_cap
+    # triple_n8: every pair has zeta = 2 = n/4, so the hypothesis holds at x = 1
+    rep = iterating_check(family_stats(triple_n8()), 1, Fraction(1, 2))
+    assert rep.hypothesis_holds
+    assert rep.alpha_aux == 3 <= rep.alpha_cap == 8
 
 
 def test_iterating_check_vacuous_when_hypothesis_fails():
     # Two cycles whose union has no K4 at all: zeta = 0 < x*n/4.
     c1 = standard_cycle(9)
-    c2 = make_cycle([(3 * i) % 9 if False else (2 * i) % 9 for i in range(9)])
+    c2 = make_cycle([(2 * i) % 9 for i in range(9)])
     stats = family_stats([c1, c2])
     rep = iterating_check(stats, 1, Fraction(1, 2))
     assert not rep.hypothesis_holds and rep.ok

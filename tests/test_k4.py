@@ -6,9 +6,8 @@ from itertools import combinations
 import pytest
 
 from twomilton.constructions import circulant_family, k4_strip, triple_n8
-from twomilton.graphs import UGraph, cliques, cycle_graph, make_cycle, standard_cycle, union
+from twomilton.graphs import UGraph, cliques, cycle_graph, standard_cycle, union
 from twomilton.k4 import (
-    Archipelago,
     archipelagos,
     check_cover,
     creates_k4,

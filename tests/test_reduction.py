@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from twomilton import reduction
 from twomilton.constructions import counterexample_strip, k4_strip
 from twomilton.corpus import planted_pair, random_pair
 from twomilton.graphs import UGraph, make_cycle, standard_cycle, union
@@ -248,6 +249,27 @@ def test_diagnose_accepts_clean_union():
     assert report.ok
     assert report.result is not None
     assert report.result.zeta >= 1
+
+
+def test_diagnose_reports_no_safe_neighbourhood_pair(monkeypatch):
+    # a creates_k4 that sees a K4 behind every pair leaves _safe_pair no pair
+    monkeypatch.setattr(reduction, "creates_k4", lambda adj, a, b: (a, b, a, b))
+    cases = [
+        (three_neighbour_pair(), "three",
+         "archipelago (0, 1, 2, 3): every neighbourhood pair completes a K4 (undetected forbidden pattern)"),
+        (planted_pair(20, 1, "f5"), "final", "archipelago (5, 9, 11, 15): no safe neighbourhood pair"),
+    ]
+    for cycles, step, reason in cases:
+        report = diagnose_reduction(union(list(cycles)))
+        assert (report.failed_step, report.reason) == (step, reason)
+
+
+def test_close_refuses_an_edge_already_present():
+    pipeline = reduction._Pipeline(union(list(three_neighbour_pair())), None)
+    with pytest.raises(StructureViolation) as err:
+        pipeline._close("final", pipeline.archs[0], (0, 1))
+    assert err.value.step == "final"
+    assert err.value.artifact.meta["detail"] == {"reason": "edge (0,1) already present", "edge": [0, 1]}
 
 
 def test_diagnose_reports_overlapping_k4s():

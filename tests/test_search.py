@@ -19,6 +19,7 @@ from twomilton.constructions import circulant_family, k4_strip
 from twomilton.graphs import MAX_VERTICES, HamCycle, canonical_key, make_cycle, overlap_rows, standard_cycle, union
 from twomilton.independence import alpha_value
 from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, window_path, zeta
+from twomilton.limits import limit
 from twomilton.search import (
     compute_f,
     exact_range,
@@ -396,6 +397,22 @@ def test_compute_f_enum_limit_sets_the_exhaustive_range(monkeypatch):
     res = compute_f(13, 3)
     assert (res.mode, res.value, res.survivors) == ("exhaustive", 1, 0)
     assert res.examined == factorial(12) // 2
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (2, 1, "need n >= 3"),
+    (70000, 35000, f"need n <= {MAX_VERTICES}, the largest n a witness document may declare"),
+    (20, -1, "need k >= 0"),
+])
+def test_exact_range_refuses_bad_input(n, k, message):
+    with pytest.raises(ValueError) as err:
+        exact_range(n, k)
+    assert str(err.value) == message
+
+
+def test_limit_refuses_an_unknown_key():
+    with pytest.raises(KeyError, match="unknown limit 'nope'"):
+        limit("nope")
 
 
 def test_compute_f_refuses_past_the_document_cap():
