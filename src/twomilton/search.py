@@ -479,20 +479,6 @@ def _construction_lower_bound(n, k, log):
     return best
 
 
-def _closings(pieces, singles):
-    """All cycle orders through fixed path pieces plus free single vertices.
-
-    The first piece is pinned in position and orientation, which normalizes
-    rotation and reflection away, so each edge set appears exactly once.
-    """
-    head = tuple(pieces[0])
-    rest = [tuple(p) for p in pieces[1:]] + [(s,) for s in singles]
-    for perm in permutations(rest):
-        options = [(p, p[::-1]) if len(p) > 1 else (p,) for p in perm]
-        for choice in product(*options):
-            yield head + tuple(v for p in choice for v in p)
-
-
 class ExceptionalPair(NamedTuple):
     """Two cycles whose union reaches alpha = n/4 without a K4 cover."""
 
@@ -505,10 +491,11 @@ class ExceptionalPair(NamedTuple):
 def find_exceptional(n: int) -> ExceptionalPair:
     """A two-miltonian graph with alpha = n/4 and zeta = n/4 - 1 (n in {8, 12}).
 
-    Any K4 of the union occupies four consecutive standard-cycle vertices, so
-    the partner is forced to the complementary path inside each planted
-    window; the search runs over all closings of the forced paths through the
-    free vertices, with window placements normalized by rotation.
+    _survivors(n, n/4) lists one representative per dihedral orbit of the
+    partners whose union with the standard cycle has alpha <= n/4; the first
+    one in scan order whose union has n/4 - 1 K4s is returned.  The dihedral
+    maps fix the standard cycle and so keep zeta and alpha of the union: a
+    representative stands for its whole orbit.
     """
     if n not in (8, 12):
         raise ValueError(
@@ -517,16 +504,10 @@ def find_exceptional(n: int) -> ExceptionalPair:
         )
     std = standard_cycle(n)
     target = n // 4
-    window_sets = [(0,)] if n == 8 else [(0, b) for b in (4, 5, 6, 7, 8)]
-    for starts in window_sets:
-        pieces = [window_path(n, s) for s in starts]
-        used = {v for p in pieces for v in p}
-        singles = [v for v in range(n) if v not in used]
-        for order in _closings(pieces, singles):
-            partner = make_cycle(order)
-            g = union([std, partner])
-            if zeta(g) != target - 1 or alpha_value(g) != target:
-                continue
+    for order, _ in _survivors(n, target)[0]:
+        partner = make_cycle(order)
+        g = union([std, partner])
+        if zeta(g) == target - 1 and alpha_value(g) == target:
             return ExceptionalPair(g, (std, partner), target, target - 1)
     raise VerificationError(
         "no exceptional pair found at n = %d; this falsifies the expected sharpness" % n
@@ -539,15 +520,19 @@ def window_partners(n: int) -> list[HamCycle]:
     The K4s of a covered union partition the standard order into consecutive
     blocks of four (one of four offsets), and within each block the partner
     must supply exactly the three missing edges: the complementary path.
-    Closing the n/4 forced paths in all (p-1)! * 2^(p-1) ways per offset
-    therefore yields every K4-cover-compatible partner exactly once.
+    Closing the p = n/4 forced paths in all (p-1)! * 2^(p-1) ways per offset
+    therefore yields every K4-cover-compatible partner exactly once: the
+    first path is pinned in place and orientation, which normalizes rotation
+    and reflection away, and the others run over every order and orientation.
     """
     if n % 4 != 0 or n < 8:
         raise ValueError("K4-covered unions need n divisible by 4, n >= 8")
     out = []
     for offset in range(4):
-        pieces = [window_path(n, offset + 4 * i) for i in range(n // 4)]
-        out.extend(make_cycle(order) for order in _closings(pieces, []))
+        head, *rest = (window_path(n, offset + 4 * i) for i in range(n // 4))
+        for perm in permutations(rest):
+            for choice in product(*((p, p[::-1]) for p in perm)):
+                out.append(make_cycle(head + tuple(chain.from_iterable(choice))))
     return out
 
 

@@ -50,6 +50,12 @@ CASES = {
         m.zeta = lambda g: -1
         m.find_exceptional(8)
     """,
+    "search.find_exceptional.alpha": """
+        import twomilton.search as m
+        # every survivor at k = 3 has alpha <= 3, so only the explicit check rejects them
+        m.alpha_value = lambda g: -1
+        m.find_exceptional(12)
+    """,
     "search.expand_orbits": """
         import twomilton.search as m
         # every orbit representative claims a single-cycle orbit

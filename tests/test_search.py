@@ -7,6 +7,7 @@ import pstats
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 from math import factorial
 
@@ -461,6 +462,7 @@ def test_compute_f_k0_is_vacuous_singleton():
 def test_find_exceptional_n8():
     found = find_exceptional(8)
     assert (found.alpha, found.zeta) == (2, 1)
+    assert found.cycles[1].order == (0, 1, 7, 4, 6, 3, 5, 2)
     assert oracle_alpha(found.graph) == 2
     assert zeta(found.graph) == 1
     assert find_k4_cover(found.graph) is None
@@ -469,6 +471,7 @@ def test_find_exceptional_n8():
 def test_find_exceptional_n12():
     found = find_exceptional(12)
     assert (found.alpha, found.zeta) == (3, 2)
+    assert found.cycles[1].order == (0, 2, 11, 1, 10, 4, 7, 5, 8, 6, 9, 3)
     assert zeta(found.graph) == 2
     assert find_k4_cover(found.graph) is None
 
@@ -492,6 +495,28 @@ def test_window_partners_complete_at_n8():
     for key in oracle_all_cycles(8):
         covered = find_k4_cover(union([std, make_cycle(key)])) is not None
         assert covered == (key in partners)
+
+
+# labelled (alpha, zeta) counts of the unions of the standard cycle with the
+# survivors of the pinned scan at k = n/4
+WINDOW_CENSUS = {8: {(2, 0): 16, (2, 1): 16, (2, 2): 8}, 12: {(3, 2): 24, (3, 3): 32}}
+
+
+@pytest.mark.parametrize("n", sorted(WINDOW_CENSUS))
+def test_window_partners_are_the_covered_survivors(n):
+    # a K4-covered union has alpha <= n/4, so every window partner survives
+    # the pinned scan at k = n/4, and the covered survivors are exactly the
+    # window partners
+    std = standard_cycle(n)
+    census = Counter()
+    covered = set()
+    for order, _, _ in search._expand_orbits(n, search._survivors(n, n // 4)[0]):
+        g = union([std, make_cycle(order)])
+        census[alpha_value(g), zeta(g)] += 1
+        if find_k4_cover(g) is not None:
+            covered.add(order)
+    assert covered == {canonical_key(c) for c in window_partners(n)}
+    assert census == WINDOW_CENSUS[n]
 
 
 def test_window_partners_are_covered_with_standard():
