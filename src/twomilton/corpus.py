@@ -79,20 +79,23 @@ def random_k4free(n: int, seed: str) -> UGraph:
     at least one vertex below degree 4.
     """
     rng = Random(f"k4free:{n}:{seed}")
-    g = cycle_graph(random_cycle(n, rng))
+    adj = list(cycle_graph(random_cycle(n, rng)).adj)
     target = rng.randint(n, 2 * n - 1)
+    edges = n  # the cycle's
     tries = 0
-    while g.edge_count() < target and tries < 20 * n:
+    while edges < target and tries < 20 * n:
         tries += 1
         u, v = rng.randrange(n), rng.randrange(n)
-        if u == v or g.has_edge(u, v):
+        if u == v or adj[u] >> v & 1:
             continue
-        if g.degree(u) >= 4 or g.degree(v) >= 4:
+        if adj[u].bit_count() >= 4 or adj[v].bit_count() >= 4:
             continue
-        if creates_k4(g.adj, u, v) is not None:
+        if creates_k4(adj, u, v) is not None:
             continue
-        g = g.with_edge(u, v)
-    return g
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        edges += 1
+    return UGraph(n, tuple(adj))
 
 
 def random_johnson_system(n: int, x, eps, seed: str) -> list[frozenset[int]]:

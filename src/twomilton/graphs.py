@@ -48,15 +48,6 @@ class HamCycle(NamedTuple):
     def n(self) -> int:
         return len(self.order)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Cycle edges as sorted pairs (u, v), u < v, in visiting order."""
-        o = self.order
-        out = []
-        for i in range(len(o)):
-            u, v = o[i], o[(i + 1) % len(o)]
-            out.append((u, v) if u < v else (v, u))
-        return out
-
 
 def make_cycle(order: Sequence[int]) -> HamCycle:
     """Validate and build a Hamiltonian cycle from a visiting order.
@@ -140,21 +131,18 @@ class UGraph(NamedTuple):
     def max_degree(self) -> int:
         return max(self.degree_sequence(), default=0)
 
-    def with_edge(self, u: int, v: int) -> "UGraph":
-        if u == v:
-            raise ValueError("loops not allowed")
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return UGraph(self.n, tuple(adj))
-
 
 def cycle_graph(cycle: HamCycle) -> UGraph:
-    return UGraph.from_edges(cycle.n, cycle.edges())
+    return union([cycle])
 
 
 def union(cycles: Iterable[HamCycle]) -> UGraph:
-    """Union of cycles on the same vertex set; shared edges appear once."""
+    """Union of cycles on the same vertex set; shared edges appear once.
+
+    Each cycle's consecutive pairs, the closing pair included, are ORed
+    straight into the rows.  The orders are not checked again: make_cycle
+    checked each one, and parse_family builds every document cycle through it.
+    """
     cycles = list(cycles)
     if not cycles:
         raise ValueError("union of an empty family")
@@ -163,18 +151,16 @@ def union(cycles: Iterable[HamCycle]) -> UGraph:
     for c in cycles:
         if c.n != n:
             raise ValueError("all members must share the vertex set")
-        for v, row in enumerate(cycle_graph(c).adj):
-            adj[v] |= row
+        o = c.order
+        for u, v in zip(o, o[1:] + o[:1]):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     return UGraph(n, tuple(adj))
 
 
-def connected_components(g: UGraph, within: int | None = None) -> list[int]:
-    """Vertex masks of connected components, ordered by smallest vertex.
-
-    within restricts to the induced subgraph on that vertex mask.
-    """
-    adj = g.adj
-    pool = ((1 << g.n) - 1) if within is None else within
+def connected_components(adj: Sequence[int], pool: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph that the
+    rows adj induce on the vertex mask pool, ordered by smallest vertex."""
     comps = []
     while pool:
         seed = pool & -pool
@@ -195,7 +181,7 @@ def connected_components(g: UGraph, within: int | None = None) -> list[int]:
 
 
 def is_connected(g: UGraph) -> bool:
-    return len(connected_components(g)) <= 1
+    return len(connected_components(g.adj, (1 << g.n) - 1)) <= 1
 
 
 def max_clique(adj: Sequence[int]) -> tuple[int, ...]:

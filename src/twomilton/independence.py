@@ -252,7 +252,7 @@ class AlphaSolver:
 
 
 class IndepCertificate(NamedTuple):
-    """A claimed maximum independent set; verify with verify_certificate."""
+    """An independent set of `value` vertices: it certifies alpha >= value only; verify with verify_certificate."""
 
     value: int
     vertices: tuple[int, ...]

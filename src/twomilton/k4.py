@@ -167,7 +167,7 @@ def archipelagos(g: UGraph) -> tuple[Archipelago, ...]:
             raise ValueError("K4s overlap; archipelago structure undefined")
         covered |= m
     out = []
-    for comp in connected_components(g, within=covered):
+    for comp in connected_components(g.adj, covered):
         inside = [i for i, m in enumerate(masks) if m & comp]
         if any(masks[i] & ~comp for i in inside):
             raise VerificationError(f"a K4 of {[k4s[i] for i in inside]} straddles two archipelagos")

@@ -78,6 +78,7 @@ from .graphs import (
     VerificationError,
     bits,
     connected_components,
+    cycle_graph,
     depth_first,
     distinct_cycles,
     is_connected,
@@ -231,7 +232,7 @@ class _Pipeline:
         plain = self.alive & ~k4_alive
         if not plain:
             return
-        comps = connected_components(UGraph(self.n, tuple(self.adj)), within=plain)
+        comps = connected_components(self.adj, plain)
         if len(comps) <= 1:
             return
         if self.route is None:
@@ -366,9 +367,9 @@ class _Pipeline:
                 self._close("final", arch, None)
         h_vertices = tuple(bits(self.alive))
         new_id = {old: i for i, old in enumerate(h_vertices)}
-        h = UGraph.from_edges(len(h_vertices), [
-            (new_id[u], new_id[v]) for u, v in UGraph(self.n, tuple(self.adj)).edges()
-        ])
+        h = UGraph(len(h_vertices), tuple(
+            mask_of(new_id[w] for w in bits(self.adj[v])) for v in h_vertices
+        ))
         post = self._postconditions(h, h_vertices, zeta_total)
         return ReductionResult(
             g=self.g,
@@ -430,7 +431,7 @@ def diagnose_reduction(g: UGraph, cycles=None) -> DiagnosticReport:
     if g.max_degree() > 4:
         raise ValueError("diagnostic reduction expects max degree <= 4")
     for c in cycles or ():
-        if c.n != g.n or not all(g.has_edge(u, v) for u, v in c.edges()):
+        if c.n != g.n or any(row & ~have for row, have in zip(cycle_graph(c).adj, g.adj)):
             raise ValueError("each cycle must be a Hamiltonian cycle of the graph")
     try:
         result = _Pipeline(g, cycles[0] if cycles else None).run()

@@ -562,7 +562,7 @@ def verify_nothree(n: int) -> NothreeReport:
         raise ValueError("triple verification covers n divisible by 4 with 8 <= n <= 24")
     std = standard_cycle(n)
     partners = window_partners(n)
-    holders = _pair_rows(n, [c.edges() for c in partners])
+    holders = _pair_rows(n, (zip(c.order, c.order[1:] + c.order[:1]) for c in partners))
     everyone = (1 << len(partners)) - 1
     found = 0
     witnesses = []

@@ -29,7 +29,7 @@ from twomilton.bounds import (
 )
 from twomilton.constructions import circulant_family, k4_strip, triple_n8
 from twomilton.corpus import random_johnson_system, random_pair
-from twomilton.graphs import UGraph, make_cycle, standard_cycle, union
+from twomilton.graphs import UGraph, cycle_graph, make_cycle, standard_cycle, union
 from twomilton.independence import alpha_value
 from twomilton.k4 import zeta
 
@@ -127,7 +127,7 @@ def test_step_gain():
 
 
 def test_locke_lou_on_small_graphs():
-    g5 = UGraph.from_edges(5, list(standard_cycle(5).edges()))
+    g5 = cycle_graph(standard_cycle(5))
     assert locke_lou_check(g5)
     k3 = UGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert locke_lou_check(k3)
@@ -146,7 +146,7 @@ def test_locke_lou_rejects_preconditions():
 
 
 def test_stoneage_on_small_graphs():
-    g5 = UGraph.from_edges(5, list(standard_cycle(5).edges()))
+    g5 = cycle_graph(standard_cycle(5))
     assert stoneage_check(g5)
     k4 = UGraph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from twomilton import cli, search
 from twomilton.cli import main
 from twomilton.constructions import k4_strip
 from twomilton.corpus import planted_pair, random_cycle, random_pair
-from twomilton.graphs import FamilyDocument, serialize_family, union
+from twomilton.graphs import FamilyDocument, cycle_graph, serialize_family, union
 
 
 def run(capsys, *argv):
@@ -191,7 +191,7 @@ def test_reduce_refuses_an_edge_payload_other_than_the_union(capsys, tmp_path):
             "edges": [list(e) for e in edges],
         }))
 
-    write(c1.edges())
+    write(cycle_graph(c1).edges())
     assert run_json(capsys, "zeta", "--input", str(path))[1]["value"] == 0
     rc = main(["reduce", "--input", str(path)])
     out, err = capsys.readouterr()

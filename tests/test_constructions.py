@@ -14,7 +14,7 @@ from twomilton.constructions import (
     k4_strip,
     triple_n8,
 )
-from twomilton.graphs import canonical_key, distinct_cycles, standard_cycle, union
+from twomilton.graphs import canonical_key, cycle_graph, distinct_cycles, standard_cycle, union
 from twomilton.independence import alpha_value, verify_independent
 from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, zeta
 
@@ -130,10 +130,10 @@ def test_amplify_block_structure():
     base = circulant_family(9)
     res = amplify(base, blocks=4, family_size=2, seed="blocks")
     for cyc, chain in zip(res.cycles, res.chains):
-        edges = set(cyc.edges())
+        edges = set(cycle_graph(cyc).edges())
         for a, pick in enumerate(chain):
             block_edges = {
-                (a * 9 + u, a * 9 + v) for u, v in base[pick].edges()
+                (a * 9 + u, a * 9 + v) for u, v in cycle_graph(base[pick]).edges()
             }
             inside = {
                 e for e in edges if a * 9 <= e[0] < (a + 1) * 9 and a * 9 <= e[1] < (a + 1) * 9

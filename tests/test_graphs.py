@@ -1,5 +1,6 @@
 """Core graph types: construction, canonical forms, unions, documents."""
 
+import hashlib
 import json
 import random
 from itertools import permutations
@@ -7,6 +8,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from twomilton.corpus import random_k4free
 from twomilton.graphs import (
     MAX_VERTICES,
     FamilyDocument,
@@ -44,9 +46,31 @@ def test_make_cycle_validates():
 
 def test_cycle_edges():
     c = standard_cycle(5)
-    assert c.edges() == [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    assert cycle_graph(c).edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
     assert cycle_graph(c).adj[0] == 1 << 1 | 1 << 4
     assert cycle_graph(c).adj[3] == 1 << 2 | 1 << 4
+
+
+@given(st.integers(3, 40).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+def test_union_matches_the_edge_list_union(orders):
+    # the oracle is the edge-list path: each order's consecutive pairs, the
+    # closing pair included, through from_edges
+    n = len(orders[0])
+    cycles = [make_cycle(o) for o in orders]
+    want = UGraph.from_edges(n, [(o[i - 1], o[i]) for o in orders for i in range(n)])
+    assert union(cycles) == want
+    assert cycle_graph(cycles[0]).edge_count() == n
+
+
+def test_random_k4free_rows_digest():
+    # sha256 over the rows of random_k4free at n = 5..40 and three seeds,
+    # taken before the generator kept its own row list
+    h = hashlib.sha256()
+    for n in range(5, 41):
+        for s in range(3):
+            h.update(repr(random_k4free(n, f"rows:{s}").adj).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == "ae2ddc573827309fc18df3cfa2f7ce423fffb0362973bec027cf5e908770ab85"
 
 
 def test_canonical_key_dihedral():
@@ -122,9 +146,9 @@ def test_connectivity_matches_oracle():
     g = UGraph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
     assert not is_connected(g)
     assert oracle_connected(g) is False
-    comps = connected_components(g)
+    comps = connected_components(g.adj, 0b111111)
     assert comps == [0b000111, 0b011000, 0b100000]
-    assert connected_components(g, within=0b000111) == [0b000111]
+    assert connected_components(g.adj, 0b000111) == [0b000111]
     assert is_connected(cycle_graph(standard_cycle(9)))
 
 

@@ -76,7 +76,7 @@ def test_creates_k4_matches_brute_force():
         close = [w for w in rest if (adj[u] & adj[w]).bit_count() >= 2]
         if seed % 2 and close:
             v = close[0]
-        through = [q for q in find_k4s(g.with_edge(u, v)) if u in q and v in q]
+        through = [q for q in find_k4s(UGraph.from_edges(n, g.edges() + [(u, v)])) if u in q and v in q]
         got = creates_k4(g.adj, u, v)
         assert (got is not None) == bool(through), f"seed={seed}"
         if got is not None:
