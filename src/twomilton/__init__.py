@@ -1,7 +1,9 @@
 """Exact combinatorial toolkit for independent sets in unions of two Hamiltonian cycles.
 
 Every public name is imported from its submodule on first use, so
-`import twomilton` (and so each CLI process) loads no solver it does not run.
+`import twomilton` loads no solver.  _EXPORTS is the one table naming each
+name's submodule: the CLI calls every solver as `twomilton.<name>`, so each of
+its processes loads no solver that its command does not run.
 """
 
 from importlib import import_module
@@ -9,12 +11,13 @@ from importlib import import_module
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "exists_check", "johnson_check", "locke_lou_check", "psizeta_stats", "quality_check",
-        "semirandom_rate", "smooth_check", "stoneage_check", "threshold_lower",
+        "delta_fn", "exists_check", "johnson_check", "johnson_q", "locke_lou_check", "psizeta_stats",
+        "quality_check", "semirandom_rate", "smooth_check", "stoneage_check", "threshold_lower",
     ), "bounds"),
     **dict.fromkeys((
         "amplify", "circulant_family", "counterexample_strip", "k4_strip", "triple_n8",
     ), "constructions"),
+    **dict.fromkeys(("random_johnson_system", "random_k4free", "random_pair"), "corpus"),
     **dict.fromkeys((
         "FamilyDocument", "HamCycle", "UGraph", "canonical_key", "cycle_graph", "make_cycle",
         "parse_family", "serialize_family", "standard_cycle", "union",
@@ -22,7 +25,9 @@ _EXPORTS = {
     **dict.fromkeys(("alpha_exact", "alpha_value", "verify_independent"), "independence"),
     **dict.fromkeys(("find_k4_cover", "find_k4s", "find_triangle_cover", "psi_exact", "zeta"), "k4"),
     **dict.fromkeys(("diagnose_reduction", "lift_independent", "technical_reduce"), "reduction"),
-    **dict.fromkeys(("compute_f", "find_exceptional", "verify_nothree", "window_partners"), "search"),
+    **dict.fromkeys((
+        "compute_f", "exact_range", "find_exceptional", "verify_nothree", "window_partners",
+    ), "search"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -17,10 +17,11 @@ from pathlib import Path
 import twomilton
 
 # every command parses documents and build_parser reads DEFAULTS, so only these
-# load with this module; each command imports the solvers it runs where it
-# runs them, so a process loads no module that its command does not use.  The
-# package's records are NamedTuples, so no process loads the standard library's
-# data-class machinery (and the inspect, ast, dis and tokenize it imports)
+# load with this module; each command reaches its solvers through the package's
+# exports, which load their submodule on first use, so a process loads no module
+# that its command does not use.  The package's records are NamedTuples, so no
+# process loads the standard library's data-class machinery (and the inspect,
+# ast, dis and tokenize it imports)
 from .graphs import FamilyDocument, VerificationError, family_payload, parse_family, serialize_family, union
 from .limits import DEFAULTS, limit
 
@@ -68,29 +69,21 @@ def _emit(args, payload) -> None:
 
 
 def _alpha(g, args):
-    from .independence import alpha_exact
-
-    cert = alpha_exact(g)
+    cert = twomilton.alpha_exact(g)
     return {"value": cert.value, "certificate": list(cert.vertices)}, 0
 
 
 def _zeta(g, args):
-    from .k4 import find_k4s
-
-    k4s = find_k4s(g)
+    k4s = twomilton.find_k4s(g)
     return {"value": len(k4s), "k4s": [list(q) for q in k4s]}, 0
 
 
 def _psi(g, args):
-    from .k4 import psi_exact
-
-    return {"value": psi_exact(g)}, 0
+    return {"value": twomilton.psi_exact(g)}, 0
 
 
 def _cover(g, args):
-    from .k4 import find_k4_cover, find_triangle_cover
-
-    blocks = find_triangle_cover(g) if args.triangles else find_k4_cover(g)
+    blocks = twomilton.find_triangle_cover(g) if args.triangles else twomilton.find_k4_cover(g)
     kind = "triangle" if args.triangles else "k4"
     if blocks is None:
         return {"kind": kind, "found": False, "blocks": None}, 1
@@ -114,12 +107,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .independence import alpha_exact
-    from .reduction import diagnose_reduction, lift_independent, technical_reduce
-
     doc = _load_doc(args.input)
     if args.diagnose:
-        report = diagnose_reduction(_graph_for(doc, None), doc.cycles or None)
+        report = twomilton.diagnose_reduction(_graph_for(doc, None), doc.cycles or None)
         payload = {
             "command": "reduce", "diagnose": True, "ok": report.ok,
             "failed_step": report.failed_step, "reason": report.reason,
@@ -132,9 +122,9 @@ def cmd_reduce(args) -> int:
         raise ValueError("reduce needs a document with two cycles")
     if doc.graph() != union(doc.cycles):
         raise ValueError("the edge payload must be the union of the two cycles")
-    result = technical_reduce(doc.cycles[0], doc.cycles[1])
-    cert = alpha_exact(result.h)
-    lifted = lift_independent(result, cert.vertices)
+    result = twomilton.technical_reduce(doc.cycles[0], doc.cycles[1])
+    cert = twomilton.alpha_exact(result.h)
+    lifted = twomilton.lift_independent(result, cert.vertices)
     _emit(args, {
         "command": "reduce", "n": result.g.n, "zeta": result.zeta,
         "remainder_vertices": result.h.n, "remainder_edges": result.h.edge_count(),
@@ -150,40 +140,30 @@ def cmd_reduce(args) -> int:
 
 
 def _doc_with_alpha(n, cycles, vertices, meta, edges=None):
-    from .independence import verify_independent
-
     vertices = sorted(vertices)
     certificates = {"alpha": {"value": len(vertices), "vertices": vertices}}
     doc = FamilyDocument(n, tuple(cycles), certificates, meta, edges)
-    if not verify_independent(doc.graph(), vertices):
+    if not twomilton.verify_independent(doc.graph(), vertices):
         raise VerificationError(f"alpha certificate {vertices} is not independent")
     return doc
 
 
 def _strip(args):
-    from .constructions import k4_strip
-
     meta = {"construction": "strip", "k": args.k}
-    return _doc_with_alpha(4 * args.k, k4_strip(args.k), range(0, 4 * args.k, 4), meta)
+    return _doc_with_alpha(4 * args.k, twomilton.k4_strip(args.k), range(0, 4 * args.k, 4), meta)
 
 
 def _triple8(args):
-    from .constructions import triple_n8
-
-    return FamilyDocument(8, triple_n8(), {}, {"construction": "triple8"})
+    return FamilyDocument(8, twomilton.triple_n8(), {}, {"construction": "triple8"})
 
 
 def _circulant(args):
-    from .constructions import circulant_family
-
     meta = {"construction": "circulant", "pairwise_alpha_at_most": args.n // 3}
-    return FamilyDocument(args.n, circulant_family(args.n), {}, meta)
+    return FamilyDocument(args.n, twomilton.circulant_family(args.n), {}, meta)
 
 
 def _counterexample(args):
-    from .constructions import counterexample_strip
-
-    g = counterexample_strip(args.units)
+    g = twomilton.counterexample_strip(args.units)
     return _doc_with_alpha(
         g.n, (), [b for i in range(args.units) for b in (8 * i, 8 * i + 6)],
         {"construction": "counterexample", "units": args.units},
@@ -192,9 +172,8 @@ def _counterexample(args):
 
 
 def _amplify(args):
-    from .constructions import amplify, circulant_family
-
-    res = amplify(circulant_family(args.n0), args.blocks, args.family_size, seed=args.seed, eps=args.eps)
+    res = twomilton.amplify(twomilton.circulant_family(args.n0), args.blocks, args.family_size,
+                            seed=args.seed, eps=args.eps)
     return FamilyDocument(
         res.n, res.cycles, {},
         {
@@ -207,12 +186,9 @@ def _amplify(args):
 
 
 def _exceptional(args):
-    from .independence import alpha_exact
-    from .search import find_exceptional
-
-    found = find_exceptional(args.n)
+    found = twomilton.find_exceptional(args.n)
     meta = {"construction": "exceptional", "zeta": found.zeta}
-    return _doc_with_alpha(found.graph.n, found.cycles, alpha_exact(found.graph).vertices, meta)
+    return _doc_with_alpha(found.graph.n, found.cycles, twomilton.alpha_exact(found.graph).vertices, meta)
 
 
 # the construct command's constructions: name -> (help, builder, the options
@@ -248,16 +224,9 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _export(name):
-    """The package export `name` as a function of a graph; its module loads at the first call."""
-    return lambda g: getattr(twomilton, name)(g)
-
-
-_QUANTITIES = {"alpha": _export("alpha_value"), "zeta": _export("zeta"), "psi": _export("psi_exact")}
-_COVERS = {
-    "k4-covered": (_export("find_k4_cover"), "K4"),
-    "triangle-covered": (_export("find_triangle_cover"), "triangle"),
-}
+# claim keys -> the package export that evaluates them on a graph (and a cover's label)
+_QUANTITIES = {"alpha": "alpha_value", "zeta": "zeta", "psi": "psi_exact"}
+_COVERS = {"k4-covered": ("find_k4_cover", "K4"), "triangle-covered": ("find_triangle_cover", "triangle")}
 
 
 def _parse_claim(claim: str):
@@ -296,12 +265,13 @@ def _check_claim(doc: FamilyDocument, parsed):
     else:
         count, targets = 1, [("graph", _graph_for(doc, None))]
     if op is None:
-        find_cover, label = _COVERS[key]
+        export, label = _COVERS[key]
+        find_cover = getattr(twomilton, export)
         for name, g in targets:
             if find_cover(g) is None:
                 return False, f"{name} has no {label} cover"
         return True, f"{count} pairs {label}-covered"
-    fn = _QUANTITIES[key]
+    fn = getattr(twomilton, _QUANTITIES[key])
     for name, g in targets:
         got = fn(g)
         ok = got <= want if op == "<=" else got >= want if op == ">=" else got == want
@@ -311,8 +281,6 @@ def _check_claim(doc: FamilyDocument, parsed):
 
 
 def cmd_verify(args) -> int:
-    from .independence import IndepCertificate, verify_certificate
-
     # every claim is parsed before any work: a malformed one is a usage error
     claims = [(claim, _parse_claim(claim)) for claim in args.claim or []]
     doc = _load_doc(args.input)
@@ -324,7 +292,7 @@ def cmd_verify(args) -> int:
     results = []
     if cert is not None:
         value, vs = cert["value"], cert["vertices"]
-        good = verify_certificate(_graph_for(doc, None), IndepCertificate(value, tuple(vs)))
+        good = len(vs) == value and twomilton.verify_independent(_graph_for(doc, None), vs)
         results.append({"claim": "embedded-alpha-certificate", "ok": good,
                         "detail": f"value {value}, {len(vs)} vertices"})
     for claim, parsed in claims:
@@ -339,13 +307,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search_f(args) -> int:
-    from .search import compute_f, exact_range
-
-    if not (exact_range(args.n, args.k) or args.lower_bound):
+    if not (twomilton.exact_range(args.n, args.k) or args.lower_bound):
         raise ValueError(
             f"n > {limit('enum')} is out of exhaustive range; pass --lower-bound for a labeled bound"
         )
-    res = compute_f(args.n, args.k)
+    res = twomilton.compute_f(args.n, args.k)
     witnesses = FamilyDocument(args.n, res.witnesses, {}, {"f": res.value, "mode": res.mode})
     _emit(args, {
         "command": "search-f", "n": args.n, "k": args.k, "workers": 1,
@@ -357,9 +323,7 @@ def cmd_search_f(args) -> int:
 
 
 def cmd_nothree(args) -> int:
-    from .search import verify_nothree
-
-    rep = verify_nothree(args.n)
+    rep = twomilton.verify_nothree(args.n)
     _emit(args, {
         "command": "nothree", "n": args.n, "partners": rep.partners,
         "pairs_checked": rep.pairs_checked, "mode": rep.mode,
@@ -369,24 +333,18 @@ def cmd_nothree(args) -> int:
 
 
 def _corpus_pair(n, tag, args):
-    from .corpus import random_pair
-
-    return serialize_family(FamilyDocument(n, random_pair(n, tag), {}, {"kind": "pair", "seed": tag}))
+    return serialize_family(FamilyDocument(n, twomilton.random_pair(n, tag), {}, {"kind": "pair", "seed": tag}))
 
 
 def _corpus_k4free(n, tag, args):
-    from .corpus import random_k4free
-
-    edges = tuple(random_k4free(n, tag).edges())
+    edges = tuple(twomilton.random_k4free(n, tag).edges())
     return serialize_family(FamilyDocument(n, (), {}, {"kind": "k4free", "seed": tag}, edges=edges))
 
 
 def _corpus_johnson(n, tag, args):
-    from .corpus import random_johnson_system
-
     x = Fraction(1, 4) if args.x is None else args.x
     eps = Fraction(1, 2) if args.eps is None else args.eps
-    sets = random_johnson_system(n, x, eps, tag)
+    sets = twomilton.random_johnson_system(n, x, eps, tag)
     return json.dumps({
         "kind": "johnson", "n": n, "x": str(x), "eps": str(eps),
         "seed": tag, "sets": sorted(sorted(s) for s in sets),
@@ -416,17 +374,15 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    from .bounds import delta_fn, johnson_q, semirandom_rate, threshold_lower
-
-    lower = threshold_lower()
+    lower = twomilton.threshold_lower()
     rows = [
         ("threshold lower bound", lower.value),
-        ("threshold upper bound (limit)", semirandom_rate(None, Fraction(1, 3), 5)),
+        ("threshold upper bound (limit)", twomilton.semirandom_rate(None, Fraction(1, 3), 5)),
         ("quality base rate", lower.base),
         (f"penalty minimum at z = {lower.minimizer}", lower.minimum),
-        ("johnson q(1/4, 1/2)", johnson_q(Fraction(1, 4), Fraction(1, 2))),
-        ("delta(1, 1)", delta_fn(1, 1)),
-        ("semirandom rate (n0=9, c0=1/3, k0=5)", semirandom_rate(9, Fraction(1, 3), 5)),
+        ("johnson q(1/4, 1/2)", twomilton.johnson_q(Fraction(1, 4), Fraction(1, 2))),
+        ("delta(1, 1)", twomilton.delta_fn(1, 1)),
+        ("semirandom rate (n0=9, c0=1/3, k0=5)", twomilton.semirandom_rate(9, Fraction(1, 3), 5)),
     ]
     width = max(len(r[0]) for r in rows)
     out = [f"{'quantity'.ljust(width)}  exact      decimal"]

@@ -252,7 +252,8 @@ class AlphaSolver:
 
 
 class IndepCertificate(NamedTuple):
-    """An independent set of `value` vertices: it certifies alpha >= value only; verify with verify_certificate."""
+    """An independent set of `value` vertices: it certifies alpha >= value only, when it holds
+    `value` vertices that verify_independent accepts."""
 
     value: int
     vertices: tuple[int, ...]
@@ -270,10 +271,6 @@ def verify_independent(g: UGraph, vertices) -> bool:
     return all(adj[v] & m == 0 for v in vs)
 
 
-def verify_certificate(g: UGraph, cert: IndepCertificate) -> bool:
-    return len(cert.vertices) == cert.value and verify_independent(g, cert.vertices)
-
-
 def alpha_value(g: UGraph) -> int:
     """Exact independence number (no certificate)."""
     return AlphaSolver(g).alpha()
@@ -282,10 +279,9 @@ def alpha_value(g: UGraph) -> int:
 def alpha_exact(g: UGraph) -> IndepCertificate:
     """Exact independence number with the lexicographically least witness."""
     vertices = AlphaSolver(g).lex_min_maximum_set()
-    cert = IndepCertificate(value=len(vertices), vertices=vertices)
-    if not verify_certificate(g, cert):
+    if not verify_independent(g, vertices):
         raise VerificationError(f"alpha certificate {vertices} is not independent")
-    return cert
+    return IndepCertificate(value=len(vertices), vertices=vertices)
 
 
 def has_independent_set(g: UGraph, k: int) -> bool:

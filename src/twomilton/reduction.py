@@ -232,8 +232,7 @@ class _Pipeline:
         plain = self.alive & ~k4_alive
         if not plain:
             return
-        comps = connected_components(self.adj, plain)
-        if len(comps) <= 1:
+        if len(connected_components(self.adj, plain)) <= 1:
             return
         if self.route is None:
             self._fail(
@@ -260,13 +259,10 @@ class _Pipeline:
                 arcs.append((min(u, v), max(u, v), idx))
                 run = 0
             u = v
-        # spanning tree over the components, arcs in ascending endpoint order
-        groups = list(comps)
+        # spanning tree over the components, arcs in ascending endpoint order;
+        # only closed arcs join plain vertices, so adj's components are the merged ones
         for u, v, idx in sorted(arcs):
-            gu = next(m for m in groups if m >> u & 1)
-            if not gu >> v & 1:
-                gv = next(m for m in groups if m >> v & 1)
-                groups = [m for m in groups if m not in (gu, gv)] + [gu | gv]
+            if not next(m for m in connected_components(self.adj, plain) if m >> u & 1) >> v & 1:
                 self._close("connect", self.archs[idx], (u, v))
 
     # -- steps 1, 3 and 4: close the open archipelagos ---------------------

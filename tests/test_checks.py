@@ -27,7 +27,7 @@ CASES = {
     "independence.alpha_exact": """
         import twomilton.independence as m
         from twomilton.graphs import standard_cycle, union
-        m.verify_certificate = lambda g, cert: False
+        m.verify_independent = lambda g, vs: False
         m.alpha_exact(union([standard_cycle(5)]))
     """,
     "independence.lex_min_maximum_set": """

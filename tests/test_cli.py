@@ -157,7 +157,7 @@ def test_verify_rejects_malformed_claims_before_work(capsys, monkeypatch, strip4
     def evaluated(g):
         raise AssertionError("a claim was evaluated before all claims were parsed")
 
-    monkeypatch.setitem(cli._QUANTITIES, "alpha", evaluated)
+    monkeypatch.setattr(twomilton, "alpha_value", evaluated)
     rc = main(["verify", "--input", strip4_doc, "--claim", "alpha<=4", "--claim", claim])
     out, err = capsys.readouterr()
     assert rc == 2

@@ -18,6 +18,7 @@ from twomilton.graphs import (
     cliques,
     connected_components,
     cycle_graph,
+    depth_first,
     distinct_cycles,
     family_payload,
     is_connected,
@@ -197,6 +198,10 @@ def test_cliques_match_brute_force():
             assert got == oracle_cliques(g, members, size), (trial, size)
             listed += len(got)
     assert listed > 1000
+
+
+def test_depth_first_from_a_goal_picks_nothing():
+    assert depth_first(0, lambda state: None) == ()
 
 
 def test_distinct_cycles():

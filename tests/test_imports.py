@@ -1,9 +1,9 @@
 """The package and each CLI process load only the modules they use.
 
-`import twomilton` binds its public names lazily (PEP 562), and each CLI
-command imports its solvers where it calls them, so a process pays to
-compile only what its command runs.  The load checks run in a fresh
-interpreter, since this one has imported every module already.
+`import twomilton` binds its public names lazily (PEP 562), and the CLI
+reaches every solver as `twomilton.<name>`, so a process pays to compile only
+what its command runs.  The load checks run in a fresh interpreter, since
+this one has imported every module already.
 """
 
 import ast
@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import twomilton
-from twomilton.constructions import k4_strip
+from twomilton import cli
+from twomilton.constructions import circulant_family, k4_strip
 from twomilton.graphs import FamilyDocument, serialize_family, standard_cycle
 
 SOLVER_MODULES = ("search", "reduction", "bounds", "constructions", "corpus")
@@ -74,6 +75,54 @@ def test_search_f_loads_no_bounds_or_constructions():
     assert [m for m in ("twomilton.bounds", "twomilton.constructions") if m in loaded] == []
 
 
+# each command's twomilton modules besides the four that every command loads
+@pytest.mark.parametrize("argv, solvers", [
+    (["verify", "--input", "{c9}", "--claim", "pairwise-triangle-covered"], ["independence", "k4"]),
+    (["verify", "--input", "{c9}", "--claim", "pairwise-alpha<=3"], ["independence"]),
+    (["verify", "--input", "{strip}"], ["independence"]),
+    (["cover", "--input", "{strip}"], ["independence", "k4"]),
+    (["nothree", "--n", "8"], ["independence", "k4", "search"]),
+    (["construct", "exceptional"], ["independence", "k4", "search"]),
+    (["corpus", "--kind", "pair", "--count", "2", "--seed", "x"], ["corpus", "independence", "k4"]),
+    (["corpus", "--kind", "johnson", "--count", "2", "--seed", "x"], ["corpus", "independence", "k4"]),
+    (["bounds"], ["bounds", "independence", "k4"]),
+    (["reduce", "--input", "{strip}"], ["independence", "k4", "reduction"]),
+], ids=["verify-cover", "verify-alpha", "verify-certificate", "cover", "nothree", "exceptional",
+        "corpus-pair", "corpus-johnson", "bounds", "reduce"])
+def test_command_loads_only_its_solvers(argv, solvers, tmp_path):
+    docs = {
+        "c9": FamilyDocument(9, circulant_family(9)),
+        "strip": FamilyDocument(16, k4_strip(4), {"alpha": {"value": 4, "vertices": [0, 4, 8, 12]}}),
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(serialize_family(doc))
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in docs}) for a in argv]
+    script = f"import twomilton.cli\nassert twomilton.cli.main({argv!r}) == 0"
+    every = ["cli", "graphs", "limits"]
+    assert loaded_after(script) == ["twomilton"] + [f"twomilton.{m}" for m in sorted(every + solvers)]
+
+
+def test_cli_reaches_solvers_only_through_exports():
+    # a misspelt export would surface only when its command runs, as an
+    # uncaught AttributeError whose exit code 1 reads as a falsified claim
+    tree = ast.parse(Path(cli.__file__).read_text())
+    submodules = [
+        (node.module, node in tree.body) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("twomilton."))
+    ] + [
+        (alias.name, node in tree.body) for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.startswith("twomilton.")
+    ]
+    # (module, imported at the top level)
+    assert sorted(submodules) == [("graphs", True), ("limits", True)]
+    attrs = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "twomilton"
+    }
+    names = set(cli._QUANTITIES.values()) | {export for export, _ in cli._COVERS.values()}
+    assert sorted((attrs | names) - set(twomilton.__all__)) == []
+
+
 # the records are NamedTuples: dataclasses would load inspect, ast, dis and
 # tokenize, and compile each record's methods, in every CLI process
 @pytest.mark.parametrize("argv", [
@@ -119,7 +168,7 @@ def test_star_import_binds_every_export():
     exec("from twomilton import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == twomilton.__all__
-    assert len(namespace) == 39
+    assert len(namespace) == 45
 
 
 def test_unknown_name_is_an_attribute_error():

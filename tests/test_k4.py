@@ -100,6 +100,11 @@ def test_check_cover_and_search():
     assert find_k4_cover(cycle_graph(standard_cycle(8))) is None
 
 
+def test_empty_graph_has_the_empty_cover():
+    # the cover search starts at its goal: no vertex is left uncovered
+    assert find_k4_cover(UGraph(0, ())) == ()
+
+
 def test_check_cover_rejects_each_defect():
     g = union(list(k4_strip(2)))  # K4s {0,1,2,3} and {4,5,6,7}
     good = [(0, 1, 2, 3), (4, 5, 6, 7)]

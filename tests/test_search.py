@@ -17,7 +17,16 @@ import twomilton
 from twomilton import search
 from twomilton.bounds import smooth_bound
 from twomilton.constructions import circulant_family, k4_strip
-from twomilton.graphs import MAX_VERTICES, HamCycle, canonical_key, make_cycle, overlap_rows, standard_cycle, union
+from twomilton.graphs import (
+    MAX_VERTICES,
+    HamCycle,
+    VerificationError,
+    canonical_key,
+    make_cycle,
+    overlap_rows,
+    standard_cycle,
+    union,
+)
 from twomilton.independence import alpha_value
 from twomilton.k4 import check_cover, find_k4_cover, find_triangle_cover, window_path, zeta
 from twomilton.limits import limit
@@ -445,6 +454,17 @@ def test_compute_f_lower_bounds_certified_by_covers():
     assert res.log[2].startswith("circulant family: 5 cycles, each of the 10 pairwise unions covered")
     g = union(res.witnesses[3:])
     assert check_cover(g, find_triangle_cover(g), 3)
+
+
+@pytest.mark.parametrize("n, k, finder, message", [
+    (16, 4, "find_k4_cover", "strip pair: the union of cycles 0 and 1 has no cover by 4-cliques"),
+    (15, 5, "find_triangle_cover", "circulant family: the union of cycles 0 and 1 has no cover by 3-cliques"),
+])
+def test_compute_f_refuses_a_construction_its_cover_search_misses(monkeypatch, n, k, finder, message):
+    # a lower bound stands only on covers that were found
+    monkeypatch.setattr(search, finder, lambda g: None)
+    with pytest.raises(VerificationError, match=message):
+        compute_f(n, k)
 
 
 def test_compute_f_rejects_bad_input():
