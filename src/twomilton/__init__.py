@@ -24,7 +24,9 @@ _EXPORTS = {
     ), "graphs"),
     **dict.fromkeys(("alpha_exact", "alpha_value", "verify_independent"), "independence"),
     **dict.fromkeys(("find_k4_cover", "find_k4s", "find_triangle_cover", "psi_exact", "zeta"), "k4"),
-    **dict.fromkeys(("diagnose_reduction", "lift_independent", "technical_reduce"), "reduction"),
+    **dict.fromkeys((
+        "StructureViolation", "diagnose_reduction", "lift_independent", "technical_reduce",
+    ), "reduction"),
     **dict.fromkeys((
         "compute_f", "exact_range", "find_exceptional", "verify_nothree", "window_partners",
     ), "search"),

@@ -109,13 +109,12 @@ def cmd_graph(args) -> int:
 def cmd_reduce(args) -> int:
     doc = _load_doc(args.input)
     if args.diagnose:
-        report = twomilton.diagnose_reduction(_graph_for(doc, None), doc.cycles or None)
-        payload = {
-            "command": "reduce", "diagnose": True, "ok": report.ok,
-            "failed_step": report.failed_step, "reason": report.reason,
-        }
-        if report.artifact is not None:
-            payload["artifact"] = family_payload(report.artifact)
+        payload = {"command": "reduce", "diagnose": True, "ok": True, "failed_step": None, "reason": None}
+        try:
+            twomilton.diagnose_reduction(_graph_for(doc, None), doc.cycles or None)
+        except twomilton.StructureViolation as exc:
+            payload.update(ok=False, failed_step=exc.step, reason=exc.reason,
+                           artifact=family_payload(exc.artifact))
         _emit(args, payload)
         return 0
     if len(doc.cycles) != 2:

@@ -78,6 +78,8 @@ def random_k4free(n: int, seed: str) -> UGraph:
     exceed degree 4 or complete a K4 are skipped.  The edge budget < 2n keeps
     at least one vertex below degree 4.
     """
+    if n < 3:
+        raise ValueError("need n >= 3")
     rng = Random(f"k4free:{n}:{seed}")
     adj = list(cycle_graph(random_cycle(n, rng)).adj)
     target = rng.randint(n, 2 * n - 1)

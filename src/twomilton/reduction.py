@@ -127,14 +127,6 @@ class ReductionResult(NamedTuple):
     postconditions: dict
 
 
-class DiagnosticReport(NamedTuple):
-    ok: bool
-    failed_step: str | None
-    reason: str | None
-    artifact: FamilyDocument | None
-    result: ReductionResult | None
-
-
 class _Pipeline:
     def __init__(self, g: UGraph, route: HamCycle | None):
         self.g = g
@@ -416,29 +408,21 @@ def technical_reduce(c1: HamCycle, c2: HamCycle) -> ReductionResult:
     return _Pipeline(union([c1, c2]), c1).run()
 
 
-def diagnose_reduction(g: UGraph, cycles=None) -> DiagnosticReport:
-    """Run the pipeline on an arbitrary max-degree-4 graph and report.
+def diagnose_reduction(g: UGraph, cycles=None) -> ReductionResult:
+    """Run the pipeline on an arbitrary max-degree-4 graph.
 
-    Unlike technical_reduce this never raises on invariant failures: the
-    failing step, reason, and offending state come back in the report.  The
-    cycles, if given, must be Hamiltonian cycles of g (ValueError otherwise);
-    the first routes step 2.
+    Unlike technical_reduce it takes any graph of maximum degree <= 4 and any
+    number of cycles, which must be Hamiltonian cycles of g (ValueError
+    otherwise); the first routes step 2.  A failing invariant raises
+    StructureViolation, which names the step and carries the reason and the
+    offending state, just as technical_reduce does.
     """
     if g.max_degree() > 4:
         raise ValueError("diagnostic reduction expects max degree <= 4")
     for c in cycles or ():
         if c.n != g.n or any(row & ~have for row, have in zip(cycle_graph(c).adj, g.adj)):
             raise ValueError("each cycle must be a Hamiltonian cycle of the graph")
-    try:
-        result = _Pipeline(g, cycles[0] if cycles else None).run()
-    except StructureViolation as exc:
-        return DiagnosticReport(
-            ok=False, failed_step=exc.step, reason=exc.reason,
-            artifact=exc.artifact, result=None,
-        )
-    return DiagnosticReport(
-        ok=True, failed_step=None, reason=None, artifact=None, result=result
-    )
+    return _Pipeline(g, cycles[0] if cycles else None).run()
 
 
 def lift_independent(result: ReductionResult, iset) -> tuple[int, ...]:

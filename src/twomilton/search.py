@@ -63,10 +63,6 @@ from .limits import limit
 MAX_ROW_BITS = 1 << 30
 
 
-class WitnessCheckError(VerificationError):
-    """A pair of cycles in a computed witness family has a union with alpha > k."""
-
-
 def _pair_rows(n, pair_lists):
     """rows[a][b] = bitmask of the items i whose pairs pair_lists[i] hold {a, b}."""
     rows = [[0] * n for _ in range(n)]
@@ -434,7 +430,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
         for a, b in combinations(witnesses, 2):
             alpha_ab = alpha_value(union([a, b]))
             if alpha_ab > k:
-                raise WitnessCheckError(
+                raise VerificationError(
                     f"f({n},{k}) witnesses {a.order} and {b.order}: "
                     f"alpha of their union is {alpha_ab} > {k}"
                 )

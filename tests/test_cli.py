@@ -446,6 +446,15 @@ def test_corpus_johnson_refuses_empty_ground_set_and_eps_over_1(capsys, n, eps):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("n", ["0", "2", "-3"])
+def test_corpus_k4free_needs_three_vertices(capsys, n):
+    # the generator starts from a Hamiltonian cycle, which needs 3 vertices
+    rc = main(["corpus", "--kind", "k4free", "--count", "1", "--n-min", n, "--n-max", n, "--seed", "s"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: need n >= 3\n"
+
+
 @pytest.mark.parametrize("kind", ["pair", "k4free"])
 @pytest.mark.parametrize("options", [["--x", "1/3"], ["--eps", "7"], ["--x", "1/4", "--eps", "1/2"]])
 def test_corpus_johnson_options_are_johnson_only(capsys, kind, options):

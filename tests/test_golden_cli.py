@@ -3,15 +3,18 @@
 Every value below was taken before the K4-removal pipeline was consolidated to
 one implementation of each primitive; a refactor must leave all of them
 unchanged.  Documents are built by `construct` into a temporary directory and
-named by the placeholders {t8}, {s4}, {c9} and {cx3}.
+named by the placeholders {t8}, {s4}, {c9} and {cx3}; {k5e} is K5 minus the
+edge 3-4 as an edge payload, written directly.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from twomilton.cli import main
+from twomilton.graphs import FamilyDocument, serialize_family
 
 DOCS = {
     "t8": ["construct", "triple8"],
@@ -19,6 +22,8 @@ DOCS = {
     "c9": ["construct", "circulant", "--n", "9"],
     "cx3": ["construct", "counterexample", "--units", "3"],
 }
+# two K4s that share three vertices: the K4 removal fails before its first step
+K5E = FamilyDocument(5, (), edges=tuple((a, b) for a in range(5) for b in range(a + 1, 5) if (a, b) != (3, 4)))
 
 # (argv, exit code, sha256 of stdout)
 GOLDEN = [
@@ -82,6 +87,9 @@ GOLDEN = [
      "4ad2cf6a70cdc41eafb9abff5479237cc1f8daf66b6c549ae94e22991aa2028a"),
     ("reduce --diagnose --input {s4}", 0,
      "a3fd6e7fd14b1d878969a4b8b7534edbfbf8b95e40ef3ebb3de43938872436e2"),
+    # taken before the K4 removal came to report through StructureViolation alone
+    ("reduce --diagnose --input {k5e}", 0,
+     "b5d2dfea95fb7a363f64f311957f2c8bd2fa328d82c08e505164ffa9e0aa4e52"),
     ("search-f --n 14 --k 7", 0,
      "11e4873b9d2605ecfe4513faf0abe3a537a958fc5642b409e4b3453e2ea04292"),
     # taken while nothree still tested each pair of partners on its own
@@ -114,6 +122,8 @@ def doc_paths(tmp_path_factory):
     for name, argv in DOCS.items():
         paths[name] = str(folder / f"{name}.json")
         assert main(argv + ["--out", paths[name]]) == 0
+    paths["k5e"] = str(folder / "k5e.json")
+    Path(paths["k5e"]).write_text(serialize_family(K5E))
     return paths
 
 

@@ -19,7 +19,7 @@ import pytest
 
 import twomilton
 from twomilton import cli
-from twomilton.constructions import circulant_family, k4_strip
+from twomilton.constructions import circulant_family, counterexample_strip, k4_strip
 from twomilton.graphs import FamilyDocument, serialize_family, standard_cycle
 
 SOLVER_MODULES = ("search", "reduction", "bounds", "constructions", "corpus")
@@ -87,12 +87,15 @@ def test_search_f_loads_no_bounds_or_constructions():
     (["corpus", "--kind", "johnson", "--count", "2", "--seed", "x"], ["corpus", "independence", "k4"]),
     (["bounds"], ["bounds", "independence", "k4"]),
     (["reduce", "--input", "{strip}"], ["independence", "k4", "reduction"]),
+    (["reduce", "--diagnose", "--input", "{cx}"], ["independence", "k4", "reduction"]),
 ], ids=["verify-cover", "verify-alpha", "verify-certificate", "cover", "nothree", "exceptional",
-        "corpus-pair", "corpus-johnson", "bounds", "reduce"])
+        "corpus-pair", "corpus-johnson", "bounds", "reduce", "reduce-diagnose"])
 def test_command_loads_only_its_solvers(argv, solvers, tmp_path):
     docs = {
         "c9": FamilyDocument(9, circulant_family(9)),
         "strip": FamilyDocument(16, k4_strip(4), {"alpha": {"value": 4, "vertices": [0, 4, 8, 12]}}),
+        # the diagnosis fails on this strip, so the CLI reads its StructureViolation
+        "cx": FamilyDocument(24, (), edges=tuple(counterexample_strip(3).edges())),
     }
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(serialize_family(doc))
@@ -168,7 +171,7 @@ def test_star_import_binds_every_export():
     exec("from twomilton import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == twomilton.__all__
-    assert len(namespace) == 45
+    assert len(namespace) == 46
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -14,7 +14,7 @@ RECORDS = {
     "bounds": ("ThresholdLowerReport", "FamilyStats", "IteratingReport", "StepReport"),
     "constructions": ("AmplifyResult",),
     "search": ("FSearchResult", "ExceptionalPair", "NothreeReport"),
-    "reduction": ("TraceStep", "LiftEntry", "ReductionResult", "DiagnosticReport"),
+    "reduction": ("TraceStep", "LiftEntry", "ReductionResult"),
 }
 CLASSES = [getattr(importlib.import_module(f"twomilton.{m}"), name) for m, names in RECORDS.items() for name in names]
 

@@ -139,8 +139,8 @@ def test_reconnection_ignores_the_route_direction(args):
     # route backwards gives the same trace, lift plan and remainder
     c1, c2 = planted_pair(*args)
     g = union([c1, c2])
-    forward = diagnose_reduction(g, (c1,)).result
-    backward = diagnose_reduction(g, (make_cycle(c1.order[::-1]),)).result
+    forward = diagnose_reduction(g, (c1,))
+    backward = diagnose_reduction(g, (make_cycle(c1.order[::-1]),))
     assert forward.trace == technical_reduce(c1, c2).trace
     assert (backward.trace, backward.lift_plan, backward.h, backward.h_vertex_map) == (
         forward.trace, forward.lift_plan, forward.h, forward.h_vertex_map)
@@ -234,21 +234,24 @@ def test_lift_rejects_bad_input():
 
 def test_counterexample_strip_diagnosis():
     g = counterexample_strip(3)
-    report = diagnose_reduction(g)
-    assert not report.ok
-    assert report.failed_step == "small"
-    assert "K4" in report.reason
-    assert report.artifact is not None
-    assert report.artifact.n == 24
-    assert report.result is None
+    with pytest.raises(StructureViolation) as err:
+        diagnose_reduction(g)
+    assert err.value.step == "small"
+    assert "K4" in err.value.reason
+    assert err.value.artifact.n == 24
 
 
 def test_diagnose_accepts_clean_union():
     c1, c2 = planted_pair(18, 1, "diag")
-    report = diagnose_reduction(union([c1, c2]), cycles=(c1, c2))
-    assert report.ok
-    assert report.result is not None
-    assert report.result.zeta >= 1
+    assert diagnose_reduction(union([c1, c2]), cycles=(c1, c2)).zeta >= 1
+
+
+@pytest.mark.parametrize("n", range(14, 41))
+def test_diagnose_returns_what_technical_reduce_returns(n):
+    # both entries run one pipeline, routed by the first cycle; four of these
+    # inputs take step 2, which reads that route
+    c1, c2 = planted_pair(n, (n - 2) // 5, f"same:{n}")
+    assert diagnose_reduction(union([c1, c2]), (c1, c2)) == technical_reduce(c1, c2)
 
 
 def test_diagnose_reports_no_safe_neighbourhood_pair(monkeypatch):
@@ -260,8 +263,9 @@ def test_diagnose_reports_no_safe_neighbourhood_pair(monkeypatch):
         (planted_pair(20, 1, "f5"), "final", "archipelago (5, 9, 11, 15): no safe neighbourhood pair"),
     ]
     for cycles, step, reason in cases:
-        report = diagnose_reduction(union(list(cycles)))
-        assert (report.failed_step, report.reason) == (step, reason)
+        with pytest.raises(StructureViolation) as err:
+            diagnose_reduction(union(list(cycles)))
+        assert (err.value.step, err.value.reason) == (step, reason)
 
 
 def test_close_refuses_an_edge_already_present():
@@ -275,12 +279,11 @@ def test_close_refuses_an_edge_already_present():
 def test_diagnose_reports_overlapping_k4s():
     # K5 minus one edge has maximum degree 4 and two K4s sharing three vertices
     g = UGraph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (3, 4)])
-    report = diagnose_reduction(g)
-    assert not report.ok
-    assert report.failed_step == "archipelagos"
-    assert "overlap" in report.reason
-    assert report.artifact.edges == tuple(g.edges())
-    assert report.result is None
+    with pytest.raises(StructureViolation) as err:
+        diagnose_reduction(g)
+    assert err.value.step == "archipelagos"
+    assert "overlap" in err.value.reason
+    assert err.value.artifact.edges == tuple(g.edges())
 
 
 def test_diagnose_refuses_a_cycle_that_splits_a_small_archipelago():
@@ -310,16 +313,18 @@ def test_diagnose_reports_a_remainder_with_no_degree_drop():
     # neighbour; deleting it leaves the 5-cycle on 8..12 with every degree kept
     edges = [(a + u, a + v) for a in (0, 4) for u in range(4) for v in range(u + 1, 4)]
     edges += [(0, 4), (1, 5)] + [(8 + i, 8 + (i + 1) % 5) for i in range(5)]
-    report = diagnose_reduction(UGraph.from_edges(13, edges))
-    assert (report.failed_step, report.reason) == (
+    with pytest.raises(StructureViolation) as err:
+        diagnose_reduction(UGraph.from_edges(13, edges))
+    assert (err.value.step, err.value.reason) == (
         "post", "postcondition degree_drop_somewhere failed",
     )
 
 
 def test_diagnose_reports_a_k4_with_one_neighbour():
     g = UGraph.from_edges(5, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(0, 4)])
-    report = diagnose_reduction(g)
-    assert (report.failed_step, report.reason) == (
+    with pytest.raises(StructureViolation) as err:
+        diagnose_reduction(g)
+    assert (err.value.step, err.value.reason) == (
         "final",
         "acyclic archipelago (0, 1, 2, 3) with neighbourhood of size 1: "
         "impossible for a union of two Hamiltonian cycles",
@@ -329,8 +334,9 @@ def test_diagnose_reports_a_k4_with_one_neighbour():
 def test_diagnose_needs_a_cycle_to_reconnect():
     # deleting the K4 leaves the islands {4} and {5, 6}
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(0, 4), (1, 5), (2, 6), (5, 6)]
-    report = diagnose_reduction(UGraph.from_edges(7, edges))
-    assert (report.failed_step, report.reason) == (
+    with pytest.raises(StructureViolation) as err:
+        diagnose_reduction(UGraph.from_edges(7, edges))
+    assert (err.value.step, err.value.reason) == (
         "connect",
         "remainder is disconnected and no Hamiltonian cycle is available "
         "to route reconnecting arcs",
@@ -361,36 +367,27 @@ RISKY_3 = [(4, 8), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
 
 
 def test_risky_type1_edge():
-    g = _k4_with_trio(RISKY_1)
-    report = diagnose_reduction(g)
-    assert report.ok
-    risky = [t for t in report.result.trace if t.step == "three-risky"]
+    risky = [t for t in diagnose_reduction(_k4_with_trio(RISKY_1)).trace if t.step == "three-risky"]
     assert risky and risky[0].added_edge == (4, 5)
 
 
 def test_risky_type2_edge():
-    g = _k4_with_trio(RISKY_2)
-    report = diagnose_reduction(g)
-    assert report.ok
-    risky = [t for t in report.result.trace if t.step == "three-risky"]
+    risky = [t for t in diagnose_reduction(_k4_with_trio(RISKY_2)).trace if t.step == "three-risky"]
     assert risky and risky[0].added_edge == (4, 6)
 
 
 def test_risky_type3_edge():
-    g = _k4_with_trio(RISKY_3)
-    report = diagnose_reduction(g)
-    assert report.ok
-    risky = [t for t in report.result.trace if t.step == "three-risky"]
+    risky = [t for t in diagnose_reduction(_k4_with_trio(RISKY_3)).trace if t.step == "three-risky"]
     assert risky and risky[0].added_edge == (4, 5)
 
 
 def test_forbidden_pattern_detected():
     # six spokes plus the 7-8 edge: no safe reconnection exists
     g = _k4_with_trio([(4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)])
-    report = diagnose_reduction(g)
-    assert not report.ok
-    assert report.failed_step == "three"
-    assert "forbidden" in report.reason
+    with pytest.raises(StructureViolation) as err:
+        diagnose_reduction(g)
+    assert err.value.step == "three"
+    assert "forbidden" in err.value.reason
 
 
 @pytest.mark.parametrize("args,steps", [
@@ -413,9 +410,10 @@ def test_lift_plan_failure_names_the_archipelago(monkeypatch, cycles, reason, de
     from twomilton.reduction import _Pipeline
 
     monkeypatch.setattr(_Pipeline, "_transversal", lambda self, arch, allowed: None)
-    report = diagnose_reduction(union(cycles), cycles)
-    assert (report.failed_step, report.reason) == ("lift-plan", reason)
-    assert list(report.artifact.meta["detail"].items()) == [("reason", reason), *detail.items()]
+    with pytest.raises(StructureViolation) as err:
+        diagnose_reduction(union(cycles), cycles)
+    assert (err.value.step, err.value.reason) == ("lift-plan", reason)
+    assert list(err.value.artifact.meta["detail"].items()) == [("reason", reason), *detail.items()]
 
 
 def test_step2_closes_like_every_step(monkeypatch):
@@ -426,11 +424,12 @@ def test_step2_closes_like_every_step(monkeypatch):
     monkeypatch.setattr(_Pipeline, "_transversal", lambda self, arch, allowed: None)
     c1, c2 = planted_pair(31, 3, "d117")
     g = union([c1, c2])
-    report = diagnose_reduction(g, [c1])
-    assert (report.failed_step, report.reason) == (
+    with pytest.raises(StructureViolation) as err:
+        diagnose_reduction(g, [c1])
+    assert (err.value.step, err.value.reason) == (
         "lift-plan", "archipelago (5, 7, 10, 23) has no transversal toward 8")
-    assert set(report.artifact.edges) - set(g.edges()) == {(14, 29)}
-    assert not any({5, 7, 10, 23} & set(e) for e in report.artifact.edges)
+    assert set(err.value.artifact.edges) - set(g.edges()) == {(14, 29)}
+    assert not any({5, 7, 10, 23} & set(e) for e in err.value.artifact.edges)
 
 
 def test_two_arcs_through_one_archipelago():
@@ -463,9 +462,9 @@ PINNED_INPUTS = {
     "planted-19-2": lambda: technical_reduce(*planted_pair(19, 2, "pin:s1105")),
     "two-island": lambda: technical_reduce(*two_island_pair()),
     "three-neighbour": lambda: technical_reduce(*three_neighbour_pair()),
-    "risky-1": lambda: diagnose_reduction(_k4_with_trio(RISKY_1)).result,
-    "risky-2": lambda: diagnose_reduction(_k4_with_trio(RISKY_2)).result,
-    "risky-3": lambda: diagnose_reduction(_k4_with_trio(RISKY_3)).result,
+    "risky-1": lambda: diagnose_reduction(_k4_with_trio(RISKY_1)),
+    "risky-2": lambda: diagnose_reduction(_k4_with_trio(RISKY_2)),
+    "risky-3": lambda: diagnose_reduction(_k4_with_trio(RISKY_3)),
 }
 
 
@@ -550,12 +549,13 @@ def test_counterexample_diagnosis_pinned():
     # step 1 fails on the first small archipelago, before anything is deleted,
     # so the artifact is the whole input graph
     g = counterexample_strip(3)
-    report = diagnose_reduction(g)
-    assert report.failed_step == "small"
-    assert report.reason == "joining neighbourhood (4,5) completes K4 (4, 5, 6, 7)"
-    assert report.artifact.edges == tuple(g.edges())
-    assert report.artifact.meta == {"detail": {
-        "reason": report.reason, "edge": [4, 5], "k4": [4, 5, 6, 7],
+    with pytest.raises(StructureViolation) as err:
+        diagnose_reduction(g)
+    assert err.value.step == "small"
+    assert err.value.reason == "joining neighbourhood (4,5) completes K4 (4, 5, 6, 7)"
+    assert err.value.artifact.edges == tuple(g.edges())
+    assert err.value.artifact.meta == {"detail": {
+        "reason": err.value.reason, "edge": [4, 5], "k4": [4, 5, 6, 7],
     }}
 
 

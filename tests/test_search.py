@@ -143,7 +143,7 @@ def test_witness_recheck_runs_under_optimize():
         "s.alpha_value = lambda g: 2  # k + 1 for k = 1\n"
         "try:\n"
         "    s.compute_f(4, 1)\n"
-        "except s.WitnessCheckError as exc:\n"
+        "except s.VerificationError as exc:\n"
         "    print('raised', exc)\n"
         "    sys.exit(0)\n"
         "sys.exit(1)\n"
