@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import twomilton
@@ -185,9 +186,10 @@ def _amplify(args):
 
 
 def _exceptional(args):
-    found = twomilton.find_exceptional(args.n)
-    meta = {"construction": "exceptional", "zeta": found.zeta}
-    return _doc_with_alpha(found.graph.n, found.cycles, twomilton.alpha_exact(found.graph).vertices, meta)
+    cycles = twomilton.find_exceptional(args.n)
+    g = union(cycles)
+    meta = {"construction": "exceptional", "zeta": twomilton.zeta(g)}
+    return _doc_with_alpha(args.n, cycles, twomilton.alpha_exact(g).vertices, meta)
 
 
 # the construct command's constructions: name -> (help, builder, the options
@@ -253,8 +255,6 @@ def _parse_claim(claim: str):
 
 def _check_claim(doc: FamilyDocument, parsed):
     """Returns (ok, detail) for one claim parsed by _parse_claim."""
-    from itertools import combinations
-
     pairwise, key, op, want = parsed
     if pairwise:
         m = len(doc.cycles)

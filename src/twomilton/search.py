@@ -257,8 +257,6 @@ def _survivors(n, k):
 
 
 class FSearchResult(NamedTuple):
-    n: int
-    k: int
     value: int
     witnesses: tuple[HamCycle, ...]
     mode: str  # "exhaustive" or "lower-bound"
@@ -436,7 +434,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
                 )
         log.append(f"maximum clique among survivors: {len(clique)}")
         log.append(f"f({n},{k}) = {value}; witness family re-verified pairwise")
-    return FSearchResult(n, k, value, witnesses, mode, examined, count, time.perf_counter() - t0, tuple(log))
+    return FSearchResult(value, witnesses, mode, examined, count, time.perf_counter() - t0, tuple(log))
 
 
 def _certify_cover(cycles, find_cover, size, name):
@@ -475,21 +473,13 @@ def _construction_lower_bound(n, k, log):
     return best
 
 
-class ExceptionalPair(NamedTuple):
-    """Two cycles whose union reaches alpha = n/4 without a K4 cover."""
-
-    graph: object
-    cycles: tuple[HamCycle, HamCycle]
-    alpha: int
-    zeta: int
-
-
-def find_exceptional(n: int) -> ExceptionalPair:
-    """A two-miltonian graph with alpha = n/4 and zeta = n/4 - 1 (n in {8, 12}).
+def find_exceptional(n: int) -> tuple[HamCycle, HamCycle]:
+    """The standard cycle and a partner whose union has alpha = n/4 and
+    zeta = n/4 - 1, so no K4 cover (n in {8, 12}).
 
     _survivors(n, n/4) lists one representative per dihedral orbit of the
     partners whose union with the standard cycle has alpha <= n/4; the first
-    one in scan order whose union has n/4 - 1 K4s is returned.  The dihedral
+    one in scan order whose union has n/4 - 1 K4s is the partner.  The dihedral
     maps fix the standard cycle and so keep zeta and alpha of the union: a
     representative stands for its whole orbit.
     """
@@ -504,7 +494,7 @@ def find_exceptional(n: int) -> ExceptionalPair:
         partner = make_cycle(order)
         g = union([std, partner])
         if zeta(g) == target - 1 and alpha_value(g) == target:
-            return ExceptionalPair(g, (std, partner), target, target - 1)
+            return std, partner
     raise VerificationError(
         "no exceptional pair found at n = %d; this falsifies the expected sharpness" % n
     )
@@ -533,7 +523,6 @@ def window_partners(n: int) -> list[HamCycle]:
 
 
 class NothreeReport(NamedTuple):
-    n: int
     partners: int
     pairs_checked: int
     mode: str  # always "exhaustive": every pair of partners is counted
@@ -577,4 +566,4 @@ def verify_nothree(n: int) -> NothreeReport:
         found += later.bit_count()
         witnesses += [(std, b, partners[i + 1 + j]) for j in islice(bits(later), 8 - len(witnesses))]
     pairs = len(partners) * (len(partners) - 1) // 2
-    return NothreeReport(n, len(partners), pairs, "exhaustive", found, tuple(witnesses))
+    return NothreeReport(len(partners), pairs, "exhaustive", found, tuple(witnesses))

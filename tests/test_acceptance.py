@@ -138,10 +138,10 @@ def test_criterion_07_structural_equivalence_and_exceptions():
             g = union([c1, c2])
             covered = find_k4_cover(g) is not None
             assert (alpha_value(g) == n // 4) == covered
-    found8 = find_exceptional(8)
-    assert (found8.alpha, found8.zeta) == (2, 1)
-    found12 = find_exceptional(12)
-    assert (found12.alpha, found12.zeta) == (3, 2)
+    for n in (8, 12):
+        g = union(find_exceptional(n))
+        assert (alpha_value(g), zeta(g)) == (n // 4, n // 4 - 1)
+        assert find_k4_cover(g) is None
     with pytest.raises(ValueError):
         find_exceptional(16)
     elapsed = _report(7, "alpha = n/4 iff K4-covered on 150 samples; "

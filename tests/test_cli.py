@@ -511,6 +511,21 @@ def test_construct_size_defaults_per_construction(capsys, name, default_n):
     assert run(capsys, "construct", name, "--n", str(default_n)) == (0, out)
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_exceptional_document_verifies(tmp_path, capsys, n):
+    # the exceptional union carries an alpha certificate of n/4 vertices and
+    # has n/4 - 1 K4s, so it has alpha = n/4 and no K4 cover
+    path = str(tmp_path / f"exc{n}.json")
+    assert run(capsys, "construct", "exceptional", "--n", str(n), "--out", path)[0] == 0
+    rc, rep = run_json(capsys, "verify", "--input", path)
+    assert rc == 0 and [r["claim"] for r in rep["claims"]] == ["embedded-alpha-certificate"]
+    rc, rep = run_json(capsys, "verify", "--input", path,
+                       "--claim", f"alpha={n // 4}", "--claim", f"zeta={n // 4 - 1}")
+    assert rc == 0 and len(rep["claims"]) == 3 and rep["ok"]
+    rc, rep = run_json(capsys, "verify", "--input", path, "--claim", "pairwise-k4-covered")
+    assert rc == 1 and not rep["ok"] and not rep["claims"][-1]["ok"]
+
+
 def test_amplify_requires_seed(capsys):
     with pytest.raises(SystemExit) as err:
         main(["construct", "amplify"])

@@ -13,7 +13,7 @@ RECORDS = {
     "k4": ("Archipelago",),
     "bounds": ("ThresholdLowerReport", "FamilyStats", "IteratingReport", "StepReport"),
     "constructions": ("AmplifyResult",),
-    "search": ("FSearchResult", "ExceptionalPair", "NothreeReport"),
+    "search": ("FSearchResult", "NothreeReport"),
     "reduction": ("TraceStep", "LiftEntry", "ReductionResult"),
 }
 CLASSES = [getattr(importlib.import_module(f"twomilton.{m}"), name) for m, names in RECORDS.items() for name in names]

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import combinations
-from math import factorial
+from math import ceil, factorial
 
 import pytest
 
@@ -230,13 +230,16 @@ def test_scan_tables_three_and_members(n):
             assert three[o] == want, (n, k, o)
 
 
-@pytest.mark.parametrize("n", [13, 14, 15])
+@pytest.mark.parametrize("n", range(13, 18))
 def test_no_partner_keeps_alpha_below_four(n):
-    # the lemma's floor by machine: no cycle on 13 to 15 vertices makes a
+    # the lemma's floor by machine: no cycle on 13 to 17 vertices makes a
     # union with alpha <= 3 with the standard cycle, so, relabeling, every
-    # union of two Hamiltonian cycles there has alpha >= 4 > (7n - 4)/26
+    # union of two Hamiltonian cycles there has alpha >= 4, as the lemma's
+    # floor over every K4 count, zeta + (7(n - 4 zeta) - 4)/26 rounded up,
+    # predicts
     assert search._survivors(n, 3) == ([], 0)
-    assert smooth_bound(n, 0) < 4
+    floor = ceil(min(smooth_bound(n, z) for z in range(n // 4 + 1)))
+    assert floor == {13: 4, 14: 4, 15: 4, 16: 4, 17: 5}[n]
 
 
 def signatures(order):
@@ -480,20 +483,23 @@ def test_compute_f_k0_is_vacuous_singleton():
 
 
 def test_find_exceptional_n8():
-    found = find_exceptional(8)
-    assert (found.alpha, found.zeta) == (2, 1)
-    assert found.cycles[1].order == (0, 1, 7, 4, 6, 3, 5, 2)
-    assert oracle_alpha(found.graph) == 2
-    assert zeta(found.graph) == 1
-    assert find_k4_cover(found.graph) is None
+    std, partner = find_exceptional(8)
+    assert std == standard_cycle(8)
+    assert partner.order == (0, 1, 7, 4, 6, 3, 5, 2)
+    g = union([std, partner])
+    assert oracle_alpha(g) == 2
+    assert zeta(g) == 1
+    assert find_k4_cover(g) is None
 
 
 def test_find_exceptional_n12():
-    found = find_exceptional(12)
-    assert (found.alpha, found.zeta) == (3, 2)
-    assert found.cycles[1].order == (0, 2, 11, 1, 10, 4, 7, 5, 8, 6, 9, 3)
-    assert zeta(found.graph) == 2
-    assert find_k4_cover(found.graph) is None
+    std, partner = find_exceptional(12)
+    assert std == standard_cycle(12)
+    assert partner.order == (0, 2, 11, 1, 10, 4, 7, 5, 8, 6, 9, 3)
+    g = union([std, partner])
+    assert alpha_value(g) == 3
+    assert zeta(g) == 2
+    assert find_k4_cover(g) is None
 
 
 def test_find_exceptional_rejects_n16():
