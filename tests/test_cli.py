@@ -134,6 +134,18 @@ def test_verify_tampered_certificate(capsys, strip4_doc, tmp_path):
     assert not rep["claims"][0]["ok"]
 
 
+def test_verify_states_what_an_embedded_certificate_proves(capsys, tmp_path):
+    # an independent set smaller than alpha is a valid certificate of a lower bound
+    path = tmp_path / "c8.json"
+    path.write_text(json.dumps({"format_version": 1, "n": 8, "cycles": [list(range(8))], "meta": {},
+                                "certificates": {"alpha": {"value": 1, "vertices": [0]}}}))
+    rc, rep = run_json(capsys, "verify", "--input", str(path))
+    assert rc == 0
+    assert rep["claims"] == [{"claim": "embedded-alpha-certificate", "ok": True, "detail": "alpha>=1, 1 vertices"}]
+    rc, rep = run_json(capsys, "verify", "--input", str(path), "--claim", "alpha=1")
+    assert rc == 1 and rep["claims"][1]["detail"] == "graph: alpha is 4, claim was alpha=1"
+
+
 def test_verify_unparseable_claim(capsys, strip4_doc):
     # a malformed claim is a usage error: exit 2, a message and no report
     rc = main(["verify", "--input", strip4_doc, "--claim", "gamma=1"])
@@ -621,6 +633,14 @@ def test_bounds_table(capsys):
     assert rc == 0
     assert "45/169" in out and "0.26627" in out
     assert "11/30" in out and "0.36667" in out
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["twomilton", "bounds"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert run(capsys, "bounds") == (0, out)
 
 
 def test_bad_input_file(capsys, tmp_path):

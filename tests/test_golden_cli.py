@@ -71,8 +71,6 @@ GOLDEN = [
     ("bounds", 0,
      "befc13afb90a2b8aec5ceee4b3fe3667b5d862ec6fb5bf89229527292d66f264"),
     # taken before the command tables and the shared option parsers
-    ("verify --input {s4} --claim pairwise-triangle-covered", 1,
-     "3676272d295d51a664168d7962779b8ab7691a9b71cd17424d7f5423ae1e0e1f"),
     ("cover --triangles --input {c9} --pair 0 1", 0,
      "dc95364929be127bf616b497b48ab419fda1cf9da87769b5f98637e90e3a14c3"),
     ("zeta --input {c9} --pair 0 1", 0,
@@ -103,6 +101,11 @@ GOLDEN = [
      "26a614f3045513e89a706d00e97c938415ab96b340862558fc9dbe4e93ad1cd3"),
     ("construct exceptional --n 12", 0,
      "3282c58db2c6d7a31fcfd4424040d1027f59b301f3155a17e059437e2e80a9ad"),
+    # retaken when the embedded certificate's detail came to name the claim it
+    # proves, "alpha>=4, 4 vertices" in place of "value 4, 4 vertices"; the
+    # rest of the report, and the exit code, are as before
+    ("verify --input {s4} --claim pairwise-triangle-covered", 1,
+     "ed0864a1825b7ee0167fdd17bbc4e72fceeb2957d771eb050ea0974e2fa03580"),
 ]
 
 
@@ -132,3 +135,11 @@ def test_cli_output_unchanged(command, code, digest, doc_paths, capsys):
     argv = command.format(**doc_paths).split()
     assert main(argv) == code
     assert stdout_digest(argv, capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("command,code", [g[:2] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+def test_out_file_holds_the_stdout_bytes(command, code, doc_paths, capsys, tmp_path):
+    # main writes every command's report, to --out and to stdout alike
+    path = tmp_path / "report"
+    assert main(command.format(**doc_paths).split() + ["--out", str(path)]) == code
+    assert path.read_bytes() == capsys.readouterr().out.encode()

@@ -126,6 +126,26 @@ def test_cli_reaches_solvers_only_through_exports():
     assert sorted((attrs | names) - set(twomilton.__all__)) == []
 
 
+def test_cli_writes_stdout_only_from_main():
+    # each command returns its report and exit code, and main writes them:
+    # --out first, then stdout, so a failed write leaves stdout empty
+    tree = ast.parse(Path(cli.__file__).read_text())
+    in_main = {id(node) for top in tree.body if getattr(top, "name", None) == "main" for node in ast.walk(top)}
+    writers = [
+        node.lineno for node in ast.walk(tree) if id(node) not in in_main and (
+            isinstance(node, ast.Attribute) and node.attr == "stdout"
+            or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+            and not any(k.arg == "file" for k in node.keywords)
+        )
+    ]
+    pathlib = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "pathlib" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pathlib"
+    ]
+    assert (writers, pathlib) == ([], [])
+
+
 # the records are NamedTuples: dataclasses would load inspect, ast, dis and
 # tokenize, and compile each record's methods, in every CLI process
 @pytest.mark.parametrize("argv", [

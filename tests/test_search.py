@@ -121,8 +121,8 @@ def test_compute_f_witness_order_pinned(n, k):
 
 
 def test_compute_f_outputs_digest():
-    # one sha256 over every field but the elapsed time of compute_f's result,
-    # at each exhaustive cell of the benchmark's table and at (5,1) and (8,3);
+    # one sha256 over every field of compute_f's result, at each exhaustive
+    # cell of the benchmark's table and at (5,1) and (8,3);
     # taken before the compatibility rows were built one per orbit and the
     # scan cut at the closing vertex, so a change that moves any output moves it
     h = hashlib.sha256()
@@ -131,6 +131,16 @@ def test_compute_f_outputs_digest():
         witnesses = [c.order for c in res.witnesses]
         h.update(repr((n, k, res.value, witnesses, res.mode, res.examined, res.survivors, res.log)).encode())
     assert h.hexdigest() == "f19aaf790c07b85f366a2a7a5a1d8fc79a30bb692df4f59e248c01f1c61c2686"
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (8, 2), (16, 4)], ids=["closed-form", "scan", "lower-bound"])
+def test_compute_f_returns_a_value(n, k):
+    # no field records how or when the search ran, so equal calls give equal records
+    assert compute_f(n, k) == compute_f(n, k)
+
+
+def test_verify_nothree_returns_a_value():
+    assert verify_nothree(8) == verify_nothree(8)
 
 
 def test_witness_recheck_runs_under_optimize():
@@ -169,13 +179,8 @@ def test_compute_f_shortcut_when_alpha_cap_is_free():
 
 def test_compute_f_workers_agree():
     for n, k in [(7, 1), (8, 2), (10, 2), (11, 3), (12, 3)]:
-        a = compute_f(n, k, workers=1)
-        b = compute_f(n, k, workers=2)
-        assert a.value == b.value, (n, k)
-        assert [c.order for c in a.witnesses] == [c.order for c in b.witnesses], (n, k)
-        assert (a.examined, a.survivors) == (b.examined, b.survivors), (n, k)
-        # the keyword selects nothing, so the log agrees byte for byte
-        assert b.log == a.log, (n, k)
+        # the keyword selects nothing, so the whole records agree, log included
+        assert compute_f(n, k, workers=2) == compute_f(n, k, workers=1), (n, k)
 
 
 def expanded_survivors(n, k):
@@ -556,7 +561,7 @@ def test_window_partners_are_covered_with_standard():
 
 def test_verify_nothree_n8_has_triples():
     rep = verify_nothree(8)
-    assert rep.mode == "exhaustive"
+    assert rep.partners == len(window_partners(8))
     assert rep.triples_found > 0
     std, b, c = rep.witnesses[0]
     assert std.order == standard_cycle(8).order
@@ -567,8 +572,7 @@ def test_verify_nothree_n8_has_triples():
 @pytest.mark.parametrize("n", [12, 16, 20, 24])
 def test_verify_nothree_none_beyond_n8(n):
     rep = verify_nothree(n)
-    assert rep.triples_found == 0
-    assert rep.pairs_checked == rep.partners * (rep.partners - 1) // 2
+    assert (rep.partners, rep.triples_found) == (len(window_partners(n)), 0)
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -580,7 +584,7 @@ def test_verify_nothree_matches_oracle_on_every_pair(n):
         (b, c) for b, c in combinations(window_partners(n), 2) if oracle_has_clique_cover(union([b, c]), 4)
     ]
     rep = verify_nothree(n)
-    assert (rep.mode, rep.triples_found) == ("exhaustive", len(covered))
+    assert (rep.partners, rep.triples_found) == (len(window_partners(n)), len(covered))
     assert [(a.order, b.order, c.order) for a, b, c in rep.witnesses] == [
         (std.order, b.order, c.order) for b, c in covered[:8]
     ]
