@@ -373,12 +373,18 @@ def parse_family(text: str) -> FamilyDocument:
     distinct endpoints in [0, n); certificates, meta and certificates.alpha
     are objects, and certificates.alpha, when present, holds an integer value
     and a list of integer vertices in [0, n).  Anything else raises
-    ValueError, and so does nesting too deep for the JSON parser.
+    ValueError, and so do nesting too deep for the JSON parser and an integer
+    longer than the interpreter's int-to-str digit cap.
     """
     try:
         payload = json.loads(text)
     except RecursionError:
         raise ValueError("document nests too deeply to parse") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # the digit cap's own message asks the user to change an interpreter setting
+        raise ValueError("document holds an integer with too many digits to parse") from None
     if not isinstance(payload, dict):
         raise ValueError("document must be a JSON object")
     version = payload.get("format_version")

@@ -43,7 +43,8 @@ def test_benchmark_answers_match_expected(monkeypatch):
 def test_benchmark_structure_answers_match_expected(monkeypatch):
     # the structure workload as the benchmark builds it at seed 0 (its
     # set-up draws every planted pair), then a few of its queries of each
-    # kind, and the scan's process pool
+    # kind, and the f(11, 3) scan, whose workers=2 selects nothing: the scan
+    # runs in one process
     workloads = _load("workloads", monkeypatch)
     tracer = _load("tracing", monkeypatch).Tracer(False)
     expected = json.loads((BENCH / "expected.json").read_text())["answers"]

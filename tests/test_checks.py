@@ -8,20 +8,18 @@ the suite does) and also covers the input refusals of the generators and of
 UGraph, and lift_independent's checks on tampered reduction results.
 """
 
-import os
-import subprocess
-import sys
 import textwrap
 
 import pytest
 
-import twomilton
 from twomilton.bounds import delta_fn
 from twomilton.constructions import k4_strip
 from twomilton.corpus import planted_pair, random_pair
 from twomilton.graphs import UGraph, VerificationError
 from twomilton.reduction import LiftEntry, lift_independent, technical_reduce
 from twomilton.search import window_partners
+
+from runners import fresh_python
 
 CASES = {
     "independence.alpha_exact": """
@@ -141,12 +139,7 @@ sys.exit(1)
 @pytest.mark.parametrize("site", list(CASES))
 def test_check_runs_under_optimize(site):
     script = WRAPPER.format(body=textwrap.indent(textwrap.dedent(CASES[site]).strip(), "    "))
-    src = os.path.dirname(os.path.dirname(twomilton.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = fresh_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("raised ")
 

@@ -5,16 +5,14 @@ Two generators: arbitrary JSON values, and valid documents with one field
 once ended in a traceback or were silently truncated are pinned as examples.
 """
 
-import contextlib
 import copy
-import io
 import json
-from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from twomilton.cli import main
 from twomilton.graphs import FamilyDocument, parse_family
+
+from runners import run_cli
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -98,14 +96,6 @@ def test_parse_arbitrary_json(value):
 @with_examples
 def test_parse_document_with_one_field_replaced(field, value):
     parses_or_refuses(replaced(*field, value))
-
-
-def run_cli(argv, text):
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(text)), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    return rc, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,9 +10,6 @@ import ast
 import importlib
 import inspect
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -22,16 +19,14 @@ from twomilton import cli
 from twomilton.constructions import circulant_family, counterexample_strip, k4_strip
 from twomilton.graphs import FamilyDocument, serialize_family, standard_cycle
 
+from runners import fresh_python
+
 SOLVER_MODULES = ("search", "reduction", "bounds", "constructions", "corpus")
 
 
 def modules_after(script, *argv):
     """Every module loaded once `script` has run in a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(twomilton.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = script + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh_python("-c", script + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))", *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 

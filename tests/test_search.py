@@ -2,18 +2,14 @@
 
 import cProfile
 import hashlib
-import os
 import pstats
 import random
-import subprocess
-import sys
 from collections import Counter
 from itertools import combinations
 from math import ceil, factorial
 
 import pytest
 
-import twomilton
 from twomilton import search
 from twomilton.bounds import smooth_bound
 from twomilton.constructions import circulant_family, k4_strip
@@ -39,6 +35,7 @@ from twomilton.search import (
 )
 
 from oracles import oracle_all_cycles, oracle_alpha, oracle_has_clique_cover, oracle_scan_survivors
+from runners import fresh_python
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -158,12 +155,7 @@ def test_witness_recheck_runs_under_optimize():
         "    sys.exit(0)\n"
         "sys.exit(1)\n"
     )
-    src = os.path.dirname(os.path.dirname(twomilton.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = fresh_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("raised f(4,1) witnesses")
 
